@@ -5,21 +5,29 @@ estimator with per-group delta-method variances (ahmed), the quadratic
 acceptance-set interval built from the same components (baklizi), maximum
 likelihood with an asymptotic-variance Wald interval for two groups
 (gupta-li), and a profile likelihood-ratio test (lrt).
+
+The variances maximize the likelihood in closed form at any fixed mu, so the
+ML fit is a global search over the one-dimensional profile likelihood of mu.
+Callers that run several procedures on one dataset can compute the shared
+pieces once (``ahmed_components``, ``gupta_li_mle``) and pass them in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import optimize, special, stats
 
-from .model import Dataset, KnownVarianceSpec, umvue_known_variance
-from .outcomes import (Alternative, IntervalOutcome, TestOutcome,
+from .model import Dataset
+from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
                        interval_from_log, interval_from_phi)
 
 _SIGMA2_FLOOR = 1e-12
+# absolute tolerance of the Brent search for the ML estimate of mu
+_MU_XTOL = 1e-14
 
 
 def _require_lognormal(ds: Dataset) -> None:
@@ -31,6 +39,18 @@ def _require_phi0(phi0: float) -> float:
     if not (math.isfinite(phi0) and phi0 > 0.0):
         raise ValueError("phi0 must be finite and positive")
     return math.log(phi0)
+
+
+# The quantiles depend only on the level (and k), and each scipy call costs
+# tens of microseconds, so they are computed once per distinct argument.
+@functools.lru_cache(maxsize=64)
+def _normal_quantile(level: float) -> float:
+    return float(stats.norm.ppf((1.0 + level) / 2.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _chi2_quantile(level: float, df: int) -> float:
+    return float(stats.chi2.ppf(level, df=df))
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +94,35 @@ def ahmed_components(ds: Dataset) -> AhmedComponents:
     )
 
 
-def ahmed_ci(ds: Dataset, level: float = 0.95) -> IntervalOutcome:
-    """Wald interval theta_tilde +/- z * SE on the original scale."""
-    comp = ahmed_components(ds)
-    z = stats.norm.ppf((1.0 + level) / 2.0)
+def ahmed_ci(ds: Dataset, level: float = 0.95, *,
+             components: AhmedComponents | None = None) -> IntervalOutcome:
+    """Wald interval theta_tilde +/- z * SE on the original scale.
+
+    ``components`` is ``ahmed_components(ds)`` when the caller already has it.
+    """
+    comp = ahmed_components(ds) if components is None else components
+    z = _normal_quantile(level)
     return interval_from_phi(comp.theta_tilde - z * comp.std_error,
                              comp.theta_tilde + z * comp.std_error,
                              level, method="ahmed", estimate=comp.theta_tilde)
 
 
 def ahmed_test(ds: Dataset, phi0: float,
-               alternative: Alternative = Alternative.TWO_SIDED) -> TestOutcome:
-    """Wald test of the pooled estimate against phi0 on the original scale."""
+               alternative: Alternative = Alternative.TWO_SIDED, *,
+               components: AhmedComponents | None = None) -> TestOutcome:
+    """Wald test of the pooled estimate against phi0 on the original scale.
+
+    ``components`` is ``ahmed_components(ds)`` when the caller already has it.
+    """
     _require_phi0(phi0)
-    comp = ahmed_components(ds)
+    comp = ahmed_components(ds) if components is None else components
     z = (comp.theta_tilde - phi0) / comp.std_error
     p = _wald_pvalue(z, alternative)
     return TestOutcome(p_value=p, mc_std_error=0.0, reps_used=0, method="ahmed", statistic=z)
 
 
-def baklizi_ci(ds: Dataset, level: float = 0.95) -> IntervalOutcome | None:
+def baklizi_ci(ds: Dataset, level: float = 0.95, *,
+               components: AhmedComponents | None = None) -> IntervalOutcome | None:
     """Interval of all theta accepted by the pooled quadratic criterion.
 
     The acceptance region sum_i n_i (theta_hat_i - theta)^2 / v_hat_i <= q,
@@ -101,10 +130,11 @@ def baklizi_ci(ds: Dataset, level: float = 0.95) -> IntervalOutcome | None:
     two roots bound the interval.  Returns ``None`` when the parabola's
     minimum already exceeds q (group estimates too far apart for any common
     value), which callers should treat as a failed interval rather than an
-    error.
+    error.  ``components`` is ``ahmed_components(ds)`` when the caller
+    already has it.
     """
-    comp = ahmed_components(ds)
-    q = stats.chi2.ppf(level, df=ds.k)
+    comp = ahmed_components(ds) if components is None else components
+    q = _chi2_quantile(level, ds.k)
     n = ds.counts()
     theta = np.asarray(comp.theta_hats)
     w = n / np.asarray(comp.v_hats)
@@ -125,7 +155,12 @@ def baklizi_ci(ds: Dataset, level: float = 0.95) -> IntervalOutcome | None:
 
 @dataclass(frozen=True)
 class MleResult:
-    """Maximum-likelihood fit of (mu, sigma^2_1..k)."""
+    """Maximum-likelihood fit of (mu, sigma^2_1..k).
+
+    ``iterations`` counts evaluations of the profile score of mu, and
+    ``converged`` is False only if a Brent search stopped short of its
+    tolerance.
+    """
 
     mu_hat: float
     sigma2_hats: tuple[float, ...]
@@ -151,6 +186,18 @@ def log_likelihood(ds: Dataset, mu: float, sigma2s) -> float:
     return float(np.sum(-0.5 * n * np.log(2.0 * math.pi * v) - quad / (2.0 * v)))
 
 
+def _group_terms(ds: Dataset) -> list[tuple[int, float, float]]:
+    # (n_i, ybar_i, (n_i - 1) s_i^2); k is small, so the profile is evaluated
+    # in scalar arithmetic
+    return [(g.n, g.mean, (g.n - 1) * g.variance) for g in ds.groups]
+
+
+def _sigma2_at(n: int, ybar: float, scaled: float, mu: float) -> float:
+    # 2 (sqrt(1 + x) - 1) written as 2x / (sqrt(1 + x) + 1): no cancellation at small x
+    x = (scaled + n * (ybar - mu) ** 2) / n
+    return max(2.0 * x / (math.sqrt(1.0 + x) + 1.0), _SIGMA2_FLOOR)
+
+
 def constrained_sigma2(ds: Dataset, mu: float) -> np.ndarray:
     """Per-group variance maximizers at fixed mu.
 
@@ -159,51 +206,79 @@ def constrained_sigma2(ds: Dataset, mu: float) -> np.ndarray:
     whose unique positive root is the maximizer.
     """
     _require_lognormal(ds)
-    n = ds.counts()
-    quad = (n - 1) * ds.variances() + n * (ds.means() - mu) ** 2
-    return np.maximum(2.0 * (np.sqrt(1.0 + quad / n) - 1.0), _SIGMA2_FLOOR)
+    return np.array([_sigma2_at(n, ybar, scaled, mu) for n, ybar, scaled in _group_terms(ds)])
 
 
-def _mu_given_sigma2(ds: Dataset, sigma2s: np.ndarray) -> float:
-    # the conditional maximizer in mu is the known-variance estimator
-    return umvue_known_variance(ds, KnownVarianceSpec(tuple(sigma2s)))[0]
+def _profile_score(mu: float, groups) -> float:
+    # d/dmu of the profile log-likelihood: at the conditional maximizers only
+    # the partial derivative in mu remains, sum_i n_i (ybar_i - mu + v_i/2) / v_i
+    total = 0.0
+    for n, ybar, scaled in groups:
+        v = _sigma2_at(n, ybar, scaled, mu)
+        total += n * (ybar - mu + 0.5 * v) / v
+    return total
 
 
-def gupta_li_mle(ds: Dataset, start_sigma2=None, max_iter: int = 2000,
-                 ll_tol: float = 1e-12, param_tol: float = 1e-10) -> MleResult:
-    """Maximize the joint log-likelihood by alternating exact coordinate steps.
+def _profile_log_likelihood(ds: Dataset, mu: float) -> float:
+    return log_likelihood(ds, mu, constrained_sigma2(ds, mu))
 
-    Each sweep sets mu to its closed-form conditional maximizer given the
-    variances, then each variance to the positive root of its score equation
-    given mu, so the log-likelihood never decreases.  Stops when both the
-    relative log-likelihood change is below ``ll_tol`` and the largest
-    parameter change is below ``param_tol``; a non-converged result is
-    returned (flagged) rather than raised.
+
+def _scan_points(groups) -> list[float]:
+    """Sorted points of the bracket of group modes at which the score is read.
+
+    Group i's score changes sign at its mode m_i = ybar_i + c_i / 2, with
+    c_i = (n_i - 1) s_i^2 / n_i, and varies on the scale of c_i next to it, so
+    a group with a small c_i beside one with a large c_i gives the profile a
+    narrow peak that an evenly spaced scan steps over.  Offsets c_i * 2^j,
+    j >= -2, on both sides of every mode resolve each group at every scale up
+    to the width of the bracket.
+    """
+    scales = [scaled / n for n, _, scaled in groups]
+    modes = [ybar + c / 2.0 for (_, ybar, _), c in zip(groups, scales)]
+    lo, hi = min(modes), max(modes)
+    points = {lo, hi}
+    for mode, c in zip(modes, scales):
+        step = max(c, _SIGMA2_FLOOR) / 4.0
+        while step < hi - lo:
+            points.update((mode - step, mode + step))
+            step *= 2.0
+    return sorted(p for p in points if lo <= p <= hi)
+
+
+def gupta_li_mle(ds: Dataset) -> MleResult:
+    """Global maximum of the joint likelihood in (mu, sigma^2_1..k).
+
+    At fixed mu the variances maximize in closed form (``constrained_sigma2``),
+    which leaves the profile log-likelihood l_p(mu).  Each group's profile is
+    unimodal with its peak at ybar_i + (n_i - 1) s_i^2 / (2 n_i), so the score
+    of l_p is positive below the smallest of these modes and negative above
+    the largest, and every local maximum lies between them.  The score is
+    read at the points of ``_scan_points``; a Brent search finds the root in
+    each interval where it falls from positive to non-positive, and the root
+    with the highest l_p is the estimate.  The sum of unimodal profiles can
+    have several peaks, so no single local search is trusted.
     """
     _require_lognormal(ds)
-    if start_sigma2 is None:
-        n = ds.counts()
-        v = np.maximum((n - 1) / n * ds.variances(), _SIGMA2_FLOOR)
-    else:
-        v = np.maximum(np.asarray(start_sigma2, dtype=float), _SIGMA2_FLOOR)
-        if v.shape != (ds.k,):
-            raise ValueError(f"need exactly {ds.k} starting variances")
-    mu = _mu_given_sigma2(ds, v)
-    ll = log_likelihood(ds, mu, v)
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        v_new = constrained_sigma2(ds, mu)
-        mu_new = _mu_given_sigma2(ds, v_new)
-        ll_new = log_likelihood(ds, mu_new, v_new)
-        delta = max(abs(mu_new - mu), float(np.max(np.abs(v_new - v))))
-        small_ll = abs(ll_new - ll) <= ll_tol * (1.0 + abs(ll_new))
-        mu, v, ll = mu_new, v_new, ll_new
-        if small_ll and delta < param_tol:
-            converged = True
-            break
-    return MleResult(mu_hat=mu, sigma2_hats=tuple(v), log_likelihood=ll,
-                     iterations=iterations, converged=converged)
+    groups = _group_terms(ds)
+    points = _scan_points(groups)
+    scores = [_profile_score(mu, groups) for mu in points]
+    evaluations = len(points)
+    converged = True
+    candidates = []
+    if scores[0] <= 0.0:
+        candidates.append(points[0])
+    if scores[-1] > 0.0:
+        candidates.append(points[-1])
+    for a, b, score_a, score_b in zip(points, points[1:], scores, scores[1:]):
+        if score_a > 0.0 >= score_b:
+            root, info = optimize.brentq(_profile_score, a, b, args=(groups,),
+                                         xtol=_MU_XTOL, full_output=True, disp=False)
+            evaluations += info.function_calls
+            converged = converged and info.converged
+            candidates.append(root)
+    ll, mu_hat = max((_profile_log_likelihood(ds, mu), mu) for mu in candidates)
+    return MleResult(mu_hat=mu_hat, sigma2_hats=tuple(constrained_sigma2(ds, mu_hat).tolist()),
+                     log_likelihood=ll, iterations=evaluations, converged=converged)
 
 
 def _gupta_li_sd(ds: Dataset, sigma2_hats) -> float:
@@ -217,62 +292,61 @@ def _gupta_li_sd(ds: Dataset, sigma2_hats) -> float:
     return math.sqrt(var)
 
 
-def _fit_or_raise(ds: Dataset) -> MleResult:
-    fit = gupta_li_mle(ds)
-    if not fit.converged:
-        raise RuntimeError(f"ML fit did not converge in {fit.iterations} iterations")
-    return fit
+def gupta_li_ci(ds: Dataset, level: float = 0.95, *,
+                fit: MleResult | None = None) -> IntervalOutcome:
+    """Wald interval exp(mu_hat +/- z * SD(mu_hat)) for two groups.
 
-
-def gupta_li_ci(ds: Dataset, level: float = 0.95) -> IntervalOutcome:
-    """Wald interval exp(mu_hat +/- z * SD(mu_hat)) for two groups."""
+    ``fit`` is ``gupta_li_mle(ds)`` when the caller already has it.
+    """
     _require_lognormal(ds)
     if ds.k != 2:
         raise ValueError("gupta-li requires exactly two groups")
-    fit = _fit_or_raise(ds)
+    if fit is None:
+        fit = gupta_li_mle(ds)
     sd = _gupta_li_sd(ds, fit.sigma2_hats)
-    z = stats.norm.ppf((1.0 + level) / 2.0)
+    z = _normal_quantile(level)
     return interval_from_log(fit.mu_hat - z * sd, fit.mu_hat + z * sd, level,
-                             method="gupta-li", estimate=math.exp(fit.mu_hat))
+                             method="gupta-li", estimate=exp_or_inf(fit.mu_hat))
 
 
-def gupta_li_test(ds: Dataset, phi0: float) -> TestOutcome:
-    """Two-sided Wald test of mu = ln(phi0) on the log scale, two groups."""
+def gupta_li_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> TestOutcome:
+    """Two-sided Wald test of mu = ln(phi0) on the log scale, two groups.
+
+    ``fit`` is ``gupta_li_mle(ds)`` when the caller already has it.
+    """
     _require_lognormal(ds)
     if ds.k != 2:
         raise ValueError("gupta-li requires exactly two groups")
     mu0 = _require_phi0(phi0)
-    fit = _fit_or_raise(ds)
+    if fit is None:
+        fit = gupta_li_mle(ds)
     z = (fit.mu_hat - mu0) / _gupta_li_sd(ds, fit.sigma2_hats)
-    p = 2.0 * stats.norm.sf(abs(z))
-    return TestOutcome(p_value=min(p, 1.0), mc_std_error=0.0, reps_used=0,
+    p = 2.0 * special.ndtr(-abs(z))
+    return TestOutcome(p_value=float(min(p, 1.0)), mc_std_error=0.0, reps_used=0,
                        method="gupta-li", statistic=z)
 
 
-def lr_test(ds: Dataset, phi0: float) -> TestOutcome:
+def lr_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> TestOutcome:
     """Profile likelihood-ratio test of mu = ln(phi0), chi-square(1) calibrated.
 
-    The unconstrained fit is also restarted from the constrained maximizer,
-    so the reported statistic is nonnegative by monotonicity of the ascent.
+    The statistic is 2 (l_p(mu_hat) - l_p(mu0)) with l_p the profile
+    log-likelihood, nonnegative because mu_hat is its global maximizer.
+    ``fit`` is ``gupta_li_mle(ds)`` when the caller already has it.
     """
     _require_lognormal(ds)
     mu0 = _require_phi0(phi0)
-    v0 = constrained_sigma2(ds, mu0)
-    ll0 = log_likelihood(ds, mu0, v0)
-    fit = gupta_li_mle(ds)
-    refit = gupta_li_mle(ds, start_sigma2=v0)
-    best = max(fit, refit, key=lambda r: r.log_likelihood)
-    if not best.converged:
-        raise RuntimeError(f"ML fit did not converge in {best.iterations} iterations")
-    lam = max(2.0 * (best.log_likelihood - ll0), 0.0)  # clamp float residue
-    return TestOutcome(p_value=float(stats.chi2.sf(lam, df=1)), mc_std_error=0.0,
+    if fit is None:
+        fit = gupta_li_mle(ds)
+    # the clamp only removes rounding residue when mu0 is within ulps of mu_hat
+    lam = max(2.0 * (fit.log_likelihood - _profile_log_likelihood(ds, mu0)), 0.0)
+    return TestOutcome(p_value=float(special.chdtrc(1, lam)), mc_std_error=0.0,
                        reps_used=0, method="lrt", statistic=lam)
 
 
 def _wald_pvalue(z: float, alternative) -> float:
     alternative = Alternative.coerce(alternative)
     if alternative is Alternative.GREATER:
-        return float(stats.norm.sf(z))
+        return float(special.ndtr(-z))
     if alternative is Alternative.LESS:
-        return float(stats.norm.cdf(z))
-    return float(min(2.0 * stats.norm.sf(abs(z)), 1.0))
+        return float(special.ndtr(z))
+    return float(min(2.0 * special.ndtr(-abs(z)), 1.0))

@@ -17,7 +17,8 @@ import numpy as np
 from scipy import stats
 
 from .model import Dataset
-from .outcomes import Alternative, IntervalOutcome, TestOutcome, interval_from_log
+from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
+                       interval_from_log)
 from .samplers import StreamKey, chi_square, std_normal
 
 
@@ -237,7 +238,7 @@ def gci(ds: Dataset, level: float, cfg: MCConfig) -> IntervalOutcome:
     lower, upper = interval_from_pivots(pivots, level)
     median = float(np.quantile(pivots, 0.5))
     return interval_from_log(lower, upper, level, method=_METHOD_TAGS[cfg.method],
-                             estimate=math.exp(median))
+                             estimate=exp_or_inf(median))
 
 
 def _check_group_axis(ds: Dataset, arr: np.ndarray, name: str) -> None:

@@ -82,6 +82,14 @@ class IntervalOutcome:
         return self.phi_upper - self.phi_lower
 
 
+def exp_or_inf(x: float) -> float:
+    """exp(x) on the original scale, where a value beyond the float range is inf."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def interval_from_log(lower: float, upper: float, level: float, method: str = "",
                       estimate: float | None = None) -> IntervalOutcome:
     """Interval whose native scale is the log scale; exponentiates exactly."""
@@ -89,8 +97,8 @@ def interval_from_log(lower: float, upper: float, level: float, method: str = ""
         lower=float(lower),
         upper=float(upper),
         level=float(level),
-        phi_lower=math.exp(lower),
-        phi_upper=math.exp(upper),
+        phi_lower=exp_or_inf(lower),
+        phi_upper=exp_or_inf(upper),
         method=method,
         estimate=estimate,
     )

@@ -16,6 +16,7 @@ cross product mu x sigma2_2 x n_pairs.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -137,7 +138,11 @@ def _simulate_dataset(cell: SimulationCell, rng: np.random.Generator) -> Dataset
 
 
 def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int, int, int, int]]:
-    """Per-method (rejected, test_failed, covered, ci_failed) flags for one replicate."""
+    """Per-method (rejected, test_failed, covered, ci_failed) flags for one replicate.
+
+    A method that raises ValueError or ArithmeticError on this replicate's
+    data counts as failed; any other exception is a bug and propagates.
+    """
     base = StreamKey(cell.seed, cell.cell_index * cell.outer_reps + replicate)
     counts: dict[str, tuple[int, int, int, int]] = {}
     try:
@@ -146,6 +151,10 @@ def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int,
         return {name: (0, 1, 0, 1) for name in cell.methods}
     mu0 = math.log(cell.phi0)
     level = 1.0 - cell.alpha
+    # work shared by several classical methods, done at most once; a call
+    # that raises is retried by (and charged to) the next method that needs it
+    fit = functools.cache(lambda: classical.gupta_li_mle(ds))
+    components = functools.cache(lambda: classical.ahmed_components(ds))
     for name in cell.methods:
         rejected = covered = 0
         test_failed = ci_failed = 0
@@ -158,22 +167,25 @@ def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int,
                 rejected = int(p < cell.alpha)
                 covered = int(lower <= cell.mu <= upper)
             elif name == "lrt":
-                rejected = int(classical.lr_test(ds, cell.phi0).p_value < cell.alpha)
+                outcome = classical.lr_test(ds, cell.phi0, fit=fit())
+                rejected = int(outcome.p_value < cell.alpha)
             elif name == "ahmed":
-                rejected = int(classical.ahmed_test(ds, cell.phi0).p_value < cell.alpha)
-                ci = classical.ahmed_ci(ds, level)
+                outcome = classical.ahmed_test(ds, cell.phi0, components=components())
+                rejected = int(outcome.p_value < cell.alpha)
+                ci = classical.ahmed_ci(ds, level, components=components())
                 covered = int(ci.phi_lower <= math.exp(cell.mu) <= ci.phi_upper)
             elif name == "gupta-li":
-                rejected = int(classical.gupta_li_test(ds, cell.phi0).p_value < cell.alpha)
-                ci = classical.gupta_li_ci(ds, level)
+                outcome = classical.gupta_li_test(ds, cell.phi0, fit=fit())
+                rejected = int(outcome.p_value < cell.alpha)
+                ci = classical.gupta_li_ci(ds, level, fit=fit())
                 covered = int(ci.lower <= cell.mu <= ci.upper)
             else:  # baklizi, interval only
-                ci = classical.baklizi_ci(ds, level)
+                ci = classical.baklizi_ci(ds, level, components=components())
                 if ci is None:
                     ci_failed = 1
                 else:
                     covered = int(ci.phi_lower <= math.exp(cell.mu) <= ci.phi_upper)
-        except Exception:
+        except (ValueError, ArithmeticError):
             rejected = covered = 0
             test_failed = ci_failed = 1
         counts[name] = (rejected, test_failed, covered, ci_failed)

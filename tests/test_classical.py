@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Dataset, KnownVarianceSpec,
-                    SampleSummary, ahmed_ci, ahmed_components, ahmed_test,
-                    baklizi_ci, constrained_sigma2, gupta_li_ci, gupta_li_mle,
-                    gupta_li_test, log_likelihood, lr_test, rmrs_dataset,
-                    umvue_known_variance)
+from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Dataset, SampleSummary,
+                    ahmed_ci, ahmed_components, ahmed_test, baklizi_ci,
+                    constrained_sigma2, gupta_li_ci, gupta_li_mle, gupta_li_test,
+                    log_likelihood, lr_test, rmrs_dataset)
 
 RMRS = rmrs_dataset()
 PHI0 = 20000.0
@@ -151,17 +150,79 @@ def test_gupta_li_mle_single_group_matches_grid_search():
     assert fit.sigma2_hats[0] == pytest.approx(best[1], abs=1e-5)
 
 
-def test_gupta_li_mle_never_below_start():
-    rng = np.random.default_rng(83)
-    for _ in range(20):
-        ds = _dataset(rng, int(rng.integers(1, 4)))
-        n = ds.counts()
-        start = (n - 1) / n * ds.variances()
+def _profile_on_grid(ds, mu):
+    # profile log-likelihood at each mu, written out independently of the
+    # library: variances at their conditional maximizers, then the joint
+    # log-likelihood, summed over groups
+    n = ds.counts()[:, None]
+    ybar = ds.means()[:, None]
+    scaled = (n - 1) * ds.variances()[:, None]
+    v = 2.0 * (np.sqrt(1.0 + (scaled + n * (ybar - mu) ** 2) / n) - 1.0)
+    ll = -0.5 * n * np.log(2.0 * np.pi * v) - (scaled + n * (ybar - mu + v / 2.0) ** 2) / (2.0 * v)
+    return ll.sum(axis=0)
+
+
+def test_gupta_li_mle_reaches_dense_grid_maximum():
+    rng = np.random.default_rng(2)
+    multimodal = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        ds = Dataset(groups=tuple(SampleSummary(int(rng.integers(2, 31)),
+                                                float(rng.normal(0.0, 2.0)),
+                                                float(rng.uniform(0.05, 4.0)))
+                                  for _ in range(k)), model=LOGNORMAL_MEAN)
+        tops = ds.means() + ds.variances()
+        grid = np.linspace(ds.means().min() - 1.0, tops.max() + 1.0, 20_001)
+        profile = _profile_on_grid(ds, grid)
+        peaks = np.count_nonzero((profile[1:-1] > profile[:-2]) & (profile[1:-1] > profile[2:]))
+        multimodal += peaks > 1
         fit = gupta_li_mle(ds)
         assert fit.converged
-        # not worse than the moment initializer evaluated at its own best mu
-        mu_start, _ = umvue_known_variance(ds, KnownVarianceSpec(tuple(start)))
-        assert fit.log_likelihood >= log_likelihood(ds, mu_start, start) - 1e-9
+        assert fit.log_likelihood >= profile.max() - 1e-9
+        assert fit.log_likelihood == pytest.approx(
+            log_likelihood(ds, fit.mu_hat, fit.sigma2_hats), abs=1e-12)
+    assert multimodal >= 3  # the search is exercised on several-peaked profiles
+
+
+def test_gupta_li_mle_finds_narrow_peak():
+    # a near-constant group beside a very dispersed one: the profile has a
+    # narrow peak of width ~1e-8 next to the first group's mode that holds
+    # the global maximum, far from the wide peak near the second group's mode
+    ds = Dataset(groups=(SampleSummary(39, 0.0, 2e-8), SampleSummary(20, -0.04, 640.0)),
+                 model=LOGNORMAL_MEAN)
+    fit = gupta_li_mle(ds)
+    mode = 38 / 39 * 2e-8 / 2.0  # ybar + (n - 1) s^2 / (2 n) of the first group
+    local = mode + 1e-8 * np.linspace(-20.0, 20.0, 40_001)
+    wide = np.linspace(-1.0, 400.0, 40_001)
+    assert fit.log_likelihood >= _profile_on_grid(ds, local).max() - 1e-9
+    assert _profile_on_grid(ds, local).max() > _profile_on_grid(ds, wide).max() + 100.0
+    assert abs(fit.mu_hat - mode) < 1e-6
+
+
+def test_ml_methods_on_large_log_variances():
+    # var_log in the hundreds: the profile is flat over hundreds of units of mu
+    ds = Dataset(groups=(SampleSummary(3, 0.0, 800.0), SampleSummary(3, 1.0, 900.0)),
+                 model=LOGNORMAL_MEAN)
+    fit = gupta_li_mle(ds)
+    assert fit.converged
+    grid = np.linspace(-1.0, 1000.0, 200_001)
+    assert fit.log_likelihood >= _profile_on_grid(ds, grid).max() - 1e-9
+    for outcome in (lr_test(ds, 1.0), gupta_li_test(ds, 1.0)):
+        assert math.isfinite(outcome.statistic)
+        assert 0.0 <= outcome.p_value <= 1.0
+
+
+def test_shared_fit_gives_identical_results():
+    rng = np.random.default_rng(89)
+    ds = _dataset(rng, 2)
+    fit = gupta_li_mle(ds)
+    assert lr_test(ds, 1.5, fit=fit) == lr_test(ds, 1.5)
+    assert gupta_li_test(ds, 1.5, fit=fit) == gupta_li_test(ds, 1.5)
+    assert gupta_li_ci(ds, 0.9, fit=fit) == gupta_li_ci(ds, 0.9)
+    comp = ahmed_components(ds)
+    assert ahmed_test(ds, 1.5, components=comp) == ahmed_test(ds, 1.5)
+    assert ahmed_ci(ds, 0.9, components=comp) == ahmed_ci(ds, 0.9)
+    assert baklizi_ci(ds, 0.9, components=comp) == baklizi_ci(ds, 0.9)
 
 
 def test_constrained_sigma2_solves_score_equation():

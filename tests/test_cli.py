@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,24 @@ def test_nonpositive_raw_data_under_lognormal_model(capsys, tmp_path):
     code, _, err = _run(capsys, "test", "--input", str(path), "--phi0", "1")
     assert code == 2
     assert "positive" in err
+
+
+def test_large_log_variances_report_without_traceback(tmp_path):
+    # exp of the log-scale bounds overflows a float; the original-scale
+    # bounds are reported as inf instead of raising
+    import lnmean
+
+    path = tmp_path / "wide.csv"
+    path.write_text("group,n,mean_log,var_log\na,3,0,800\nb,3,1,900\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(lnmean.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "lnmean", "ci", "--summary", str(path),
+                           "--method", "all", "--reps", "10000", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    results = {r["method"]: r for r in json.loads(proc.stdout)["results"]}
+    assert set(results) == {"ahmed", "gupta-li", "baklizi", "gv-weighted", "gv-umvue"}
+    assert results["gv-weighted"]["phi_upper"] == math.inf
 
 
 def test_phi0_and_mu0_are_exclusive(capsys):

@@ -111,8 +111,8 @@ def test_power_saturates_for_distant_alternative():
 def test_method_failures_are_counted_not_fatal(monkeypatch):
     import lnmean.simulate as sim
 
-    def broken(ds, phi0):
-        raise RuntimeError("forced failure")
+    def broken(ds, phi0, **shared):
+        raise ValueError("forced failure")
 
     monkeypatch.setattr(sim.classical, "lr_test", broken)
     cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5),
@@ -121,6 +121,37 @@ def test_method_failures_are_counted_not_fatal(monkeypatch):
     assert result.rejection["lrt"].estimate == 0.0
     assert result.rejection["lrt"].failures == cell.outer_reps
     assert result.rejection["ahmed"].failures == 0
+
+
+def test_method_bugs_propagate(monkeypatch):
+    import lnmean.simulate as sim
+
+    def buggy(ds, phi0, **shared):
+        raise TypeError("a bug, not a method failure")
+
+    monkeypatch.setattr(sim.classical, "ahmed_test", buggy)
+    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5),
+                          methods=("lrt", "ahmed"), **FAST)
+    with pytest.raises(TypeError, match="a bug"):
+        run_cell(cell)
+
+
+def test_classical_shared_work_runs_once_per_replicate(monkeypatch):
+    import lnmean.simulate as sim
+
+    calls = {"gupta_li_mle": 0, "ahmed_components": 0}
+    for name in calls:
+        original = getattr(sim.classical, name)
+
+        def counted(ds, original=original, name=name):
+            calls[name] += 1
+            return original(ds)
+
+        monkeypatch.setattr(sim.classical, name, counted)
+    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(6, 8),
+                          methods=("lrt", "ahmed", "gupta-li", "baklizi"), **FAST)
+    run_cell(cell)
+    assert calls == {"gupta_li_mle": cell.outer_reps, "ahmed_components": cell.outer_reps}
 
 
 TOML_CONFIG = """
