@@ -80,10 +80,13 @@ def ahmed_components(ds: Dataset) -> AhmedComponents:
     n = ds.counts()
     mu_hat = ds.means()
     sigma2 = (n - 1) / n * ds.variances()
-    theta = np.exp(mu_hat + 0.5 * sigma2)
-    v = sigma2 * (1.0 + 0.5 * sigma2) * np.exp(2.0 * mu_hat + sigma2)
-    weights = n / v
+    with np.errstate(over="ignore", divide="ignore"):
+        theta = np.exp(mu_hat + 0.5 * sigma2)
+        v = sigma2 * (1.0 + 0.5 * sigma2) * np.exp(2.0 * mu_hat + sigma2)
+        weights = n / v
     total = float(np.sum(weights))
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError("ahmed delta-method variances overflow or underflow the float range")
     return AhmedComponents(
         mu_hats=tuple(mu_hat),
         sigma2_hats=tuple(sigma2),

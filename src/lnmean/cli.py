@@ -12,19 +12,16 @@ import os
 import sys
 from pathlib import Path
 
-from .classical import ahmed_ci, ahmed_test, baklizi_ci, gupta_li_ci, gupta_li_test, lr_test
-from .generalized import MCConfig, PivotMethod, TestSpec, gci, gp_value
+from . import methods
+from .generalized import TestSpec, require_draws
 from .model import LOGNORMAL_MEAN, Dataset, ModelSpec, SampleSummary, summarize
 from .outcomes import Alternative
 from .rmrs import RMRS_SUMMARY_ROWS, rmrs_dataset
+from .samplers import StreamKey
 from .simulate import (ConfigError, cells_from_config, load_grid_config,
-                       normalize_method, parse_grid_config, run_grid, write_csv,
-                       CI_METHODS, METHOD_ORDER, TEST_METHODS)
+                       parse_grid_config, run_grid, write_csv)
 
 SEED_ENV_VAR = "LNMEAN_SEED"
-
-_GENERALIZED = {"gv-weighted": PivotMethod.WEIGHTED, "gv-umvue": PivotMethod.UMVUE}
-_TWO_SIDED_ONLY = {"lrt", "gupta-li"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +80,7 @@ def _add_input_args(parser) -> None:
 def _add_mc_args(parser) -> None:
     parser.add_argument("--method", default="all",
                         help="comma-separated methods, or 'all' "
-                             f"(known: {', '.join(METHOD_ORDER)})")
+                             f"(known: {', '.join(methods.METHOD_ORDER)})")
     parser.add_argument("--reps", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=None,
                         help=f"Monte Carlo seed (default: ${SEED_ENV_VAR} or 0)")
@@ -181,39 +178,6 @@ def _require_columns(reader, path, names) -> None:
 
 
 # ---------------------------------------------------------------------------
-# method selection
-
-
-def _resolve_methods(requested: str, ds: Dataset, capability: frozenset,
-                     alternative: Alternative | None = None) -> list[str]:
-    wanted = [item for item in (piece.strip() for piece in requested.split(",")) if item]
-    if not wanted:
-        raise ValueError("no methods requested")
-    if len(wanted) == 1 and wanted[0].lower() == "all":
-        names = [name for name in METHOD_ORDER if name in capability]
-        if not ds.model.is_lognormal_mean:
-            names = [name for name in names if name in _GENERALIZED]
-        if ds.k != 2:
-            names = [name for name in names if name != "gupta-li"]
-        if alternative is not None and alternative is not Alternative.TWO_SIDED:
-            names = [name for name in names if name not in _TWO_SIDED_ONLY]
-        return names
-    names = [normalize_method(name) for name in wanted]
-    for name in names:
-        if name not in capability:
-            kind = "test" if capability is TEST_METHODS else "confidence interval"
-            raise ValueError(f"method {name!r} has no {kind}")
-        if name not in _GENERALIZED and not ds.model.is_lognormal_mean:
-            raise ValueError(f"method {name!r} requires the lognormal-mean model")
-        if name == "gupta-li" and ds.k != 2:
-            raise ValueError("gupta-li requires exactly two groups")
-        if alternative is not None and alternative is not Alternative.TWO_SIDED \
-                and name in _TWO_SIDED_ONLY:
-            raise ValueError(f"method {name!r} supports the two-sided alternative only")
-    return names
-
-
-# ---------------------------------------------------------------------------
 # test / ci / example
 
 
@@ -228,52 +192,47 @@ def _null_values(args, model: ModelSpec) -> tuple[float, float | None]:
     return args.mu0, phi0
 
 
-def _test_results(ds: Dataset, methods, mu0: float, phi0: float | None,
-                  alternative: Alternative, reps: int, seed: int) -> list[dict]:
-    results = []
-    for name in methods:
-        if name in _GENERALIZED:
-            cfg = MCConfig(reps=reps, seed=seed, method=_GENERALIZED[name])
-            outcome = gp_value(ds, TestSpec(mu0=mu0, alternative=alternative), cfg)
-        elif name == "lrt":
-            outcome = lr_test(ds, phi0)
-        elif name == "ahmed":
-            outcome = ahmed_test(ds, phi0, alternative)
-        else:
-            outcome = gupta_li_test(ds, phi0)
-        results.append({
-            "method": name,
-            "p_value": outcome.p_value,
-            "mc_std_error": outcome.mc_std_error if name in _GENERALIZED else None,
-            "statistic": outcome.statistic,
-        })
-    return results
+def _shared_work(ds: Dataset, entries, reps: int, seed: int,
+                 level: float | None = None) -> methods.SharedWork:
+    # every Monte Carlo method draws from the seed's own stream, so a method's
+    # result does not depend on which other methods were requested
+    if any(entry.monte_carlo for entry in entries):
+        require_draws(reps, level)
+    return methods.SharedWork(ds, reps, lambda name: StreamKey(seed).generator())
 
 
-def _ci_results(ds: Dataset, methods, level: float, reps: int, seed: int) -> list[dict]:
-    results = []
-    for name in methods:
-        if name in _GENERALIZED:
-            cfg = MCConfig(reps=reps, seed=seed, method=_GENERALIZED[name])
-            interval = gci(ds, level, cfg)
-        elif name == "ahmed":
-            interval = ahmed_ci(ds, level)
-        elif name == "baklizi":
-            interval = baklizi_ci(ds, level)
-        else:
-            interval = gupta_li_ci(ds, level)
-        if interval is None:
-            results.append({"method": name, "empty": True})
-            continue
-        results.append({
-            "method": name,
-            "mu_lower": interval.lower,
-            "mu_upper": interval.upper,
-            "phi_lower": interval.phi_lower,
-            "phi_upper": interval.phi_upper,
-            "estimate": interval.estimate,
-        })
-    return results
+def _results(entries, run) -> list[dict]:
+    """One report row per method; a method that fails on the data gets an
+    ``error`` row and the others still report."""
+    rows = []
+    for entry in entries:
+        try:
+            rows.append({"method": entry.name, **run(entry)})
+        except (ValueError, ArithmeticError) as exc:
+            rows.append({"method": entry.name, "error": str(exc)})
+    return rows
+
+
+def _test_row(entry, work, spec: TestSpec, phi0: float | None) -> dict:
+    outcome = entry.test(work, spec, phi0)
+    return {
+        "p_value": outcome.p_value,
+        "mc_std_error": outcome.mc_std_error if entry.monte_carlo else None,
+        "statistic": outcome.statistic,
+    }
+
+
+def _ci_row(entry, work, level: float) -> dict:
+    interval = entry.interval(work, level)
+    if interval is None:
+        return {"empty": True}
+    return {
+        "mu_lower": interval.lower,
+        "mu_upper": interval.upper,
+        "phi_lower": interval.phi_lower,
+        "phi_upper": interval.phi_upper,
+        "estimate": interval.estimate,
+    }
 
 
 def _group_entries(labels, ds: Dataset) -> list[dict]:
@@ -287,8 +246,10 @@ def _cmd_test(args) -> int:
     labels, ds = _load_dataset(args)
     alternative = Alternative.coerce(args.alt)
     mu0, phi0 = _null_values(args, ds.model)
+    spec = TestSpec(mu0, alternative)
     seed = _resolve_seed(args.seed)
-    methods = _resolve_methods(args.method, ds, TEST_METHODS, alternative)
+    entries = methods.select(args.method.split(","), ds.k, ds.model, "test", alternative)
+    work = _shared_work(ds, entries, args.reps, seed)
     report = {
         "command": "test",
         "model": {"a": ds.model.a, "b": ds.model.b},
@@ -298,7 +259,7 @@ def _cmd_test(args) -> int:
         "alternative": alternative.value,
         "seed": seed,
         "reps": args.reps,
-        "results": _test_results(ds, methods, mu0, phi0, alternative, args.reps, seed),
+        "results": _results(entries, lambda entry: _test_row(entry, work, spec, phi0)),
     }
     _emit(report, args.format, _render_test_table)
     return 0
@@ -309,7 +270,8 @@ def _cmd_ci(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise ValueError("level must be in (0, 1)")
     seed = _resolve_seed(args.seed)
-    methods = _resolve_methods(args.method, ds, CI_METHODS)
+    entries = methods.select(args.method.split(","), ds.k, ds.model, "interval")
+    work = _shared_work(ds, entries, args.reps, seed, args.level)
     report = {
         "command": "ci",
         "model": {"a": ds.model.a, "b": ds.model.b},
@@ -317,7 +279,7 @@ def _cmd_ci(args) -> int:
         "level": args.level,
         "seed": seed,
         "reps": args.reps,
-        "results": _ci_results(ds, methods, args.level, args.reps, seed),
+        "results": _results(entries, lambda entry: _ci_row(entry, work, args.level)),
     }
     _emit(report, args.format, _render_ci_table)
     return 0
@@ -331,8 +293,10 @@ def _cmd_example(args) -> int:
         raise ValueError("level must be in (0, 1)")
     seed = _resolve_seed(args.seed)
     mu0 = math.log(args.phi0)
-    test_methods = [name for name in METHOD_ORDER if name in TEST_METHODS]
-    ci_methods = [name for name in METHOD_ORDER if name in CI_METHODS]
+    spec = TestSpec(mu0, Alternative.TWO_SIDED)
+    tests = methods.select(["all"], ds.k, ds.model, "test")
+    intervals = methods.select(["all"], ds.k, ds.model, "interval")
+    work = _shared_work(ds, tests + intervals, args.reps, seed, args.level)
     report = {
         "command": "example",
         "dataset": "rmrs",
@@ -347,9 +311,8 @@ def _cmd_example(args) -> int:
         "level": args.level,
         "seed": seed,
         "reps": args.reps,
-        "test_results": _test_results(ds, test_methods, mu0, args.phi0,
-                                      Alternative.TWO_SIDED, args.reps, seed),
-        "ci_results": _ci_results(ds, ci_methods, args.level, args.reps, seed),
+        "test_results": _results(tests, lambda entry: _test_row(entry, work, spec, args.phi0)),
+        "ci_results": _results(intervals, lambda entry: _ci_row(entry, work, args.level)),
     }
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -387,6 +350,9 @@ def _render_test_table(report: dict) -> str:
         f"  {'method':<14} {'p-value':>9} {'mc-se':>9} {'statistic':>11}",
     ]
     for row in report.get("results", report.get("test_results", [])):
+        if "error" in row:
+            lines.append(f"  {row['method']:<14} (failed: {row['error']})")
+            continue
         se = f"{row['mc_std_error']:.5f}" if row.get("mc_std_error") is not None else "-"
         stat = f"{row['statistic']:.4f}" if row.get("statistic") is not None else "-"
         lines.append(f"  {row['method']:<14} {row['p_value']:>9.4f} {se:>9} {stat:>11}")
@@ -401,12 +367,15 @@ def _render_ci_table(report: dict) -> str:
         f"  {'method':<14} {'mu scale':>22} {'original scale':>26} {'estimate':>11}",
     ]
     for row in report["results"]:
+        if "error" in row:
+            lines.append(f"  {row['method']:<14} (failed: {row['error']})")
+            continue
         if row.get("empty"):
             lines.append(f"  {row['method']:<14} {'(empty acceptance set)':>22}")
             continue
         mu_part = f"({row['mu_lower']:.4f}, {row['mu_upper']:.4f})"
-        phi_part = f"({row['phi_lower']:.2f}, {row['phi_upper']:.2f})"
-        est = f"{row['estimate']:.2f}" if row.get("estimate") is not None else "-"
+        phi_part = f"({row['phi_lower']:#.7g}, {row['phi_upper']:#.7g})"
+        est = f"{row['estimate']:#.7g}" if row.get("estimate") is not None else "-"
         lines.append(f"  {row['method']:<14} {mu_part:>22} {phi_part:>26} {est:>11}")
     return "\n".join(lines)
 

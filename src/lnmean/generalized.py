@@ -42,23 +42,24 @@ class PivotMethod(Enum):
 _METHOD_TAGS = {PivotMethod.WEIGHTED: "gv-weighted", PivotMethod.UMVUE: "gv-umvue"}
 
 
+def require_draws(reps: int, level: float | None = None) -> None:
+    """Raise ValueError if ``reps`` draws are too few, or leave under 10 per tail at ``level``."""
+    if reps < 1000:
+        raise ValueError("reps must be at least 1000 for a usable standard error")
+    if level is not None and reps * (1.0 - level) / 2.0 < 10.0:
+        raise ValueError(f"reps={reps} too small to resolve the {level:.3%} tails")
+
+
 @dataclass(frozen=True)
 class MCConfig:
-    """Monte Carlo settings for pivot simulation.
-
-    ``share_weight_chisq`` reuses the pivot chi-squares inside the weights of
-    the weighted method instead of drawing an independent set; the default
-    draws them independently.
-    """
+    """Monte Carlo settings for pivot simulation."""
 
     reps: int = 100_000
     seed: int = 0
     method: PivotMethod = PivotMethod.WEIGHTED
-    share_weight_chisq: bool = False
 
     def __post_init__(self):
-        if self.reps < 1000:
-            raise ValueError("reps must be at least 1000 for a usable standard error")
+        require_draws(self.reps)
         object.__setattr__(self, "method", PivotMethod.coerce(self.method))
 
 
@@ -142,15 +143,15 @@ def pivot_draw_umvue(ds: Dataset, u, z):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_pivots(ds: Dataset, method: PivotMethod, reps: int, rng: np.random.Generator,
-                  share_weight_chisq: bool = False) -> np.ndarray:
+def sample_pivots(ds: Dataset, method: PivotMethod, reps: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """Simulate ``reps`` pivot values; the draw order per replication is fixed."""
     method = PivotMethod.coerce(method)
     dfs = ds.counts() - 1
     shape = (reps, ds.k)
     if method is PivotMethod.WEIGHTED:
         u = chi_square(dfs, rng, shape)
-        v = u if share_weight_chisq else chi_square(dfs, rng, shape)
+        v = chi_square(dfs, rng, shape)
         z = std_normal(rng, shape)
         return pivot_draw_weighted(ds, z, u, v)
     u = chi_square(dfs, rng, shape)
@@ -186,12 +187,17 @@ def interval_from_pivots(pivots: np.ndarray, level: float) -> tuple[float, float
     return float(lower), float(upper)
 
 
-def gp_value(ds: Dataset, spec: TestSpec, cfg: MCConfig) -> TestOutcome:
-    """Monte Carlo p-value for mu from the configured pivot method."""
-    rng = StreamKey(cfg.seed).generator()
-    pivots = sample_pivots(ds, cfg.method, cfg.reps, rng, cfg.share_weight_chisq)
+def gp_value(ds: Dataset, spec: TestSpec, cfg: MCConfig, *,
+             pivots: np.ndarray | None = None) -> TestOutcome:
+    """Monte Carlo p-value for mu from the configured pivot method.
+
+    ``pivots``, if given, are ``cfg.method`` pivots the caller already drew;
+    they replace the draw of ``cfg.reps`` from the stream of ``cfg.seed``.
+    """
+    if pivots is None:
+        pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
     p, se = pvalue_from_pivots(pivots, spec.mu0, spec.alternative)
-    return TestOutcome(p_value=p, mc_std_error=se, reps_used=cfg.reps,
+    return TestOutcome(p_value=p, mc_std_error=se, reps_used=pivots.size,
                        method=_METHOD_TAGS[cfg.method])
 
 
@@ -227,14 +233,18 @@ def gp_value_rao_blackwell(ds: Dataset, spec: TestSpec, cfg: MCConfig) -> TestOu
                        reps_used=cfg.reps, method="gv-umvue-rb")
 
 
-def gci(ds: Dataset, level: float, cfg: MCConfig) -> IntervalOutcome:
-    """Confidence interval for mu from empirical quantiles of simulated pivots."""
+def gci(ds: Dataset, level: float, cfg: MCConfig, *,
+        pivots: np.ndarray | None = None) -> IntervalOutcome:
+    """Confidence interval for mu from empirical quantiles of simulated pivots.
+
+    ``pivots``, if given, are ``cfg.method`` pivots the caller already drew;
+    they replace the draw of ``cfg.reps`` from the stream of ``cfg.seed``.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    if cfg.reps * (1.0 - level) / 2.0 < 10.0:
-        raise ValueError(f"reps={cfg.reps} too small to resolve the {level:.3%} tails")
-    rng = StreamKey(cfg.seed).generator()
-    pivots = sample_pivots(ds, cfg.method, cfg.reps, rng, cfg.share_weight_chisq)
+    require_draws(cfg.reps, level)
+    if pivots is None:
+        pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
     lower, upper = interval_from_pivots(pivots, level)
     median = float(np.quantile(pivots, 0.5))
     return interval_from_log(lower, upper, level, method=_METHOD_TAGS[cfg.method],

@@ -16,37 +16,24 @@ cross product mu x sigma2_2 x n_pairs.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
+import tomllib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import classical
-from .generalized import (PivotMethod, interval_from_pivots, pvalue_from_pivots,
-                          sample_pivots)
+from .generalized import TestSpec, require_draws
+from .methods import METHOD_ORDER, METHODS, SharedWork, select
 from .model import LOGNORMAL_MEAN, Dataset, SampleSummary
-from .outcomes import Alternative
 from .samplers import StreamKey, std_normal
-
-try:
-    import tomllib  # python >= 3.11
-except ModuleNotFoundError:  # pragma: no cover - depends on interpreter
-    tomllib = None
-
-METHOD_ORDER = ("lrt", "ahmed", "gupta-li", "baklizi", "gv-weighted", "gv-umvue")
-TEST_METHODS = frozenset(("lrt", "ahmed", "gupta-li", "gv-weighted", "gv-umvue"))
-CI_METHODS = frozenset(("ahmed", "gupta-li", "baklizi", "gv-weighted", "gv-umvue"))
 
 # lane 0 of a replicate substream draws the data; each method's Monte Carlo
 # draws get their own lane so a method's result does not depend on which
 # other methods were requested
 _METHOD_LANES = {name: index + 1 for index, name in enumerate(METHOD_ORDER)}
-
-_PIVOT_KINDS = {"gv-weighted": PivotMethod.WEIGHTED, "gv-umvue": PivotMethod.UMVUE}
 
 CSV_COLUMNS = ("mu", "sigma2_1", "sigma2_2", "n1", "n2", "method", "metric",
                "estimate", "std_error", "failures")
@@ -54,13 +41,6 @@ CSV_COLUMNS = ("mu", "sigma2_1", "sigma2_2", "n1", "n2", "method", "metric",
 
 class ConfigError(ValueError):
     """Malformed simulation grid configuration."""
-
-
-def normalize_method(name: str) -> str:
-    canonical = str(name).strip().lower().replace("_", "-")
-    if canonical not in METHOD_ORDER:
-        raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHOD_ORDER)}")
-    return canonical
 
 
 @dataclass(frozen=True)
@@ -81,10 +61,10 @@ class SimulationCell:
     def __post_init__(self):
         sigma2s = tuple(float(v) for v in self.sigma2s)
         ns = tuple(int(n) for n in self.ns)
-        methods = tuple(normalize_method(m) for m in self.methods)
+        entries = select(self.methods, len(ns), LOGNORMAL_MEAN)
         object.__setattr__(self, "sigma2s", sigma2s)
         object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "methods", tuple(entry.name for entry in entries))
         if len(sigma2s) != len(ns) or not sigma2s:
             raise ValueError("sigma2s and ns must be nonempty and the same length")
         if any(v <= 0 for v in sigma2s):
@@ -99,10 +79,8 @@ class SimulationCell:
             raise ValueError("outer_reps must be at least 100")
         if self.inner_reps < 1000:
             raise ValueError("inner_reps must be at least 1000")
-        if len(set(methods)) != len(methods):
-            raise ValueError("duplicate method names")
-        if "gupta-li" in methods and len(ns) != 2:
-            raise ValueError("gupta-li requires exactly two groups")
+        if any(entry.monte_carlo for entry in entries):
+            require_draws(self.inner_reps, 1.0 - self.alpha)
 
 
 @dataclass(frozen=True)
@@ -149,42 +127,24 @@ def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int,
         ds = _simulate_dataset(cell, base.generator(0))
     except ValueError:
         return {name: (0, 1, 0, 1) for name in cell.methods}
-    mu0 = math.log(cell.phi0)
+    spec = TestSpec(math.log(cell.phi0))
     level = 1.0 - cell.alpha
-    # work shared by several classical methods, done at most once; a call
-    # that raises is retried by (and charged to) the next method that needs it
-    fit = functools.cache(lambda: classical.gupta_li_mle(ds))
-    components = functools.cache(lambda: classical.ahmed_components(ds))
+    work = SharedWork(ds, cell.inner_reps, lambda name: base.generator(_METHOD_LANES[name]))
     for name in cell.methods:
-        rejected = covered = 0
-        test_failed = ci_failed = 0
+        entry = METHODS[name]
+        rejected = covered = test_failed = ci_failed = 0
         try:
-            if name in _PIVOT_KINDS:
-                rng = base.generator(_METHOD_LANES[name])
-                pivots = sample_pivots(ds, _PIVOT_KINDS[name], cell.inner_reps, rng)
-                p, _ = pvalue_from_pivots(pivots, mu0, Alternative.TWO_SIDED)
-                lower, upper = interval_from_pivots(pivots, level)
-                rejected = int(p < cell.alpha)
-                covered = int(lower <= cell.mu <= upper)
-            elif name == "lrt":
-                outcome = classical.lr_test(ds, cell.phi0, fit=fit())
+            if entry.test is not None:
+                outcome = entry.test(work, spec, cell.phi0)
                 rejected = int(outcome.p_value < cell.alpha)
-            elif name == "ahmed":
-                outcome = classical.ahmed_test(ds, cell.phi0, components=components())
-                rejected = int(outcome.p_value < cell.alpha)
-                ci = classical.ahmed_ci(ds, level, components=components())
-                covered = int(ci.phi_lower <= math.exp(cell.mu) <= ci.phi_upper)
-            elif name == "gupta-li":
-                outcome = classical.gupta_li_test(ds, cell.phi0, fit=fit())
-                rejected = int(outcome.p_value < cell.alpha)
-                ci = classical.gupta_li_ci(ds, level, fit=fit())
-                covered = int(ci.lower <= cell.mu <= ci.upper)
-            else:  # baklizi, interval only
-                ci = classical.baklizi_ci(ds, level, components=components())
-                if ci is None:
+            if entry.interval is not None:
+                interval = entry.interval(work, level)
+                if interval is None:
                     ci_failed = 1
+                elif entry.original_scale:
+                    covered = int(interval.phi_lower <= math.exp(cell.mu) <= interval.phi_upper)
                 else:
-                    covered = int(ci.phi_lower <= math.exp(cell.mu) <= ci.phi_upper)
+                    covered = int(interval.lower <= cell.mu <= interval.upper)
         except (ValueError, ArithmeticError):
             rejected = covered = 0
             test_failed = ci_failed = 1
@@ -210,9 +170,9 @@ def run_cell(cell: SimulationCell, workers: int = 1) -> SimulationResult:
     coverage = {}
     for name in cell.methods:
         rej, rej_fail, cov, cov_fail = totals[name]
-        if name in TEST_METHODS:
+        if METHODS[name].test is not None:
             rejection[name] = _rate(rej, rej_fail, cell.outer_reps)
-        if name in CI_METHODS:
+        if METHODS[name].interval is not None:
             coverage[name] = _rate(cov, cov_fail, cell.outer_reps)
     return SimulationResult(cell=cell, rejection=rejection, coverage=coverage)
 
@@ -279,9 +239,7 @@ def parse_grid_config(text: str, kind: str, source: str = "<config>") -> dict:
     if kind != "toml":
         raise ConfigError(f"{source}: unsupported config format {kind!r}")
     try:
-        if tomllib is not None:
-            return tomllib.loads(text)
-        return _parse_flat_toml(text)
+        return tomllib.loads(text)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{source}: invalid TOML ({exc})") from exc
 
@@ -308,14 +266,13 @@ def cells_from_config(config: dict) -> list[SimulationCell]:
         if any(len(pair) != 2 for pair in config["n_pairs"]):
             raise ConfigError("n_pairs entries must have exactly two sizes")
         n_pairs = [(int(pair[0]), int(pair[1])) for pair in config["n_pairs"]]
-        methods = tuple(normalize_method(m) for m in config["methods"])
         common = dict(
             phi0=float(config.get("phi0", 1.0)),
             alpha=float(config["alpha"]),
             outer_reps=int(config["outer_reps"]),
             inner_reps=int(config["inner_reps"]),
             seed=int(config["seed"]),
-            methods=methods,
+            methods=tuple(config["methods"]),
         )
     except ConfigError:
         raise
@@ -332,92 +289,3 @@ def cells_from_config(config: dict) -> list[SimulationCell]:
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from exc
     return cells
-
-
-def _parse_flat_toml(text: str) -> dict:
-    """Minimal TOML subset reader: flat ``key = value`` lines.
-
-    Supports comments, strings, booleans, ints, floats and (nested) arrays,
-    which covers grid configs on interpreters without ``tomllib``.
-    """
-    result: dict = {}
-    pending = ""
-    for raw_line in text.splitlines():
-        line = (pending + " " + raw_line).strip() if pending else raw_line.strip()
-        pending = ""
-        line = _strip_toml_comment(line)
-        if not line:
-            continue
-        if line.startswith("["):
-            raise ValueError("tables are not supported in grid configs")
-        if "=" not in line:
-            raise ValueError(f"expected 'key = value', got {line!r}")
-        key, _, value_text = line.partition("=")
-        value_text = value_text.strip()
-        if value_text.count("[") > value_text.count("]"):
-            pending = line  # multi-line array, keep accumulating
-            continue
-        result[key.strip()] = _parse_toml_value(value_text)
-    if pending:
-        raise ValueError("unterminated array")
-    return result
-
-
-def _strip_toml_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out).strip()
-
-
-def _parse_toml_value(text: str):
-    text = text.strip()
-    if not text:
-        raise ValueError("empty value")
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ValueError(f"unterminated array: {text!r}")
-        return [_parse_toml_value(item) for item in _split_toml_array(text[1:-1])]
-    if text.startswith('"'):
-        if not (text.endswith('"') and len(text) >= 2):
-            raise ValueError(f"unterminated string: {text!r}")
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"cannot parse value {text!r}") from None
-
-
-def _split_toml_array(body: str) -> list[str]:
-    items = []
-    depth = 0
-    in_string = False
-    current = []
-    for ch in body:
-        if ch == '"':
-            in_string = not in_string
-        if not in_string:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                items.append("".join(current))
-                current = []
-                continue
-        current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        items.append(tail)
-    return [item for item in (piece.strip() for piece in items) if item]

@@ -202,6 +202,61 @@ def test_large_log_variances_report_without_traceback(tmp_path):
     assert results["gv-weighted"]["phi_upper"] == math.inf
 
 
+def test_ahmed_overflow_fails_by_name_and_others_report(tmp_path):
+    # at log means near 400 the ahmed weights overflow; ahmed and baklizi
+    # report the failure and every other method still reports its interval
+    import lnmean
+
+    path = tmp_path / "far.csv"
+    path.write_text("group,n,mean_log,var_log\na,10,400,1\nb,12,401,2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(lnmean.__file__).parent.parent))
+    base = [sys.executable, "-m", "lnmean", "ci", "--summary", str(path), "--reps", "10000"]
+    proc = subprocess.run(base + ["--method", "all", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    results = {r["method"]: r for r in json.loads(proc.stdout)["results"]}
+    for method in ("gv-weighted", "gv-umvue", "gupta-li"):
+        assert "error" not in results[method]
+        assert math.isfinite(results[method]["phi_lower"])
+    for method in ("ahmed", "baklizi"):
+        assert "overflow" in results[method]["error"]
+    proc = subprocess.run(base + ["--method", "ahmed"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert "ahmed          (failed: " in proc.stdout
+
+
+def test_ci_table_rows_stay_narrow_for_huge_bounds(capsys, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("group,n,mean_log,var_log\na,3,0,800\nb,3,1,900\n")
+    code, out, err = _run(capsys, "ci", "--summary", str(path), "--method", "all",
+                          "--reps", "10000")
+    assert code == 0, err
+    rows = out.splitlines()
+    assert len(rows) == 3 + 5
+    assert max(len(row) for row in rows) <= 100
+
+
+def test_example_shares_fit_components_and_pivots(capsys, monkeypatch):
+    from lnmean import classical, generalized
+
+    calls = {"gupta_li_mle": 0, "ahmed_components": 0, "sample_pivots": 0}
+    for module, name in ((classical, "gupta_li_mle"), (classical, "ahmed_components"),
+                         (generalized, "sample_pivots")):
+        original = getattr(module, name)
+
+        def counted(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _, err = _run(capsys, "example", "--reps", "5000", "--seed", "3")
+    assert code == 0, err
+    assert calls == {"gupta_li_mle": 1, "ahmed_components": 1, "sample_pivots": 2}
+
+
 def test_phi0_and_mu0_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["test", "--example", "rmrs", "--phi0", "1", "--mu0", "0"])

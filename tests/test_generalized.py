@@ -268,16 +268,10 @@ def test_gp_value_is_pure_function_of_inputs():
     second = gp_value(ds, spec, cfg)
     assert first == second
     assert gci(ds, 0.9, cfg) == gci(ds, 0.9, cfg)
-
-
-def test_share_weight_chisq_switch_changes_draws():
-    rng = np.random.default_rng(68)
-    ds = _dataset(rng, 2)
-    base = dict(reps=5000, seed=4, method=PivotMethod.WEIGHTED)
-    independent = gci(ds, 0.95, MCConfig(**base))
-    shared = gci(ds, 0.95, MCConfig(share_weight_chisq=True, **base))
-    assert independent.lower != shared.lower
-    assert independent.upper != shared.upper
+    # the same draw passed in gives the same outcomes as drawing it inside
+    pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
+    assert gp_value(ds, spec, cfg, pivots=pivots) == first
+    assert gci(ds, 0.9, cfg, pivots=pivots) == gci(ds, 0.9, cfg)
 
 
 # ---------------------------------------------------------------------------

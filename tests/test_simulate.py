@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from lnmean import SimulationCell, run_cell, run_grid, write_csv
+from lnmean import SimulationCell, classical, run_cell, run_grid, write_csv
+from lnmean.methods import normalize_method
 from lnmean.simulate import (ConfigError, cells_from_config, load_grid_config,
-                             normalize_method, parse_grid_config, result_rows)
+                             parse_grid_config, result_rows)
 
 FAST = dict(outer_reps=100, inner_reps=1000, seed=7)
 
@@ -37,6 +38,11 @@ def test_cell_validation():
     with pytest.raises(ValueError, match="two groups"):
         SimulationCell(mu=0.0, sigma2s=(1.0, 1.0, 1.0), ns=(5, 5, 5),
                        methods=("gupta-li",))
+    # 1000 draws leave 5 in each tail of a 99% interval: refused up front
+    # when a Monte Carlo method is requested, not failed replicate by replicate
+    with pytest.raises(ValueError, match="too small"):
+        SimulationCell(**ok, alpha=0.01, inner_reps=1000)
+    SimulationCell(**ok, alpha=0.01, inner_reps=1000, methods=("lrt", "baklizi"))
 
 
 def test_run_cell_is_deterministic():
@@ -109,12 +115,10 @@ def test_power_saturates_for_distant_alternative():
 
 
 def test_method_failures_are_counted_not_fatal(monkeypatch):
-    import lnmean.simulate as sim
-
     def broken(ds, phi0, **shared):
         raise ValueError("forced failure")
 
-    monkeypatch.setattr(sim.classical, "lr_test", broken)
+    monkeypatch.setattr(classical, "lr_test", broken)
     cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5),
                           methods=("lrt", "ahmed"), **FAST)
     result = run_cell(cell)
@@ -124,12 +128,10 @@ def test_method_failures_are_counted_not_fatal(monkeypatch):
 
 
 def test_method_bugs_propagate(monkeypatch):
-    import lnmean.simulate as sim
-
     def buggy(ds, phi0, **shared):
         raise TypeError("a bug, not a method failure")
 
-    monkeypatch.setattr(sim.classical, "ahmed_test", buggy)
+    monkeypatch.setattr(classical, "ahmed_test", buggy)
     cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5),
                           methods=("lrt", "ahmed"), **FAST)
     with pytest.raises(TypeError, match="a bug"):
@@ -137,17 +139,15 @@ def test_method_bugs_propagate(monkeypatch):
 
 
 def test_classical_shared_work_runs_once_per_replicate(monkeypatch):
-    import lnmean.simulate as sim
-
     calls = {"gupta_li_mle": 0, "ahmed_components": 0}
     for name in calls:
-        original = getattr(sim.classical, name)
+        original = getattr(classical, name)
 
         def counted(ds, original=original, name=name):
             calls[name] += 1
             return original(ds)
 
-        monkeypatch.setattr(sim.classical, name, counted)
+        monkeypatch.setattr(classical, name, counted)
     cell = SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(6, 8),
                           methods=("lrt", "ahmed", "gupta-li", "baklizi"), **FAST)
     run_cell(cell)
@@ -189,13 +189,6 @@ def test_toml_and_json_configs_agree(tmp_path):
     assert len(cells_toml) == 2
     assert [cell.cell_index for cell in cells_toml] == [0, 1]
     assert cells_toml[0].sigma2s == (1.0, 0.5)
-
-
-def test_fallback_toml_parser_matches_reference():
-    # exercise the bundled subset parser directly on the same text
-    from lnmean.simulate import _parse_flat_toml
-    parsed = _parse_flat_toml(TOML_CONFIG)
-    assert parsed == json.loads(_json_equivalent())
 
 
 def test_config_validation_errors():
