@@ -15,7 +15,7 @@ from pathlib import Path
 from . import methods
 from .generalized import TestSpec, require_draws
 from .model import LOGNORMAL_MEAN, Dataset, ModelSpec, SampleSummary, summarize
-from .outcomes import Alternative
+from .outcomes import Alternative, exp_or_inf
 from .rmrs import RMRS_SUMMARY_ROWS, rmrs_dataset
 from .samplers import StreamKey
 from .simulate import (ConfigError, cells_from_config, load_grid_config,
@@ -188,7 +188,7 @@ def _null_values(args, model: ModelSpec) -> tuple[float, float | None]:
         if args.phi0 <= 0:
             raise ValueError("phi0 must be positive")
         return math.log(args.phi0), args.phi0
-    phi0 = math.exp(args.mu0) if model.is_lognormal_mean else None
+    phi0 = exp_or_inf(args.mu0) if model.is_lognormal_mean else None
     return args.mu0, phi0
 
 
@@ -315,7 +315,7 @@ def _cmd_example(args) -> int:
         "ci_results": _results(intervals, lambda entry: _ci_row(entry, work, args.level)),
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
         return 0
     lines = ["RMRS example (summary data, log scale)"]
     lines.append(f"  {'group':<18} {'n':>4} {'mean':>9} {'variance':>10} {'published':>10}")
@@ -332,9 +332,25 @@ def _cmd_example(args) -> int:
 
 def _emit(report: dict, fmt: str, renderer) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         print(renderer(report))
+
+
+def _json_text(report: dict) -> str:
+    """The report as RFC 8259 JSON, which has no number for inf or nan."""
+    return json.dumps(_json_safe(report), indent=2, allow_nan=False)
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    return value
 
 
 def _render_test_table(report: dict) -> str:

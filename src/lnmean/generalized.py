@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .model import Dataset
 from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
@@ -78,6 +78,43 @@ class TestSpec:
         object.__setattr__(self, "alternative", Alternative.coerce(self.alternative))
 
 
+def _group_scalars(ds: Dataset) -> list[tuple[float, float, float]]:
+    """Per group (n_i, ybar_i, (n_i - 1) s_i^2) as Python floats."""
+    return [(float(g.n), float(g.mean), (g.n - 1) * float(g.variance)) for g in ds.groups]
+
+
+def _check_positive(arr: np.ndarray, what: str) -> None:
+    if np.any(arr <= 0.0):
+        raise ValueError(f"{what} chi-square draws must be strictly positive")
+
+
+def _column_sum(columns):
+    """Sum of per-group columns, left to right: numpy's own order for k < 8."""
+    columns = iter(columns)
+    total = next(columns)
+    for col in columns:
+        total = total + col
+    return total
+
+
+def _weight_columns(ds: Dataset, v: np.ndarray) -> list:
+    """One column w_i = r_i / sum_j r_j per group, r_i = n_i v_i / ((n_i - 1) s_i^2)."""
+    raw = [n * v[..., i] / scaled for i, (n, _, scaled) in enumerate(_group_scalars(ds))]
+    total = _column_sum(raw)
+    return [col / total for col in raw]
+
+
+def _umvue_sums(ds: Dataset, u: np.ndarray):
+    """(A, B) of the umvue pivot from the group columns of ``u``.
+
+    B = sum_i r_i and A = sum_i r_i ybar_i - n b, with r_i = n_i u_i / ((n_i - 1) s_i^2).
+    """
+    groups = _group_scalars(ds)
+    rates = [n * u[..., i] / scaled for i, (n, _, scaled) in enumerate(groups)]
+    a_sum = _column_sum(rate * ybar for rate, (_, ybar, _) in zip(rates, groups))
+    return a_sum - ds.total_n * ds.model.b, _column_sum(rates)
+
+
 def pivot_weights(ds: Dataset, v) -> np.ndarray:
     """Normalized weights n_i * v_i / ((n_i - 1) s_i^2) for chi-square draws v.
 
@@ -85,10 +122,8 @@ def pivot_weights(ds: Dataset, v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     _check_group_axis(ds, v, "v")
-    if np.any(v <= 0.0):
-        raise ValueError("weight chi-square draws must be strictly positive")
-    raw = ds.counts() * v / ((ds.counts() - 1) * ds.variances())
-    return raw / np.sum(raw, axis=-1, keepdims=True)
+    _check_positive(v, "weight")
+    return np.stack(_weight_columns(ds, v), axis=-1)
 
 
 def pivot_draw_weighted(ds: Dataset, z, u, v):
@@ -108,15 +143,15 @@ def pivot_draw_weighted(ds: Dataset, z, u, v):
     v = np.asarray(v, dtype=float)
     for name, arr in (("z", z), ("u", u)):
         _check_group_axis(ds, arr, name)
-    if np.any(u <= 0.0):
-        raise ValueError("pivot chi-square draws must be strictly positive")
+    _check_positive(u, "pivot")
+    _check_group_axis(ds, v, "v")
+    _check_positive(v, "weight")
     a, b = ds.model.a, ds.model.b
-    n = ds.counts()
-    s2 = ds.variances()
-    scaled = (n - 1) * s2
-    t = (ds.means() - b * scaled / u - z * np.sqrt(scaled / (n * u))) / a
-    out = np.sum(pivot_weights(ds, v) * t, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    groups = zip(_group_scalars(ds), _weight_columns(ds, v))
+    out = _column_sum(
+        w * ((ybar - b * scaled / u[..., i] - z[..., i] * np.sqrt(scaled / (n * u[..., i]))) / a)
+        for i, ((n, ybar, scaled), w) in enumerate(groups))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def pivot_draw_umvue(ds: Dataset, u, z):
@@ -132,15 +167,11 @@ def pivot_draw_umvue(ds: Dataset, u, z):
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
     _check_group_axis(ds, u, "u")
-    if np.any(u <= 0.0):
-        raise ValueError("pivot chi-square draws must be strictly positive")
-    a, b = ds.model.a, ds.model.b
-    n = ds.counts()
-    rate = n * u / ((n - 1) * ds.variances())
-    b_sum = np.sum(rate, axis=-1)
-    a_sum = np.sum(rate * ds.means(), axis=-1) - ds.total_n * b
+    _check_positive(u, "pivot")
+    a = ds.model.a
+    a_sum, b_sum = _umvue_sums(ds, u)
     out = a_sum / (a * b_sum) - z / (abs(a) * np.sqrt(b_sum))
-    return float(out) if out.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def sample_pivots(ds: Dataset, method: PivotMethod, reps: int,
@@ -180,11 +211,12 @@ def pvalue_from_pivots(pivots: np.ndarray, mu0: float, alternative: Alternative)
     return min(1.0, 2.0 * tail), math.sqrt(tail * (1.0 - tail) / m)
 
 
-def interval_from_pivots(pivots: np.ndarray, level: float) -> tuple[float, float]:
-    """Equal-tailed interval from empirical pivot quantiles (linear interpolation)."""
+def interval_from_pivots(pivots: np.ndarray, level: float) -> tuple[float, float, float]:
+    """Equal-tailed interval and median from empirical pivot quantiles (linear
+    interpolation), as ``(lower, upper, median)`` from one partition."""
     alpha = 1.0 - level
-    lower, upper = np.quantile(pivots, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(lower), float(upper)
+    lower, median, upper = np.quantile(pivots, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0])
+    return float(lower), float(upper), float(median)
 
 
 def gp_value(ds: Dataset, spec: TestSpec, cfg: MCConfig, *,
@@ -211,15 +243,12 @@ def gp_value_rao_blackwell(ds: Dataset, spec: TestSpec, cfg: MCConfig) -> TestOu
     """
     if PivotMethod.coerce(cfg.method) is not PivotMethod.UMVUE:
         raise ValueError("the analytic reduction applies to the umvue pivot only")
-    a, b = ds.model.a, ds.model.b
+    a = ds.model.a
     rng = StreamKey(cfg.seed).generator()
-    n = ds.counts()
-    u = chi_square(n - 1, rng, (cfg.reps, ds.k))
-    rate = n * u / ((n - 1) * ds.variances())
-    b_sum = np.sum(rate, axis=-1)
-    a_sum = np.sum(rate * ds.means(), axis=-1) - ds.total_n * b
+    u = chi_square(ds.counts() - 1, rng, (cfg.reps, ds.k))
+    a_sum, b_sum = _umvue_sums(ds, u)
     root = np.sqrt(b_sum)
-    terms = stats.norm.cdf(np.sign(a) * a_sum / root - abs(a) * root * spec.mu0)
+    terms = special.ndtr(np.sign(a) * a_sum / root - abs(a) * root * spec.mu0)
     p_above = float(np.mean(terms))  # P(pivot > mu0)
     se = float(np.std(terms, ddof=1) / math.sqrt(cfg.reps))
     alternative = Alternative.coerce(spec.alternative)
@@ -245,8 +274,7 @@ def gci(ds: Dataset, level: float, cfg: MCConfig, *,
     require_draws(cfg.reps, level)
     if pivots is None:
         pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
-    lower, upper = interval_from_pivots(pivots, level)
-    median = float(np.quantile(pivots, 0.5))
+    lower, upper, median = interval_from_pivots(pivots, level)
     return interval_from_log(lower, upper, level, method=_METHOD_TAGS[cfg.method],
                              estimate=exp_or_inf(median))
 

@@ -129,12 +129,20 @@ def test_raw_and_summary_inputs_agree_exactly(capsys, tmp_path):
     assert from_raw["groups"] == from_summary["groups"]
 
 
-def test_json_report_round_trips(capsys):
-    code, out, _ = _run(capsys, "test", "--example", "rmrs", "--phi0", "20000",
-                        "--method", "lrt", "--format", "json")
-    assert code == 0
-    parsed = json.loads(out)
-    assert json.loads(json.dumps(parsed)) == parsed
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_report_round_trips(capsys, tmp_path):
+    # infinite bounds and estimates are written as strings, not bare Infinity
+    wide = tmp_path / "wide.csv"
+    wide.write_text("group,n,mean_log,var_log\na,3,0,800\nb,3,1,900\n")
+    for argv in (("test", "--example", "rmrs", "--phi0", "20000", "--method", "lrt"),
+                 ("ci", "--summary", str(wide), "--method", "all", "--reps", "10000")):
+        code, out, err = _run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        parsed = json.loads(out, parse_constant=_reject_constant)
+        assert json.loads(json.dumps(parsed)) == parsed
 
 
 def test_env_var_seed_with_flag_override(capsys, monkeypatch):
@@ -199,7 +207,21 @@ def test_large_log_variances_report_without_traceback(tmp_path):
     assert proc.returncode == 0, proc.stderr
     results = {r["method"]: r for r in json.loads(proc.stdout)["results"]}
     assert set(results) == {"ahmed", "gupta-li", "baklizi", "gv-weighted", "gv-umvue"}
-    assert results["gv-weighted"]["phi_upper"] == math.inf
+    assert results["gv-weighted"]["phi_upper"] == "inf"
+    # exp(mu0) overflows too: phi0 is inf, so the methods that test phi0 fail
+    # by name and the generalized methods still report
+    proc = subprocess.run([sys.executable, "-m", "lnmean", "test", "--example", "rmrs",
+                           "--mu0", "1000", "--reps", "10000", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["phi0"] == "inf"
+    results = {r["method"]: r for r in report["results"]}
+    for method in ("lrt", "ahmed", "gupta-li"):
+        assert "phi0" in results[method]["error"]
+    for method in ("gv-weighted", "gv-umvue"):
+        assert results[method]["p_value"] == 0.0
 
 
 def test_ahmed_overflow_fails_by_name_and_others_report(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Alternative, Dataset,
-                    KnownVarianceSpec, MCConfig, PivotMethod, SampleSummary,
-                    StreamKey, TestSpec, gci, gp_value, gp_value_rao_blackwell,
+                    KnownVarianceSpec, MCConfig, ModelSpec, PivotMethod, SampleSummary,
+                    StreamKey, TestSpec, chi_square, gci, gp_value, gp_value_rao_blackwell,
                     interval_from_pivots, pivot_draw_umvue, pivot_draw_weighted,
                     pivot_weights, pvalue_from_pivots, sample_pivots,
                     umvue_known_variance)
@@ -104,6 +104,94 @@ def test_weights_normalize_and_lie_in_unit_interval():
 
 
 # ---------------------------------------------------------------------------
+# column-wise pivots against the (reps, k) formulas they replaced
+
+
+def _reference_weights(ds, v):
+    raw = ds.counts() * v / ((ds.counts() - 1) * ds.variances())
+    return raw / np.sum(raw, axis=-1, keepdims=True)
+
+
+def _reference_weighted(ds, z, u, v):
+    a, b = ds.model.a, ds.model.b
+    n = ds.counts()
+    scaled = (n - 1) * ds.variances()
+    t = (ds.means() - b * scaled / u - z * np.sqrt(scaled / (n * u))) / a
+    return np.sum(_reference_weights(ds, v) * t, axis=-1)
+
+
+def _reference_umvue_sums(ds, u):
+    n = ds.counts()
+    rate = n * u / ((n - 1) * ds.variances())
+    b_sum = np.sum(rate, axis=-1)
+    return np.sum(rate * ds.means(), axis=-1) - ds.total_n * ds.model.b, b_sum
+
+
+def _reference_umvue(ds, u, z):
+    a = ds.model.a
+    a_sum, b_sum = _reference_umvue_sums(ds, u)
+    return a_sum / (a * b_sum) - z / (abs(a) * np.sqrt(b_sum))
+
+
+def _reference_rao_blackwell(ds, spec, cfg):
+    """(P(pivot > mu0), its standard error) from the Phi terms of the same stream."""
+    a = ds.model.a
+    u = chi_square(ds.counts() - 1, StreamKey(cfg.seed).generator(), (cfg.reps, ds.k))
+    a_sum, b_sum = _reference_umvue_sums(ds, u)
+    root = np.sqrt(b_sum)
+    terms = stats.norm.cdf(np.sign(a) * a_sum / root - abs(a) * root * spec.mu0)
+    return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(cfg.reps))
+
+
+@pytest.mark.parametrize("model", [LOGNORMAL_MEAN, ModelSpec(a=-2.0, b=0.3)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 13, 50])
+def test_column_pivots_match_reference_formulas(k, model):
+    # below 8 groups numpy sums the short axis left to right, as the columns
+    # do; from 8 on its pairwise reduction groups the terms differently.  The
+    # absolute floor covers draws whose terms cancel to near zero: the pivots
+    # here are of order one.
+    if k < 8:
+        same = np.array_equal
+    else:
+        def same(x, y):
+            return np.allclose(x, y, rtol=1e-12, atol=1e-12)
+    rng = np.random.default_rng(100 + k)
+    ds = _dataset(rng, k, model=model)
+    dfs = ds.counts() - 1
+    for lead in ((2000,), (3, 4), ()):
+        u = rng.chisquare(dfs, lead + (k,))
+        v = rng.chisquare(dfs, lead + (k,))
+        z = rng.standard_normal(lead + (k,))
+        z1 = rng.standard_normal(lead)
+        assert same(pivot_weights(ds, v), _reference_weights(ds, v))
+        assert same(pivot_draw_weighted(ds, z, u, v), _reference_weighted(ds, z, u, v))
+        assert same(pivot_draw_umvue(ds, u, z1), _reference_umvue(ds, u, z1))
+    assert isinstance(pivot_draw_weighted(ds, z, u, v), float)
+    assert isinstance(pivot_draw_umvue(ds, u, z1), float)
+    cfg = MCConfig(reps=3000, seed=k, method=PivotMethod.UMVUE)
+    spec = TestSpec(float(ds.means().mean()) / model.a, Alternative.LESS)
+    p_above, se = _reference_rao_blackwell(ds, spec, cfg)
+    outcome = gp_value_rao_blackwell(ds, spec, cfg)
+    assert same(outcome.p_value, p_above) and same(outcome.mc_std_error, se)
+
+
+def test_interval_and_median_match_separate_quantiles():
+    rng = np.random.default_rng(74)
+    ds = _dataset(rng, 3)
+    cfg = MCConfig(reps=5001, seed=8, method=PivotMethod.WEIGHTED)
+    pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
+    for level in (0.9, 0.95, 0.99):
+        alpha = 1.0 - level
+        separate = (float(np.quantile(pivots, alpha / 2.0)),
+                    float(np.quantile(pivots, 1.0 - alpha / 2.0)),
+                    float(np.quantile(pivots, 0.5)))
+        assert interval_from_pivots(pivots, level) == separate
+        interval = gci(ds, level, cfg, pivots=pivots)
+        assert (interval.lower, interval.upper) == separate[:2]
+        assert interval.estimate == math.exp(separate[2])
+
+
+# ---------------------------------------------------------------------------
 # reductions to the plain common-mean pivots (a=1, b=0)
 
 
@@ -155,7 +243,6 @@ def test_gp_value_matches_t_test_single_group():
 def test_gp_value_handles_negative_scale_constant():
     # with a < 0 the parameter is E[Y]/a; the two-sided p at mu0 matches a
     # t-test of E[Y] = a * mu0
-    from lnmean import ModelSpec
     rng = np.random.default_rng(69)
     n = 12
     values = rng.normal(-1.0, 0.8, size=n)
@@ -323,7 +410,7 @@ def test_gci_duality_with_two_sided_test():
     ds = _dataset(rng, 2)
     reps, level = 20_000, 0.95
     pivots = sample_pivots(ds, PivotMethod.WEIGHTED, reps, StreamKey(42).generator())
-    lower, upper = interval_from_pivots(pivots, level)
+    lower, upper, _ = interval_from_pivots(pivots, level)
     grid = np.linspace(pivots.min(), pivots.max(), 400)
     mismatches = []
     for mu0 in grid:
