@@ -10,9 +10,9 @@ from .classical import (AhmedComponents, MleResult, ahmed_ci, ahmed_components,
                         ahmed_test, baklizi_ci, constrained_sigma2, gupta_li_ci,
                         gupta_li_mle, gupta_li_test, log_likelihood, lr_test)
 from .generalized import (MCConfig, PivotMethod, TestSpec, gci, gp_value,
-                          gp_value_rao_blackwell, interval_from_pivots,
-                          pivot_draw_umvue, pivot_draw_weighted, pivot_weights,
-                          pvalue_from_pivots, sample_pivots)
+                          interval_from_pivots, pivot_draw_umvue,
+                          pivot_draw_weighted, pivot_weights, pvalue_from_pivots,
+                          sample_pivots)
 from .model import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Dataset, KnownVarianceSpec,
                     ModelSpec, SampleSummary, summarize, umvue_known_variance,
                     umvue_lognormal_mean)
@@ -34,7 +34,7 @@ __all__ = [
     "SimulationResult", "StreamKey", "TestOutcome", "TestSpec",
     "ahmed_ci", "ahmed_components", "ahmed_test", "baklizi_ci",
     "cells_from_config", "chi_square", "constrained_sigma2", "gci",
-    "gp_value", "gp_value_rao_blackwell", "gupta_li_ci", "gupta_li_mle",
+    "gp_value", "gupta_li_ci", "gupta_li_mle",
     "gupta_li_test", "interval_from_log", "interval_from_phi",
     "interval_from_pivots", "load_grid_config", "log_likelihood", "lr_test",
     "pivot_draw_umvue", "pivot_draw_weighted", "pivot_weights",

@@ -189,13 +189,7 @@ def log_likelihood(ds: Dataset, mu: float, sigma2s) -> float:
     return float(np.sum(-0.5 * n * np.log(2.0 * math.pi * v) - quad / (2.0 * v)))
 
 
-def _group_terms(ds: Dataset) -> list[tuple[int, float, float]]:
-    # (n_i, ybar_i, (n_i - 1) s_i^2); k is small, so the profile is evaluated
-    # in scalar arithmetic
-    return [(g.n, g.mean, (g.n - 1) * g.variance) for g in ds.groups]
-
-
-def _sigma2_at(n: int, ybar: float, scaled: float, mu: float) -> float:
+def _sigma2_at(n: float, ybar: float, scaled: float, mu: float) -> float:
     # 2 (sqrt(1 + x) - 1) written as 2x / (sqrt(1 + x) + 1): no cancellation at small x
     x = (scaled + n * (ybar - mu) ** 2) / n
     return max(2.0 * x / (math.sqrt(1.0 + x) + 1.0), _SIGMA2_FLOOR)
@@ -209,7 +203,7 @@ def constrained_sigma2(ds: Dataset, mu: float) -> np.ndarray:
     whose unique positive root is the maximizer.
     """
     _require_lognormal(ds)
-    return np.array([_sigma2_at(n, ybar, scaled, mu) for n, ybar, scaled in _group_terms(ds)])
+    return np.array([_sigma2_at(n, ybar, scaled, mu) for n, ybar, scaled in ds.group_terms()])
 
 
 def _profile_score(mu: float, groups) -> float:
@@ -262,7 +256,7 @@ def gupta_li_mle(ds: Dataset) -> MleResult:
     have several peaks, so no single local search is trusted.
     """
     _require_lognormal(ds)
-    groups = _group_terms(ds)
+    groups = ds.group_terms()
     points = _scan_points(groups)
     scores = [_profile_score(mu, groups) for mu in points]
     evaluations = len(points)

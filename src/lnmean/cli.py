@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.resources
 import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import methods
 from .generalized import TestSpec, require_draws
@@ -18,8 +16,7 @@ from .model import LOGNORMAL_MEAN, Dataset, ModelSpec, SampleSummary, summarize
 from .outcomes import Alternative, exp_or_inf
 from .rmrs import RMRS_SUMMARY_ROWS, rmrs_dataset
 from .samplers import StreamKey
-from .simulate import (ConfigError, cells_from_config, load_grid_config,
-                       parse_grid_config, run_grid, write_csv)
+from .simulate import cells_from_config, load_grid_config, run_grid, write_csv
 
 SEED_ENV_VAR = "LNMEAN_SEED"
 
@@ -59,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--output", help="write CSV here instead of stdout")
     simulate.add_argument("--dry-run", action="store_true",
                           help="print the cell and replicate counts, run nothing")
-    simulate.add_argument("--workers", type=int, default=1)
+    simulate.add_argument("--workers", type=int, default=1,
+                          help="worker processes, at most the CPU count")
     return parser
 
 
@@ -323,7 +321,7 @@ def _cmd_example(args) -> int:
         lines.append(f"  {entry['label']:<18} {entry['n']:>4} {entry['mean']:>9.5f} "
                      f"{entry['variance']:>10.6f} {entry['variance_published']:>10.3f}")
     lines.append("")
-    lines.append(_render_test_table(report))
+    lines.append(_render_test_table(report | {"results": report["test_results"]}))
     lines.append("")
     lines.append(_render_ci_table(report | {"results": report["ci_results"]}))
     print("\n".join(lines))
@@ -365,7 +363,7 @@ def _render_test_table(report: dict) -> str:
         "",
         f"  {'method':<14} {'p-value':>9} {'mc-se':>9} {'statistic':>11}",
     ]
-    for row in report.get("results", report.get("test_results", [])):
+    for row in report["results"]:
         if "error" in row:
             lines.append(f"  {row['method']:<14} (failed: {row['error']})")
             continue
@@ -400,26 +398,8 @@ def _render_ci_table(report: dict) -> str:
 # simulate
 
 
-def _load_config(path_str: str) -> dict:
-    path = Path(path_str)
-    if path.exists():
-        return load_grid_config(path)
-    if path.name == path_str:  # bare name: try the bundled configs
-        resource = importlib.resources.files("lnmean").joinpath(path.name)
-        if resource.is_file():
-            kind = "json" if path.suffix.lower() == ".json" else "toml"
-            return parse_grid_config(resource.read_text(encoding="utf-8"), kind,
-                                     source=f"bundled {path.name}")
-    raise FileNotFoundError(f"config file not found: {path_str}")
-
-
 def _cmd_simulate(args) -> int:
-    try:
-        config = _load_config(args.config)
-        cells = cells_from_config(config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cells = cells_from_config(load_grid_config(args.config))
     if args.dry_run:
         total = sum(cell.outer_reps for cell in cells)
         print(f"{len(cells)} cells, {total} outer replicates "

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .model import Dataset
 from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
@@ -78,11 +77,6 @@ class TestSpec:
         object.__setattr__(self, "alternative", Alternative.coerce(self.alternative))
 
 
-def _group_scalars(ds: Dataset) -> list[tuple[float, float, float]]:
-    """Per group (n_i, ybar_i, (n_i - 1) s_i^2) as Python floats."""
-    return [(float(g.n), float(g.mean), (g.n - 1) * float(g.variance)) for g in ds.groups]
-
-
 def _check_positive(arr: np.ndarray, what: str) -> None:
     if np.any(arr <= 0.0):
         raise ValueError(f"{what} chi-square draws must be strictly positive")
@@ -99,20 +93,9 @@ def _column_sum(columns):
 
 def _weight_columns(ds: Dataset, v: np.ndarray) -> list:
     """One column w_i = r_i / sum_j r_j per group, r_i = n_i v_i / ((n_i - 1) s_i^2)."""
-    raw = [n * v[..., i] / scaled for i, (n, _, scaled) in enumerate(_group_scalars(ds))]
+    raw = [n * v[..., i] / scaled for i, (n, _, scaled) in enumerate(ds.group_terms())]
     total = _column_sum(raw)
     return [col / total for col in raw]
-
-
-def _umvue_sums(ds: Dataset, u: np.ndarray):
-    """(A, B) of the umvue pivot from the group columns of ``u``.
-
-    B = sum_i r_i and A = sum_i r_i ybar_i - n b, with r_i = n_i u_i / ((n_i - 1) s_i^2).
-    """
-    groups = _group_scalars(ds)
-    rates = [n * u[..., i] / scaled for i, (n, _, scaled) in enumerate(groups)]
-    a_sum = _column_sum(rate * ybar for rate, (_, ybar, _) in zip(rates, groups))
-    return a_sum - ds.total_n * ds.model.b, _column_sum(rates)
 
 
 def pivot_weights(ds: Dataset, v) -> np.ndarray:
@@ -147,7 +130,7 @@ def pivot_draw_weighted(ds: Dataset, z, u, v):
     _check_group_axis(ds, v, "v")
     _check_positive(v, "weight")
     a, b = ds.model.a, ds.model.b
-    groups = zip(_group_scalars(ds), _weight_columns(ds, v))
+    groups = zip(ds.group_terms(), _weight_columns(ds, v))
     out = _column_sum(
         w * ((ybar - b * scaled / u[..., i] - z[..., i] * np.sqrt(scaled / (n * u[..., i]))) / a)
         for i, ((n, ybar, scaled), w) in enumerate(groups))
@@ -169,7 +152,11 @@ def pivot_draw_umvue(ds: Dataset, u, z):
     _check_group_axis(ds, u, "u")
     _check_positive(u, "pivot")
     a = ds.model.a
-    a_sum, b_sum = _umvue_sums(ds, u)
+    groups = ds.group_terms()
+    rates = [n * u[..., i] / scaled for i, (n, _, scaled) in enumerate(groups)]
+    a_sum = _column_sum(rate * ybar for rate, (_, ybar, _) in zip(rates, groups)) \
+        - ds.total_n * ds.model.b
+    b_sum = _column_sum(rates)
     out = a_sum / (a * b_sum) - z / (abs(a) * np.sqrt(b_sum))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -195,20 +182,25 @@ def pvalue_from_pivots(pivots: np.ndarray, mu0: float, alternative: Alternative)
 
     The alternative "greater" counts pivots <= mu0, "less" counts >= mu0, and
     the two-sided p doubles the smaller strict tail (clipped to 1).  The
-    returned standard error is that of the underlying tail proportion.
+    returned standard error is that of the underlying tail proportion; a tail
+    of no draws or of all m draws is resolved only to 1/m, so its error is
+    taken at one draw in or out of the tail rather than reported as zero.
     """
     alternative = Alternative.coerce(alternative)
     m = pivots.size
     if alternative is Alternative.GREATER:
-        p = np.count_nonzero(pivots <= mu0) / m
-        return p, math.sqrt(p * (1.0 - p) / m)
+        count = np.count_nonzero(pivots <= mu0)
+        return count / m, _tail_std_error(count, m)
     if alternative is Alternative.LESS:
-        p = np.count_nonzero(pivots >= mu0) / m
-        return p, math.sqrt(p * (1.0 - p) / m)
-    below = np.count_nonzero(pivots < mu0) / m
-    above = np.count_nonzero(pivots > mu0) / m
-    tail = min(below, above)
-    return min(1.0, 2.0 * tail), math.sqrt(tail * (1.0 - tail) / m)
+        count = np.count_nonzero(pivots >= mu0)
+        return count / m, _tail_std_error(count, m)
+    tail = min(np.count_nonzero(pivots < mu0), np.count_nonzero(pivots > mu0))
+    return min(1.0, 2.0 * (tail / m)), _tail_std_error(tail, m)
+
+
+def _tail_std_error(count: int, m: int) -> float:
+    p = min(max(count, 1), m - 1) / m
+    return math.sqrt(p * (1.0 - p) / m)
 
 
 def interval_from_pivots(pivots: np.ndarray, level: float) -> tuple[float, float, float]:
@@ -231,35 +223,6 @@ def gp_value(ds: Dataset, spec: TestSpec, cfg: MCConfig, *,
     p, se = pvalue_from_pivots(pivots, spec.mu0, spec.alternative)
     return TestOutcome(p_value=p, mc_std_error=se, reps_used=pivots.size,
                        method=_METHOD_TAGS[cfg.method])
-
-
-def gp_value_rao_blackwell(ds: Dataset, spec: TestSpec, cfg: MCConfig) -> TestOutcome:
-    """Variance-reduced p-value for the umvue pivot.
-
-    Conditional on the chi-square draws the pivot is normal, so the normal
-    draw is integrated out analytically: each replication contributes a
-    Phi(.) term instead of a 0/1 indicator.  Estimates the same quantity as
-    :func:`gp_value` with strictly smaller Monte Carlo variance at equal reps.
-    """
-    if PivotMethod.coerce(cfg.method) is not PivotMethod.UMVUE:
-        raise ValueError("the analytic reduction applies to the umvue pivot only")
-    a = ds.model.a
-    rng = StreamKey(cfg.seed).generator()
-    u = chi_square(ds.counts() - 1, rng, (cfg.reps, ds.k))
-    a_sum, b_sum = _umvue_sums(ds, u)
-    root = np.sqrt(b_sum)
-    terms = special.ndtr(np.sign(a) * a_sum / root - abs(a) * root * spec.mu0)
-    p_above = float(np.mean(terms))  # P(pivot > mu0)
-    se = float(np.std(terms, ddof=1) / math.sqrt(cfg.reps))
-    alternative = Alternative.coerce(spec.alternative)
-    if alternative is Alternative.GREATER:
-        p = 1.0 - p_above
-    elif alternative is Alternative.LESS:
-        p = p_above
-    else:
-        p = min(1.0, 2.0 * min(p_above, 1.0 - p_above))
-    return TestOutcome(p_value=min(max(p, 0.0), 1.0), mc_std_error=se,
-                       reps_used=cfg.reps, method="gv-umvue-rb")
 
 
 def gci(ds: Dataset, level: float, cfg: MCConfig, *,

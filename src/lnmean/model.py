@@ -91,6 +91,13 @@ class Dataset:
     def variances(self) -> np.ndarray:
         return np.array([g.variance for g in self.groups], dtype=float)
 
+    def group_terms(self) -> list[tuple[float, float, float]]:
+        """Per group (n_i, ybar_i, (n_i - 1) s_i^2) as Python floats.
+
+        k is small, so formulas over the groups run in scalar arithmetic.
+        """
+        return [(float(g.n), float(g.mean), (g.n - 1) * float(g.variance)) for g in self.groups]
+
 
 @dataclass(frozen=True)
 class KnownVarianceSpec:

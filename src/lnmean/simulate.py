@@ -16,8 +16,11 @@ cross product mu x sigma2_2 x n_pairs.
 from __future__ import annotations
 
 import csv
+import functools
+import importlib.resources
 import json
 import math
+import os
 import tomllib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -61,12 +64,14 @@ class SimulationCell:
     def __post_init__(self):
         sigma2s = tuple(float(v) for v in self.sigma2s)
         ns = tuple(int(n) for n in self.ns)
+        if len(sigma2s) != len(ns):
+            raise ValueError("sigma2s and ns must be the same length")
+        if len(ns) != 2:
+            raise ValueError(f"a simulation cell has exactly two groups, not {len(ns)}")
         entries = select(self.methods, len(ns), LOGNORMAL_MEAN)
         object.__setattr__(self, "sigma2s", sigma2s)
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "methods", tuple(entry.name for entry in entries))
-        if len(sigma2s) != len(ns) or not sigma2s:
-            raise ValueError("sigma2s and ns must be nonempty and the same length")
         if any(v <= 0 for v in sigma2s):
             raise ValueError("group variances must be positive")
         if any(n < 2 for n in ns):
@@ -152,20 +157,20 @@ def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int,
     return counts
 
 
-def _run_replicate_star(args) -> dict[str, tuple[int, int, int, int]]:
-    return _run_replicate(*args)
-
-
 def run_cell(cell: SimulationCell, workers: int = 1) -> SimulationResult:
-    """Run every replicate of one cell and aggregate per-method rates."""
+    """Run every replicate of one cell and aggregate per-method rates.
+
+    ``workers`` is capped at the CPU count: a process pool starts all of its
+    workers at once, and the results do not depend on how many there are.
+    """
+    workers = min(workers, os.cpu_count() or 1)
+    replicate = functools.partial(_run_replicate, cell)
     if workers <= 1:
-        per_rep = (_run_replicate(cell, r) for r in range(cell.outer_reps))
-        totals = _tally(cell, per_rep)
+        totals = _tally(cell, map(replicate, range(cell.outer_reps)))
     else:
-        jobs = [(cell, r) for r in range(cell.outer_reps)]
         chunk = max(1, cell.outer_reps // (workers * 16))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            totals = _tally(cell, pool.map(_run_replicate_star, jobs, chunksize=chunk))
+            totals = _tally(cell, pool.map(replicate, range(cell.outer_reps), chunksize=chunk))
     rejection = {}
     coverage = {}
     for name in cell.methods:
@@ -199,9 +204,9 @@ def result_rows(results) -> list[dict]:
         base = {
             "mu": f"{cell.mu:g}",
             "sigma2_1": f"{cell.sigma2s[0]:g}",
-            "sigma2_2": f"{cell.sigma2s[1]:g}" if len(cell.sigma2s) > 1 else "",
+            "sigma2_2": f"{cell.sigma2s[1]:g}",
             "n1": cell.ns[0],
-            "n2": cell.ns[1] if len(cell.ns) > 1 else "",
+            "n2": cell.ns[1],
         }
         for name in cell.methods:
             for metric, table in (("rejection", result.rejection), ("coverage", result.coverage)):
@@ -233,9 +238,12 @@ def parse_grid_config(text: str, kind: str, source: str = "<config>") -> dict:
     """Parse grid configuration text; ``kind`` is "toml" or "json"."""
     if kind == "json":
         try:
-            return json.loads(text)
+            config = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}: invalid JSON ({exc})") from exc
+        if not isinstance(config, dict):
+            raise ConfigError(f"{source}: a grid config must be a JSON object of settings")
+        return config
     if kind != "toml":
         raise ConfigError(f"{source}: unsupported config format {kind!r}")
     try:
@@ -245,10 +253,21 @@ def parse_grid_config(text: str, kind: str, source: str = "<config>") -> dict:
 
 
 def load_grid_config(path) -> dict:
-    """Read a TOML or JSON grid configuration file (dispatch on extension)."""
-    path = Path(path)
+    """Read a TOML or JSON grid configuration (dispatch on extension).
+
+    A bare file name that does not exist here names a config bundled with
+    the package, such as ``tables.toml``.
+    """
+    given = os.fspath(path)
+    path = Path(given)
     kind = "json" if path.suffix.lower() == ".json" else "toml"
-    return parse_grid_config(path.read_text(encoding="utf-8"), kind, source=str(path))
+    if path.exists():
+        return parse_grid_config(path.read_text(encoding="utf-8"), kind, source=str(path))
+    resource = importlib.resources.files(__package__).joinpath(path.name)
+    if path.name == given and resource.is_file():
+        return parse_grid_config(resource.read_text(encoding="utf-8"), kind,
+                                 source=f"bundled {path.name}")
+    raise FileNotFoundError(f"config file not found: {given}")
 
 
 def cells_from_config(config: dict) -> list[SimulationCell]:

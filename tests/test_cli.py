@@ -221,7 +221,10 @@ def test_large_log_variances_report_without_traceback(tmp_path):
     for method in ("lrt", "ahmed", "gupta-li"):
         assert "phi0" in results[method]["error"]
     for method in ("gv-weighted", "gv-umvue"):
+        # no pivot reaches mu0, but the Monte Carlo error of that zero is
+        # not zero: it is resolved only to 1/reps
         assert results[method]["p_value"] == 0.0
+        assert results[method]["mc_std_error"] > 0.0
 
 
 def test_ahmed_overflow_fails_by_name_and_others_report(tmp_path):
@@ -328,6 +331,12 @@ def test_simulate_bad_config_is_exit_2(capsys, tmp_path):
     code, _, err = _run(capsys, "simulate", "--config", str(path))
     assert code == 2
     assert "missing" in err
+    # a top level that is not an object of settings
+    for text in ("5", "null", "[1, 2]", '"abc"'):
+        path.write_text(text)
+        code, _, err = _run(capsys, "simulate", "--config", str(path))
+        assert code == 2, text
+        assert "JSON object" in err and "Traceback" not in err, text
 
 
 def test_simulate_workers_flag_does_not_change_output(capsys, tmp_path):

@@ -6,10 +6,9 @@ from scipy import stats
 
 from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Alternative, Dataset,
                     KnownVarianceSpec, MCConfig, ModelSpec, PivotMethod, SampleSummary,
-                    StreamKey, TestSpec, chi_square, gci, gp_value, gp_value_rao_blackwell,
-                    interval_from_pivots, pivot_draw_umvue, pivot_draw_weighted,
-                    pivot_weights, pvalue_from_pivots, sample_pivots,
-                    umvue_known_variance)
+                    StreamKey, TestSpec, chi_square, gci, gp_value, interval_from_pivots,
+                    pivot_draw_umvue, pivot_draw_weighted, pivot_weights,
+                    pvalue_from_pivots, sample_pivots, umvue_known_variance)
 
 
 def _dataset(rng, k, model=LOGNORMAL_MEAN, n_range=(5, 40)):
@@ -134,13 +133,20 @@ def _reference_umvue(ds, u, z):
 
 
 def _reference_rao_blackwell(ds, spec, cfg):
-    """(P(pivot > mu0), its standard error) from the Phi terms of the same stream."""
+    """(p-value, its standard error) of the umvue pivot on the stream of
+    ``cfg.seed`` with the normal draw integrated out analytically: given the
+    chi-square draws the pivot is normal, so each draw contributes a Phi term
+    instead of a 0/1 tail indicator."""
     a = ds.model.a
     u = chi_square(ds.counts() - 1, StreamKey(cfg.seed).generator(), (cfg.reps, ds.k))
     a_sum, b_sum = _reference_umvue_sums(ds, u)
     root = np.sqrt(b_sum)
     terms = stats.norm.cdf(np.sign(a) * a_sum / root - abs(a) * root * spec.mu0)
-    return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(cfg.reps))
+    p_above = float(np.mean(terms))  # P(pivot > mu0)
+    p = {Alternative.GREATER: 1.0 - p_above,
+         Alternative.LESS: p_above,
+         Alternative.TWO_SIDED: min(1.0, 2.0 * min(p_above, 1.0 - p_above))}[spec.alternative]
+    return min(max(p, 0.0), 1.0), float(np.std(terms, ddof=1) / math.sqrt(cfg.reps))
 
 
 @pytest.mark.parametrize("model", [LOGNORMAL_MEAN, ModelSpec(a=-2.0, b=0.3)])
@@ -168,11 +174,6 @@ def test_column_pivots_match_reference_formulas(k, model):
         assert same(pivot_draw_umvue(ds, u, z1), _reference_umvue(ds, u, z1))
     assert isinstance(pivot_draw_weighted(ds, z, u, v), float)
     assert isinstance(pivot_draw_umvue(ds, u, z1), float)
-    cfg = MCConfig(reps=3000, seed=k, method=PivotMethod.UMVUE)
-    spec = TestSpec(float(ds.means().mean()) / model.a, Alternative.LESS)
-    p_above, se = _reference_rao_blackwell(ds, spec, cfg)
-    outcome = gp_value_rao_blackwell(ds, spec, cfg)
-    assert same(outcome.p_value, p_above) and same(outcome.mc_std_error, se)
 
 
 def test_interval_and_median_match_separate_quantiles():
@@ -256,9 +257,9 @@ def test_gp_value_handles_negative_scale_constant():
     for method in PivotMethod:
         out = gp_value(ds, TestSpec(mu0), MCConfig(reps=40_000, seed=70, method=method))
         assert out.p_value == pytest.approx(p_t, abs=3.0 * 2.0 * max(out.mc_std_error, 1e-4))
-    rb = gp_value_rao_blackwell(ds, TestSpec(mu0),
-                                MCConfig(reps=40_000, seed=70, method=PivotMethod.UMVUE))
-    assert rb.p_value == pytest.approx(p_t, abs=0.02)
+    rb_p, _ = _reference_rao_blackwell(
+        ds, TestSpec(mu0), MCConfig(reps=40_000, seed=70, method=PivotMethod.UMVUE))
+    assert rb_p == pytest.approx(p_t, abs=0.02)
 
 
 def test_gp_value_alternative_identity_and_ties():
@@ -283,23 +284,6 @@ def test_gp_value_greater_is_monotone_in_mu0():
     assert values[0] <= 0.2 and values[-1] >= 0.8
 
 
-def test_rao_blackwell_limits():
-    rng = np.random.default_rng(63)
-    ds = _dataset(rng, 2)
-    cfg = MCConfig(reps=2000, seed=1, method=PivotMethod.UMVUE)
-    low = gp_value_rao_blackwell(ds, TestSpec(-1e6, Alternative.GREATER), cfg)
-    high = gp_value_rao_blackwell(ds, TestSpec(1e6, Alternative.GREATER), cfg)
-    assert low.p_value == pytest.approx(0.0, abs=1e-12)
-    assert high.p_value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rao_blackwell_requires_umvue_method():
-    ds = Dataset(groups=(SampleSummary(5, 0.0, 1.0),))
-    cfg = MCConfig(reps=1000, seed=1, method=PivotMethod.WEIGHTED)
-    with pytest.raises(ValueError, match="umvue"):
-        gp_value_rao_blackwell(ds, TestSpec(0.0), cfg)
-
-
 def test_gp_value_agrees_with_rao_blackwell():
     rng = np.random.default_rng(64)
     for _ in range(20):
@@ -308,30 +292,9 @@ def test_gp_value_agrees_with_rao_blackwell():
         spec = TestSpec(mu0, Alternative.GREATER)
         cfg = MCConfig(reps=4000, seed=int(rng.integers(1, 10_000)), method=PivotMethod.UMVUE)
         plain = gp_value(ds, spec, cfg)
-        rb = gp_value_rao_blackwell(ds, spec, cfg)
-        combined = math.sqrt(plain.mc_std_error ** 2 + rb.mc_std_error ** 2)
-        assert abs(plain.p_value - rb.p_value) < 4.0 * max(combined, 1e-4)
-
-
-def test_rao_blackwell_rmrs_two_sided():
-    from lnmean import rmrs_dataset
-    ds = rmrs_dataset()
-    cfg = MCConfig(reps=100_000, seed=1, method=PivotMethod.UMVUE)
-    outcome = gp_value_rao_blackwell(ds, TestSpec(math.log(20000.0)), cfg)
-    assert outcome.p_value == pytest.approx(0.4732, abs=0.015)
-
-
-def test_rao_blackwell_has_smaller_variance():
-    rng = np.random.default_rng(65)
-    ds = _dataset(rng, 2)
-    mu0 = float(ds.means().mean())
-    spec = TestSpec(mu0, Alternative.GREATER)
-    plain, rb = [], []
-    for seed in range(40):
-        cfg = MCConfig(reps=1500, seed=seed, method=PivotMethod.UMVUE)
-        plain.append(gp_value(ds, spec, cfg).p_value)
-        rb.append(gp_value_rao_blackwell(ds, spec, cfg).p_value)
-    assert np.var(rb, ddof=1) < np.var(plain, ddof=1)
+        rb_p, rb_se = _reference_rao_blackwell(ds, spec, cfg)
+        combined = math.sqrt(plain.mc_std_error ** 2 + rb_se ** 2)
+        assert abs(plain.p_value - rb_p) < 4.0 * max(combined, 1e-4)
 
 
 def test_outcome_standard_error_bound():

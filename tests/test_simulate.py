@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lnmean import SimulationCell, classical, run_cell, run_grid, write_csv
+from lnmean import SimulationCell, classical, run_cell, run_grid, simulate, write_csv
 from lnmean.methods import normalize_method
 from lnmean.simulate import (ConfigError, cells_from_config, load_grid_config,
                              parse_grid_config, result_rows)
@@ -38,6 +38,12 @@ def test_cell_validation():
     with pytest.raises(ValueError, match="two groups"):
         SimulationCell(mu=0.0, sigma2s=(1.0, 1.0, 1.0), ns=(5, 5, 5),
                        methods=("gupta-li",))
+    # the CSV has columns for two groups only, whatever the methods
+    with pytest.raises(ValueError, match="two groups"):
+        SimulationCell(mu=0.0, sigma2s=(1.0,), ns=(5,), methods=("ahmed",))
+    with pytest.raises(ValueError, match="two groups"):
+        SimulationCell(mu=0.0, sigma2s=(1.0, 0.5, 2.0), ns=(5, 8, 9),
+                       methods=("ahmed",))
     # 1000 draws leave 5 in each tail of a 99% interval: refused up front
     # when a Monte Carlo method is requested, not failed replicate by replicate
     with pytest.raises(ValueError, match="too small"):
@@ -59,6 +65,37 @@ def test_run_cell_worker_count_does_not_change_results():
     serial = run_cell(cell, workers=1)
     parallel = run_cell(cell, workers=2)
     assert serial == parallel
+
+
+def test_run_cell_caps_workers_at_cpu_count(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(5, 8),
+                          methods=("ahmed",), **FAST)
+    expected = run_cell(cell)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    assert run_cell(cell, workers=10_000) == expected
+    assert pools == [3]
+    # an unknown CPU count means one worker: no pool at all
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    assert run_cell(cell, workers=10_000) == expected
+    assert pools == [3]
 
 
 def test_run_cell_rates_and_se_formula():
@@ -232,6 +269,18 @@ def test_csv_output_is_deterministic():
     # one header plus rejection and coverage rows for each of the two methods
     assert len(lines) == 1 + 4
     assert lines[1].startswith("0,1,0.5,5,10,ahmed,rejection,")
+
+
+def test_bare_name_loads_bundled_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bundled = importlib.resources.files("lnmean").joinpath("tables.toml").read_text()
+    assert load_grid_config("tables.toml") == parse_grid_config(bundled, "toml")
+    # a file of that name here wins over the bundled one
+    (tmp_path / "tables.toml").write_text(TOML_CONFIG)
+    assert load_grid_config("tables.toml") == parse_grid_config(TOML_CONFIG, "toml")
+    # a name with a directory part is a path only
+    with pytest.raises(FileNotFoundError, match="not found"):
+        load_grid_config(str(tmp_path / "sub" / "tables.toml"))
 
 
 def test_bundled_grid_config_loads():
