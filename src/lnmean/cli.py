@@ -104,9 +104,10 @@ def main(argv=None) -> int:
 
 
 def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return seed
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    """The flag's seed, else the environment's, else 0; checked once, here."""
+    if seed is None:
+        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+    return StreamKey(seed).seed
 
 
 def _resolve_model(args) -> ModelSpec:
@@ -246,7 +247,7 @@ def _cmd_test(args) -> int:
     mu0, phi0 = _null_values(args, ds.model)
     spec = TestSpec(mu0, alternative)
     seed = _resolve_seed(args.seed)
-    entries = methods.select(args.method.split(","), ds.k, ds.model, "test", alternative)
+    entries = methods.select(args.method.split(","), ds.model, "test", alternative)
     work = _shared_work(ds, entries, args.reps, seed)
     report = {
         "command": "test",
@@ -268,7 +269,7 @@ def _cmd_ci(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise ValueError("level must be in (0, 1)")
     seed = _resolve_seed(args.seed)
-    entries = methods.select(args.method.split(","), ds.k, ds.model, "interval")
+    entries = methods.select(args.method.split(","), ds.model, "interval")
     work = _shared_work(ds, entries, args.reps, seed, args.level)
     report = {
         "command": "ci",
@@ -292,8 +293,8 @@ def _cmd_example(args) -> int:
     seed = _resolve_seed(args.seed)
     mu0 = math.log(args.phi0)
     spec = TestSpec(mu0, Alternative.TWO_SIDED)
-    tests = methods.select(["all"], ds.k, ds.model, "test")
-    intervals = methods.select(["all"], ds.k, ds.model, "interval")
+    tests = methods.select(["all"], ds.model, "test")
+    intervals = methods.select(["all"], ds.model, "interval")
     work = _shared_work(ds, tests + intervals, args.reps, seed, args.level)
     report = {
         "command": "example",

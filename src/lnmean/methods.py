@@ -61,11 +61,10 @@ class Method:
     interval: Callable[[SharedWork, float], IntervalOutcome | None] | None
     lognormal_only: bool = True
     two_sided_only: bool = False
-    two_groups_only: bool = False
     monte_carlo: bool = False
     original_scale: bool = False  # interval built, and coverage checked, for exp(mu)
 
-    def unsupported(self, k: int, model: ModelSpec, kind: str | None,
+    def unsupported(self, model: ModelSpec, kind: str | None,
                     alternative: Alternative) -> str | None:
         """Why this method cannot run as asked, or None if it can."""
         if kind == "test" and self.test is None:
@@ -74,8 +73,6 @@ class Method:
             return f"method {self.name!r} has no confidence interval"
         if self.lognormal_only and not model.is_lognormal_mean:
             return f"method {self.name!r} requires the lognormal-mean model"
-        if self.two_groups_only and k != 2:
-            return f"{self.name} requires exactly two groups"
         if self.two_sided_only and alternative is not Alternative.TWO_SIDED:
             return f"method {self.name!r} supports the two-sided alternative only"
         return None
@@ -106,7 +103,7 @@ METHODS = {entry.name: entry for entry in (
     Method("gupta-li",
            test=lambda work, spec, phi0: classical.gupta_li_test(work.ds, phi0, fit=work.fit()),
            interval=lambda work, level: classical.gupta_li_ci(work.ds, level, fit=work.fit()),
-           two_sided_only=True, two_groups_only=True),
+           two_sided_only=True),
     Method("baklizi",
            test=None,
            interval=lambda work, level: classical.baklizi_ci(
@@ -126,22 +123,22 @@ def normalize_method(name: str) -> str:
     return canonical
 
 
-def select(requested, k: int, model: ModelSpec, kind: str | None = None,
+def select(requested, model: ModelSpec, kind: str | None = None,
            alternative: Alternative = Alternative.TWO_SIDED) -> tuple[Method, ...]:
     """Entries of the methods named in ``requested`` ("all" alone: every one that
-    can run) for k groups under ``model``, with a "test" or "interval" if
-    ``kind`` says so; a named method that cannot run is a ValueError."""
+    can run) under ``model``, with a "test" or "interval" if ``kind`` says so;
+    a named method that cannot run is a ValueError."""
     names = [item for item in (str(piece).strip() for piece in requested) if item]
     if not names:
         raise ValueError("no methods requested")
     if len(names) == 1 and names[0].lower() == "all":
         return tuple(entry for entry in METHODS.values()
-                     if entry.unsupported(k, model, kind, alternative) is None)
+                     if entry.unsupported(model, kind, alternative) is None)
     names = [normalize_method(name) for name in names]
     if len(set(names)) != len(names):
         raise ValueError("duplicate method names")
     for name in names:
-        reason = METHODS[name].unsupported(k, model, kind, alternative)
+        reason = METHODS[name].unsupported(model, kind, alternative)
         if reason is not None:
             raise ValueError(reason)
     return tuple(METHODS[name] for name in names)

@@ -1,16 +1,18 @@
-"""Replicated two-group study harness: rejection rates and coverage over a grid.
+"""Replicated study harness: rejection rates and coverage over a grid.
 
-Each replicate draws log-scale data from N(mu - sigma_i^2 / 2, sigma_i^2) per
-group, then every requested method tests phi = phi0 (two-sided, at ``alpha``)
-and/or builds a level 1 - alpha interval checked against the true mean
-exp(mu).  Replicate r of cell c uses the substream (seed, c * outer_reps + r),
-so results are reproducible and independent of how replicates are scheduled
-across workers.
+Each replicate draws log-scale data from N(mu - sigma_i^2 / 2, sigma_i^2) for
+each of the cell's groups, then every requested method tests phi = phi0
+(two-sided, at ``alpha``) and/or builds a level 1 - alpha interval checked
+against the true mean exp(mu).  Replicate r of cell c uses the substream
+(seed, c * outer_reps + r), so results are reproducible and independent of
+how replicates are scheduled across workers.
 
 Grid configs are flat TOML or JSON files with arrays ``mu``, ``sigma2_2`` and
 ``n_pairs``, scalars ``sigma2_1``, ``alpha``, ``outer_reps``, ``inner_reps``,
 ``seed`` and optionally ``phi0``, plus the ``methods`` list; cells are the
-cross product mu x sigma2_2 x n_pairs.
+cross product mu x sigma2_2 x n_pairs.  A ``sigma2_2`` entry is the variance
+of group 2, or a list of the variances of groups 2..k; an ``n_pairs`` entry
+lists the k group sizes.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .samplers import StreamKey, std_normal
 # other methods were requested
 _METHOD_LANES = {name: index + 1 for index, name in enumerate(METHOD_ORDER)}
 
-CSV_COLUMNS = ("mu", "sigma2_1", "sigma2_2", "n1", "n2", "method", "metric",
+CSV_COLUMNS = ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
                "estimate", "std_error", "failures")
 
 
@@ -66,14 +68,16 @@ class SimulationCell:
         ns = tuple(int(n) for n in self.ns)
         if len(sigma2s) != len(ns):
             raise ValueError("sigma2s and ns must be the same length")
-        if len(ns) != 2:
-            raise ValueError(f"a simulation cell has exactly two groups, not {len(ns)}")
-        entries = select(self.methods, len(ns), LOGNORMAL_MEAN)
+        if not ns:
+            raise ValueError("a simulation cell needs at least one group")
+        entries = select(self.methods, LOGNORMAL_MEAN)
         object.__setattr__(self, "sigma2s", sigma2s)
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "methods", tuple(entry.name for entry in entries))
-        if any(v <= 0 for v in sigma2s):
-            raise ValueError("group variances must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not all(math.isfinite(v) and v > 0 for v in sigma2s):
+            raise ValueError("group variances must be finite and positive")
         if any(n < 2 for n in ns):
             raise ValueError("group sizes must be at least 2")
         if not (math.isfinite(self.phi0) and self.phi0 > 0):
@@ -203,10 +207,10 @@ def result_rows(results) -> list[dict]:
         cell = result.cell
         base = {
             "mu": f"{cell.mu:g}",
-            "sigma2_1": f"{cell.sigma2s[0]:g}",
-            "sigma2_2": f"{cell.sigma2s[1]:g}",
-            "n1": cell.ns[0],
-            "n2": cell.ns[1],
+            "phi0": f"{cell.phi0:g}",
+            "alpha": f"{cell.alpha:g}",
+            "sigma2s": ";".join(f"{v:g}" for v in cell.sigma2s),
+            "ns": ";".join(str(n) for n in cell.ns),
         }
         for name in cell.methods:
             for metric, table in (("rejection", result.rejection), ("coverage", result.coverage)):
@@ -270,41 +274,60 @@ def load_grid_config(path) -> dict:
     raise FileNotFoundError(f"config file not found: {given}")
 
 
+def _real(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, not {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
+def _list(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, not {value!r}")
+    return value
+
+
 def cells_from_config(config: dict) -> list[SimulationCell]:
-    """Expand a grid config into cells, cross product of mu x sigma2_2 x n_pairs."""
+    """Expand a grid config into cells, cross product of mu x sigma2_2 x n_pairs.
+
+    A ``sigma2_2`` entry (a number, or a list for groups 2..k) and an
+    ``n_pairs`` entry (the k sizes) must agree on k wherever they pair up.
+    """
     unknown = set(config) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     missing = [key for key in _REQUIRED_KEYS if key not in config]
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
-    try:
-        mus = [float(v) for v in config["mu"]]
-        sigma2_1 = float(config["sigma2_1"])
-        sigma2_2s = [float(v) for v in config["sigma2_2"]]
-        if any(len(pair) != 2 for pair in config["n_pairs"]):
-            raise ConfigError("n_pairs entries must have exactly two sizes")
-        n_pairs = [(int(pair[0]), int(pair[1])) for pair in config["n_pairs"]]
-        common = dict(
-            phi0=float(config.get("phi0", 1.0)),
-            alpha=float(config["alpha"]),
-            outer_reps=int(config["outer_reps"]),
-            inner_reps=int(config["inner_reps"]),
-            seed=int(config["seed"]),
-            methods=tuple(config["methods"]),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError, IndexError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    mus = [_real("mu", v) for v in _list("mu", config["mu"])]
+    sigma2_1 = _real("sigma2_1", config["sigma2_1"])
+    tails = [tuple(_real("sigma2_2", v) for v in (entry if isinstance(entry, list) else [entry]))
+             for entry in _list("sigma2_2", config["sigma2_2"])]
+    sizes = [tuple(_integer("n_pairs size", n) for n in _list("n_pairs entry", entry))
+             for entry in _list("n_pairs", config["n_pairs"])]
+    common = dict(
+        phi0=_real("phi0", config.get("phi0", 1.0)),
+        alpha=_real("alpha", config["alpha"]),
+        outer_reps=_integer("outer_reps", config["outer_reps"]),
+        inner_reps=_integer("inner_reps", config["inner_reps"]),
+        seed=_integer("seed", config["seed"]),
+        methods=tuple(_list("methods", config["methods"])),
+    )
     cells = []
     for mu in mus:
-        for sigma2_2 in sigma2_2s:
-            for n1, n2 in n_pairs:
+        for tail in tails:
+            for ns in sizes:
+                if 1 + len(tail) != len(ns):
+                    raise ConfigError(f"sigma2_2 entry {list(tail)} gives {1 + len(tail)} "
+                                      f"groups but n_pairs entry {list(ns)} has {len(ns)}")
                 try:
-                    cells.append(SimulationCell(mu=mu, sigma2s=(sigma2_1, sigma2_2),
-                                                ns=(n1, n2), cell_index=len(cells),
-                                                **common))
+                    cells.append(SimulationCell(mu=mu, sigma2s=(sigma2_1, *tail), ns=ns,
+                                                cell_index=len(cells), **common))
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from exc
     return cells

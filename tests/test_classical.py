@@ -8,6 +8,7 @@ from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Dataset, SampleSummary,
                     ahmed_ci, ahmed_components, ahmed_test, baklizi_ci,
                     constrained_sigma2, gupta_li_ci, gupta_li_mle, gupta_li_test,
                     log_likelihood, lr_test, rmrs_dataset)
+from lnmean.classical import _gupta_li_sd
 
 RMRS = rmrs_dataset()
 PHI0 = 20000.0
@@ -257,14 +258,63 @@ def test_gupta_li_variance_symmetry_halves_single_group_value():
     assert width_log == pytest.approx(2 * z * math.sqrt(single / 2.0), rel=1e-9)
 
 
-def test_gupta_li_requires_two_groups():
+def test_gupta_li_runs_at_any_group_count():
     rng = np.random.default_rng(85)
     for k in (1, 3):
         ds = _dataset(rng, k)
-        with pytest.raises(ValueError, match="two groups"):
-            gupta_li_ci(ds)
-        with pytest.raises(ValueError, match="two groups"):
-            gupta_li_test(ds, 1.0)
+        fit = gupta_li_mle(ds)
+        interval = gupta_li_ci(ds, fit=fit)
+        assert interval.lower < fit.mu_hat < interval.upper
+        assert 0.0 < gupta_li_test(ds, 1.0, fit=fit).p_value <= 1.0
+
+
+def _expected_information(ds, sigma2s):
+    """Expected Fisher information of (mu, sigma^2_1..k), built entry by entry.
+
+    Per observation of group i, y ~ N(mu - v/2, v) has information 1/v in mu,
+    -1/(2v) between mu and v, and 1/(4v) + 1/(2v^2) in v.
+    """
+    k = ds.k
+    info = np.zeros((k + 1, k + 1))
+    for i, (n, v) in enumerate(zip(ds.counts(), sigma2s), start=1):
+        info[0, 0] += n / v
+        info[0, i] = info[i, 0] = -n / (2.0 * v)
+        info[i, i] = n * (1.0 / (4.0 * v) + 1.0 / (2.0 * v * v))
+    return info
+
+
+def test_gupta_li_sd_inverts_the_full_fisher_information():
+    rng = np.random.default_rng(91)
+    z = stats.norm.ppf(0.975)
+    for k in (1, 2, 3, 8):
+        for _ in range(5):
+            ds = _dataset(rng, k)
+            fit = gupta_li_mle(ds)
+            info = _expected_information(ds, fit.sigma2_hats)
+            reference = math.sqrt(np.linalg.inv(info)[0, 0])
+            assert _gupta_li_sd(ds, fit.sigma2_hats) == pytest.approx(reference, rel=1e-10)
+            interval = gupta_li_ci(ds, 0.95, fit=fit)
+            assert interval.upper - interval.lower == pytest.approx(2 * z * reference,
+                                                                    rel=1e-10)
+
+
+def _two_group_sd(ds, sigma2_hats):
+    # the closed form for exactly two groups that the general form replaced
+    n1, n2 = (int(x) for x in ds.counts())
+    v1, v2 = sigma2_hats
+    g1 = 2.0 * n1 / v1 + n1
+    g2 = 2.0 * n2 / v2 + n2
+    return math.sqrt(g1 * g2 / (2.0 * n1 ** 2 / v1 ** 2 * g2 + 2.0 * n2 ** 2 / v2 ** 2 * g1))
+
+
+def test_gupta_li_sd_matches_the_two_group_formula():
+    rng = np.random.default_rng(92)
+    for _ in range(2000):
+        ds = _dataset(rng, 2, n_range=(2, 60))
+        fit = gupta_li_mle(ds)
+        _rel_close(_gupta_li_sd(ds, fit.sigma2_hats), _two_group_sd(ds, fit.sigma2_hats), 1e-15)
+    fit = gupta_li_mle(RMRS)
+    assert _gupta_li_sd(RMRS, fit.sigma2_hats) == _two_group_sd(RMRS, fit.sigma2_hats)
 
 
 # ---------------------------------------------------------------------------

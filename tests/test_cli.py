@@ -175,13 +175,34 @@ def test_unknown_method_is_a_usage_error(capsys):
     assert "unknown method" in err
 
 
-def test_gupta_li_needs_two_groups(capsys, tmp_path):
-    path = tmp_path / "one.csv"
-    path.write_text("group,n,mean_log,var_log\na,10,0.0,1.0\n")
-    code, _, err = _run(capsys, "test", "--summary", str(path), "--phi0", "1",
-                        "--method", "gupta-li")
-    assert code == 2
-    assert "two groups" in err
+def test_gupta_li_runs_on_one_and_three_groups(capsys, tmp_path):
+    rows = ["a,10,0.0,1.0", "b,12,0.3,0.5", "c,20,-0.1,2.0"]
+    for k in (1, 3):
+        path = tmp_path / f"groups{k}.csv"
+        path.write_text("\n".join(["group,n,mean_log,var_log", *rows[:k]]) + "\n")
+        report = _run_json(capsys, "ci", "--summary", str(path), "--method", "gupta-li",
+                           "--format", "json")
+        (row,) = report["results"]
+        assert row["method"] == "gupta-li" and row["mu_lower"] < row["mu_upper"]
+        report = _run_json(capsys, "test", "--summary", str(path), "--phi0", "1",
+                           "--method", "gupta-li", "--format", "json")
+        assert 0.0 < report["results"][0]["p_value"] <= 1.0
+        # "all" includes gupta-li at any number of groups
+        report = _run_json(capsys, "ci", "--summary", str(path), "--method", "all",
+                           "--reps", "5000", "--format", "json")
+        assert "gupta-li" in {r["method"] for r in report["results"]}
+
+
+def test_bad_seed_is_a_usage_error(capsys, monkeypatch):
+    for seed in ("-1", str(2 ** 64)):
+        code, out, err = _run(capsys, "test", "--example", "rmrs", "--phi0", "1",
+                              "--seed", seed, "--method", "all")
+        assert code == 2 and out == "", seed
+        assert err.startswith("error: ") and "seed" in err, seed
+    monkeypatch.setenv("LNMEAN_SEED", "-1")
+    code, out, err = _run(capsys, "ci", "--example", "rmrs", "--method", "all")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "seed" in err
 
 
 def test_nonpositive_raw_data_under_lognormal_model(capsys, tmp_path):
@@ -366,10 +387,27 @@ def test_simulate_writes_deterministic_csv(capsys, tmp_path):
     code_b, out_b, _ = _run(capsys, "simulate", "--config", str(path))
     assert code_a == code_b == 0
     assert out_a == out_b
-    assert out_a.splitlines()[0] == ("mu,sigma2_1,sigma2_2,n1,n2,method,metric,"
+    assert out_a.splitlines()[0] == ("mu,phi0,alpha,sigma2s,ns,method,metric,"
                                      "estimate,std_error,failures")
     target = tmp_path / "out.csv"
     code, _, _ = _run(capsys, "simulate", "--config", str(path),
                       "--output", str(target))
     assert code == 0
     assert target.read_text() == out_a
+
+
+def test_simulate_five_group_cell_runs_every_method(capsys, tmp_path):
+    config = {
+        "mu": [0.0], "sigma2_1": 0.1, "sigma2_2": [[0.5, 1.0, 2.5, 1.0]],
+        "n_pairs": [[5, 10, 25, 30, 50]], "alpha": 0.05, "outer_reps": 100,
+        "inner_reps": 1000, "seed": 6, "methods": ["all"],
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "simulate", "--config", str(path))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert {row[5] for row in rows} == {"lrt", "ahmed", "gupta-li", "baklizi",
+                                        "gv-weighted", "gv-umvue"}
+    assert all(row[:5] == ["0", "1", "0.05", "0.1;0.5;1;2.5;1", "5;10;25;30;50"]
+               for row in rows)

@@ -2,15 +2,17 @@ import importlib.resources
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from lnmean import SimulationCell, classical, run_cell, run_grid, simulate, write_csv
-from lnmean.methods import normalize_method
+from lnmean.methods import METHOD_ORDER, normalize_method
 from lnmean.simulate import (ConfigError, cells_from_config, load_grid_config,
                              parse_grid_config, result_rows)
 
 FAST = dict(outer_reps=100, inner_reps=1000, seed=7)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_method_normalization():
@@ -35,15 +37,19 @@ def test_cell_validation():
         SimulationCell(**ok, alpha=1.5)
     with pytest.raises(ValueError, match="unknown method"):
         SimulationCell(**ok, methods=("nope",))
-    with pytest.raises(ValueError, match="two groups"):
-        SimulationCell(mu=0.0, sigma2s=(1.0, 1.0, 1.0), ns=(5, 5, 5),
-                       methods=("gupta-li",))
-    # the CSV has columns for two groups only, whatever the methods
-    with pytest.raises(ValueError, match="two groups"):
-        SimulationCell(mu=0.0, sigma2s=(1.0,), ns=(5,), methods=("ahmed",))
-    with pytest.raises(ValueError, match="two groups"):
-        SimulationCell(mu=0.0, sigma2s=(1.0, 0.5, 2.0), ns=(5, 8, 9),
-                       methods=("ahmed",))
+    # any number of groups, with every method
+    assert SimulationCell(mu=0.0, sigma2s=(1.0,), ns=(5,)).methods == METHOD_ORDER
+    assert SimulationCell(mu=0.0, sigma2s=(0.1, 0.5, 1.0, 2.5, 1.0),
+                          ns=(5, 10, 25, 30, 50)).methods == METHOD_ORDER
+    with pytest.raises(ValueError, match="at least one group"):
+        SimulationCell(mu=0.0, sigma2s=(), ns=())
+    # non-finite parameters would fail every replicate, so they are refused
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            SimulationCell(**dict(ok, mu=mu))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SimulationCell(mu=0.0, sigma2s=(bad, 0.5), ns=(5, 10))
     # 1000 draws leave 5 in each tail of a 99% interval: refused up front
     # when a Monte Carlo method is requested, not failed replicate by replicate
     with pytest.raises(ValueError, match="too small"):
@@ -237,10 +243,32 @@ def test_config_validation_errors():
             cells_from_config(broken)
     with pytest.raises(ConfigError, match="unknown config keys"):
         cells_from_config(dict(good, typo=1))
-    with pytest.raises(ConfigError, match="two sizes"):
+    with pytest.raises(ConfigError, match="sigma2_2 entry .* n_pairs entry"):
         cells_from_config(dict(good, n_pairs=[[5, 10, 15]]))
-    with pytest.raises(ConfigError):
-        cells_from_config(dict(good, outer_reps="many"))
+    with pytest.raises(ConfigError, match="sigma2_2 entry .* n_pairs entry"):
+        cells_from_config(dict(good, sigma2_2=[[0.5, 1.0]]))
+    # wrong types name their key instead of being iterated or truncated
+    for key, value in (("outer_reps", "many"), ("outer_reps", 150.9), ("seed", 1.7),
+                       ("seed", True), ("inner_reps", False), ("n_pairs", [[5, 5.5]]),
+                       ("methods", "ahmed"), ("mu", 0.0), ("mu", ["0.5"]),
+                       ("sigma2_1", True), ("sigma2_2", 0.5), ("n_pairs", [5, 10])):
+        with pytest.raises(ConfigError, match=key):
+            cells_from_config(dict(good, **{key: value}))
+    with pytest.raises(ConfigError, match="finite"):
+        cells_from_config(dict(good, mu=[math.nan]))
+
+
+def test_config_entries_set_the_group_count():
+    good = json.loads(_json_equivalent())
+    one = cells_from_config(dict(good, mu=[0.0], sigma2_2=[[]], n_pairs=[[7]]))
+    assert [(cell.sigma2s, cell.ns) for cell in one] == [((1.0,), (7,))]
+    mixed = cells_from_config(dict(good, mu=[0.0], sigma2_2=[0.5, [0.5]], n_pairs=[[5, 10]]))
+    assert [cell.sigma2s for cell in mixed] == [(1.0, 0.5), (1.0, 0.5)]
+    five = cells_from_config(dict(good, mu=[0.0], sigma2_1=0.1,
+                                  sigma2_2=[[0.5, 1.0, 2.5, 1.0]],
+                                  n_pairs=[[5, 10, 25, 30, 50]]))
+    assert [(cell.sigma2s, cell.ns) for cell in five] == [
+        ((0.1, 0.5, 1.0, 2.5, 1.0), (5, 10, 25, 30, 50))]
 
 
 def test_empty_grid_is_allowed():
@@ -250,7 +278,7 @@ def test_empty_grid_is_allowed():
     buffer = io.StringIO()
     write_csv([], buffer)
     assert buffer.getvalue().strip() == ",".join(
-        ("mu", "sigma2_1", "sigma2_2", "n1", "n2", "method", "metric",
+        ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
          "estimate", "std_error", "failures"))
 
 
@@ -268,7 +296,7 @@ def test_csv_output_is_deterministic():
     lines = out[0].strip().splitlines()
     # one header plus rejection and coverage rows for each of the two methods
     assert len(lines) == 1 + 4
-    assert lines[1].startswith("0,1,0.5,5,10,ahmed,rejection,")
+    assert lines[1].startswith("0,1,0.05,1;0.5,5;10,ahmed,rejection,")
 
 
 def test_bare_name_loads_bundled_config(tmp_path, monkeypatch):
@@ -306,5 +334,34 @@ def test_result_rows_layout():
     assert len(rows) == 1
     row = rows[0]
     assert row["method"] == "baklizi" and row["metric"] == "coverage"
-    assert set(row) == {"mu", "sigma2_1", "sigma2_2", "n1", "n2", "method",
+    assert set(row) == {"mu", "phi0", "alpha", "sigma2s", "ns", "method",
                         "metric", "estimate", "std_error", "failures"}
+    assert (row["sigma2s"], row["ns"]) == ("1;0.5", "5;10")
+
+
+def test_five_group_generalized_coverage():
+    # 400 x 5000 keeps this in the tier-1 time; the band is 4 binomial SEs
+    cell = SimulationCell(mu=0.0, sigma2s=(0.1, 0.5, 1.0, 2.5, 1.0), ns=(5, 10, 25, 30, 50),
+                          methods=("gv-weighted", "gv-umvue"),
+                          outer_reps=400, inner_reps=5000, seed=20240501)
+    result = run_cell(cell)
+    band = 4.0 * math.sqrt(0.95 * 0.05 / cell.outer_reps)
+    for name in cell.methods:
+        rate = result.coverage[name]
+        assert rate.failures == 0, name
+        assert abs(rate.estimate - 0.95) <= band, (name, rate.estimate)
+
+
+def test_csv_passes_the_benchmark_shape_check(monkeypatch):
+    # the benchmark reads estimate, std_error and failures by position; a
+    # layout change that breaks it should fail here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import benchlib
+
+    methods = ("ahmed", "baklizi")
+    cells = [SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(5, 10), methods=methods, **FAST),
+             SimulationCell(mu=0.0, sigma2s=(0.1, 0.5, 1.0, 2.5, 1.0),
+                            ns=(5, 10, 25, 30, 50), methods=methods, **FAST)]
+    buffer = io.StringIO()
+    write_csv(run_grid(cells), buffer)
+    assert benchlib.check_grid_csv(buffer.getvalue(), cells=2, rows_per_cell=3) == []
