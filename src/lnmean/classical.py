@@ -62,14 +62,12 @@ def _chi2_quantile(level: float, df: int) -> float:
 class AhmedComponents:
     """Per-group lognormal-mean estimates and their pooled combination.
 
-    ``sigma2_hats`` are the n-divisor group variances, ``theta_hats`` the
-    per-group mean estimates exp(mean + sigma2/2), ``v_hats`` the
-    delta-method variances, and ``theta_tilde`` the inverse-variance pooled
-    estimate with standard error ``std_error``.
+    ``theta_hats`` are the per-group mean estimates exp(mean + sigma2/2) with
+    the n-divisor group variances sigma2, ``v_hats`` their delta-method
+    variances, and ``theta_tilde`` the inverse-variance pooled estimate with
+    standard error ``std_error``.
     """
 
-    mu_hats: tuple[float, ...]
-    sigma2_hats: tuple[float, ...]
     theta_hats: tuple[float, ...]
     v_hats: tuple[float, ...]
     theta_tilde: float
@@ -89,8 +87,6 @@ def ahmed_components(ds: Dataset) -> AhmedComponents:
     if not (math.isfinite(total) and total > 0.0):
         raise ValueError("ahmed delta-method variances overflow or underflow the float range")
     return AhmedComponents(
-        mu_hats=tuple(mu_hat),
-        sigma2_hats=tuple(sigma2),
         theta_hats=tuple(theta),
         v_hats=tuple(v),
         theta_tilde=float(np.sum(weights * theta) / total),
@@ -108,7 +104,7 @@ def ahmed_ci(ds: Dataset, level: float = 0.95, *,
     z = _normal_quantile(level)
     return interval_from_phi(comp.theta_tilde - z * comp.std_error,
                              comp.theta_tilde + z * comp.std_error,
-                             level, method="ahmed", estimate=comp.theta_tilde)
+                             level, estimate=comp.theta_tilde)
 
 
 def ahmed_test(ds: Dataset, phi0: float,
@@ -122,7 +118,7 @@ def ahmed_test(ds: Dataset, phi0: float,
     comp = ahmed_components(ds) if components is None else components
     z = (comp.theta_tilde - phi0) / comp.std_error
     p = _wald_pvalue(z, alternative)
-    return TestOutcome(p_value=p, mc_std_error=0.0, reps_used=0, method="ahmed", statistic=z)
+    return TestOutcome(p_value=p, mc_std_error=0.0, reps_used=0, statistic=z)
 
 
 def baklizi_ci(ds: Dataset, level: float = 0.95, *,
@@ -150,7 +146,7 @@ def baklizi_ci(ds: Dataset, level: float = 0.95, *,
         return None
     root = math.sqrt(disc)
     return interval_from_phi((-b - root) / (2.0 * a), (-b + root) / (2.0 * a),
-                             level, method="baklizi", estimate=-b / (2.0 * a))
+                             level, estimate=-b / (2.0 * a))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +298,7 @@ def gupta_li_ci(ds: Dataset, level: float = 0.95, *,
     sd = _gupta_li_sd(ds, fit.sigma2_hats)
     z = _normal_quantile(level)
     return interval_from_log(fit.mu_hat - z * sd, fit.mu_hat + z * sd, level,
-                             method="gupta-li", estimate=exp_or_inf(fit.mu_hat))
+                             estimate=exp_or_inf(fit.mu_hat))
 
 
 def gupta_li_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> TestOutcome:
@@ -316,8 +312,7 @@ def gupta_li_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> 
         fit = gupta_li_mle(ds)
     z = (fit.mu_hat - mu0) / _gupta_li_sd(ds, fit.sigma2_hats)
     p = 2.0 * special.ndtr(-abs(z))
-    return TestOutcome(p_value=float(min(p, 1.0)), mc_std_error=0.0, reps_used=0,
-                       method="gupta-li", statistic=z)
+    return TestOutcome(p_value=float(min(p, 1.0)), mc_std_error=0.0, reps_used=0, statistic=z)
 
 
 def lr_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> TestOutcome:
@@ -334,7 +329,7 @@ def lr_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> TestOu
     # the clamp only removes rounding residue when mu0 is within ulps of mu_hat
     lam = max(2.0 * (fit.log_likelihood - _profile_log_likelihood(ds, mu0)), 0.0)
     return TestOutcome(p_value=float(special.chdtrc(1, lam)), mc_std_error=0.0,
-                       reps_used=0, method="lrt", statistic=lam)
+                       reps_used=0, statistic=lam)
 
 
 def _wald_pvalue(z: float, alternative) -> float:

@@ -106,7 +106,11 @@ def main(argv=None) -> int:
 def _resolve_seed(seed) -> int:
     """The flag's seed, else the environment's, else 0; checked once, here."""
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+        text = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, not {text!r}") from None
     return StreamKey(seed).seed
 
 

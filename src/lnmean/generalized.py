@@ -2,9 +2,13 @@
 
 Two pivot constructions are available.  The "weighted" pivot averages
 per-group pivots with data-dependent random weights; the "umvue" pivot plugs
-random variance surrogates into the known-variance point estimator.  Both
-simulate the pivot distribution and read off tail frequencies (tests) or
-empirical quantiles (confidence intervals) for mu, the shared parameter.
+random variance surrogates into the known-variance point estimator.
+
+``sample_pivots`` simulates one draw of a pivot for mu, the shared
+parameter.  ``pvalue_from_pivots`` reads a test outcome off that draw (a tail
+frequency) and ``interval_from_pivots`` an interval (two empirical
+quantiles), each checking that the draw is large enough for what it reads.
+``gp_value`` and ``gci`` draw from a seed and read in one call.
 """
 
 from __future__ import annotations
@@ -36,9 +40,6 @@ class PivotMethod(Enum):
             if member.value == name:
                 return member
         raise ValueError(f"unknown pivot method {value!r}; use weighted or umvue")
-
-
-_METHOD_TAGS = {PivotMethod.WEIGHTED: "gv-weighted", PivotMethod.UMVUE: "gv-umvue"}
 
 
 def require_draws(reps: int, level: float | None = None) -> None:
@@ -177,69 +178,54 @@ def sample_pivots(ds: Dataset, method: PivotMethod, reps: int,
     return pivot_draw_umvue(ds, u, z)
 
 
-def pvalue_from_pivots(pivots: np.ndarray, mu0: float, alternative: Alternative) -> tuple[float, float]:
-    """Tail frequency of simulated pivots at mu0, with its binomial standard error.
+def pvalue_from_pivots(pivots: np.ndarray, spec: TestSpec) -> TestOutcome:
+    """Tail frequency of simulated pivots at ``spec.mu0``, with its binomial standard error.
 
     The alternative "greater" counts pivots <= mu0, "less" counts >= mu0, and
     the two-sided p doubles the smaller strict tail (clipped to 1).  The
-    returned standard error is that of the underlying tail proportion; a tail
-    of no draws or of all m draws is resolved only to 1/m, so its error is
-    taken at one draw in or out of the tail rather than reported as zero.
+    standard error is that of the underlying tail proportion; a tail of no
+    draws or of all m draws is resolved only to 1/m, so its error is taken at
+    one draw in or out of the tail rather than reported as zero.
     """
-    alternative = Alternative.coerce(alternative)
     m = pivots.size
-    if alternative is Alternative.GREATER:
-        count = np.count_nonzero(pivots <= mu0)
-        return count / m, _tail_std_error(count, m)
-    if alternative is Alternative.LESS:
-        count = np.count_nonzero(pivots >= mu0)
-        return count / m, _tail_std_error(count, m)
-    tail = min(np.count_nonzero(pivots < mu0), np.count_nonzero(pivots > mu0))
-    return min(1.0, 2.0 * (tail / m)), _tail_std_error(tail, m)
+    require_draws(m)
+    if spec.alternative is Alternative.GREATER:
+        count = np.count_nonzero(pivots <= spec.mu0)
+        p = count / m
+    elif spec.alternative is Alternative.LESS:
+        count = np.count_nonzero(pivots >= spec.mu0)
+        p = count / m
+    else:
+        count = min(np.count_nonzero(pivots < spec.mu0), np.count_nonzero(pivots > spec.mu0))
+        p = min(1.0, 2.0 * (count / m))
+    tail = min(max(count, 1), m - 1) / m
+    return TestOutcome(p_value=float(p), mc_std_error=math.sqrt(tail * (1.0 - tail) / m),
+                       reps_used=m)
 
 
-def _tail_std_error(count: int, m: int) -> float:
-    p = min(max(count, 1), m - 1) / m
-    return math.sqrt(p * (1.0 - p) / m)
-
-
-def interval_from_pivots(pivots: np.ndarray, level: float) -> tuple[float, float, float]:
-    """Equal-tailed interval and median from empirical pivot quantiles (linear
-    interpolation), as ``(lower, upper, median)`` from one partition."""
-    alpha = 1.0 - level
-    lower, median, upper = np.quantile(pivots, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0])
-    return float(lower), float(upper), float(median)
-
-
-def gp_value(ds: Dataset, spec: TestSpec, cfg: MCConfig, *,
-             pivots: np.ndarray | None = None) -> TestOutcome:
-    """Monte Carlo p-value for mu from the configured pivot method.
-
-    ``pivots``, if given, are ``cfg.method`` pivots the caller already drew;
-    they replace the draw of ``cfg.reps`` from the stream of ``cfg.seed``.
-    """
-    if pivots is None:
-        pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
-    p, se = pvalue_from_pivots(pivots, spec.mu0, spec.alternative)
-    return TestOutcome(p_value=p, mc_std_error=se, reps_used=pivots.size,
-                       method=_METHOD_TAGS[cfg.method])
-
-
-def gci(ds: Dataset, level: float, cfg: MCConfig, *,
-        pivots: np.ndarray | None = None) -> IntervalOutcome:
-    """Confidence interval for mu from empirical quantiles of simulated pivots.
-
-    ``pivots``, if given, are ``cfg.method`` pivots the caller already drew;
-    they replace the draw of ``cfg.reps`` from the stream of ``cfg.seed``.
-    """
+def interval_from_pivots(pivots: np.ndarray, level: float) -> IntervalOutcome:
+    """Equal-tailed interval from empirical pivot quantiles (linear
+    interpolation), with exp(median) as the estimate, from one partition."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    require_draws(cfg.reps, level)
-    if pivots is None:
-        pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
-    lower, upper, median = interval_from_pivots(pivots, level)
-    return interval_from_log(lower, upper, level, method=_METHOD_TAGS[cfg.method],
-                             estimate=exp_or_inf(median))
+    require_draws(pivots.size, level)
+    alpha = 1.0 - level
+    lower, median, upper = np.quantile(pivots, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0])
+    return interval_from_log(lower, upper, level, estimate=exp_or_inf(median))
+
+
+def gp_value(ds: Dataset, spec: TestSpec, cfg: MCConfig) -> TestOutcome:
+    """Monte Carlo p-value for mu: ``cfg.reps`` pivots of ``cfg.method`` from
+    the stream of ``cfg.seed``, read by ``pvalue_from_pivots``."""
+    pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
+    return pvalue_from_pivots(pivots, spec)
+
+
+def gci(ds: Dataset, level: float, cfg: MCConfig) -> IntervalOutcome:
+    """Confidence interval for mu: ``cfg.reps`` pivots of ``cfg.method`` from
+    the stream of ``cfg.seed``, read by ``interval_from_pivots``."""
+    pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
+    return interval_from_pivots(pivots, level)
 
 
 def _check_group_axis(ds: Dataset, arr: np.ndarray, name: str) -> None:

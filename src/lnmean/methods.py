@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import classical, generalized
-from .generalized import MCConfig, PivotMethod, TestSpec
+from .generalized import PivotMethod, TestSpec
 from .model import Dataset, ModelSpec
 from .outcomes import Alternative, IntervalOutcome, TestOutcome
 
@@ -62,7 +62,6 @@ class Method:
     lognormal_only: bool = True
     two_sided_only: bool = False
     monte_carlo: bool = False
-    original_scale: bool = False  # interval built, and coverage checked, for exp(mu)
 
     def unsupported(self, model: ModelSpec, kind: str | None,
                     alternative: Alternative) -> str | None:
@@ -80,12 +79,10 @@ class Method:
 
 def _generalized(name: str, kind: PivotMethod) -> Method:
     def test(work, spec, phi0):
-        return generalized.gp_value(work.ds, spec, MCConfig(reps=work.reps, method=kind),
-                                    pivots=work.pivots(name, kind))
+        return generalized.pvalue_from_pivots(work.pivots(name, kind), spec)
 
     def interval(work, level):
-        return generalized.gci(work.ds, level, MCConfig(reps=work.reps, method=kind),
-                               pivots=work.pivots(name, kind))
+        return generalized.interval_from_pivots(work.pivots(name, kind), level)
 
     return Method(name, test, interval, lognormal_only=False, monte_carlo=True)
 
@@ -98,8 +95,7 @@ METHODS = {entry.name: entry for entry in (
            test=lambda work, spec, phi0: classical.ahmed_test(
                work.ds, phi0, alternative=spec.alternative, components=work.components()),
            interval=lambda work, level: classical.ahmed_ci(
-               work.ds, level, components=work.components()),
-           original_scale=True),
+               work.ds, level, components=work.components())),
     Method("gupta-li",
            test=lambda work, spec, phi0: classical.gupta_li_test(work.ds, phi0, fit=work.fit()),
            interval=lambda work, level: classical.gupta_li_ci(work.ds, level, fit=work.fit()),
@@ -107,8 +103,7 @@ METHODS = {entry.name: entry for entry in (
     Method("baklizi",
            test=None,
            interval=lambda work, level: classical.baklizi_ci(
-               work.ds, level, components=work.components()),
-           original_scale=True),
+               work.ds, level, components=work.components())),
     _generalized("gv-weighted", PivotMethod.WEIGHTED),
     _generalized("gv-umvue", PivotMethod.UMVUE),
 )}

@@ -30,8 +30,9 @@ class TestOutcome:
     """A p-value with its Monte Carlo precision, if any.
 
     ``mc_std_error`` is the standard error of the underlying tail proportion
-    (zero for closed-form tests), and ``statistic`` carries the test statistic
-    when the method has one (Wald z, likelihood ratio).
+    and ``reps_used`` the number of pivots it was read from (both zero for
+    closed-form tests); ``statistic`` carries the test statistic when the
+    method has one (Wald z, likelihood ratio).
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -39,7 +40,6 @@ class TestOutcome:
     p_value: float
     mc_std_error: float
     reps_used: int
-    method: str
     statistic: float | None = None
 
     def __post_init__(self):
@@ -58,7 +58,9 @@ class IntervalOutcome:
     ``lower``/``upper`` bound the log-scale parameter mu; ``phi_lower``/
     ``phi_upper`` bound exp(mu) on the original scale.  One pair is native to
     the method and the other is derived from it, so methods whose original
-    scale bound can be nonpositive (Wald-type) get ``lower = -inf``.
+    scale bound can be nonpositive (Wald-type) get ``lower = -inf``, and
+    ``lower <= mu <= upper`` is the coverage check for every method.
+    ``estimate`` is the method's point estimate of exp(mu), if it has one.
     """
 
     lower: float
@@ -66,7 +68,6 @@ class IntervalOutcome:
     level: float
     phi_lower: float
     phi_upper: float
-    method: str = ""
     estimate: float | None = None
 
     def __post_init__(self):
@@ -90,7 +91,7 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def interval_from_log(lower: float, upper: float, level: float, method: str = "",
+def interval_from_log(lower: float, upper: float, level: float,
                       estimate: float | None = None) -> IntervalOutcome:
     """Interval whose native scale is the log scale; exponentiates exactly."""
     return IntervalOutcome(
@@ -99,12 +100,11 @@ def interval_from_log(lower: float, upper: float, level: float, method: str = ""
         level=float(level),
         phi_lower=exp_or_inf(lower),
         phi_upper=exp_or_inf(upper),
-        method=method,
         estimate=estimate,
     )
 
 
-def interval_from_phi(phi_lower: float, phi_upper: float, level: float, method: str = "",
+def interval_from_phi(phi_lower: float, phi_upper: float, level: float,
                       estimate: float | None = None) -> IntervalOutcome:
     """Interval whose native scale is the original scale of exp(mu)."""
     return IntervalOutcome(
@@ -113,6 +113,5 @@ def interval_from_phi(phi_lower: float, phi_upper: float, level: float, method: 
         level=float(level),
         phi_lower=float(phi_lower),
         phi_upper=float(phi_upper),
-        method=method,
         estimate=estimate,
     )

@@ -2,10 +2,10 @@
 
 Each replicate draws log-scale data from N(mu - sigma_i^2 / 2, sigma_i^2) for
 each of the cell's groups, then every requested method tests phi = phi0
-(two-sided, at ``alpha``) and/or builds a level 1 - alpha interval checked
-against the true mean exp(mu).  Replicate r of cell c uses the substream
-(seed, c * outer_reps + r), so results are reproducible and independent of
-how replicates are scheduled across workers.
+(two-sided, at ``alpha``) and/or builds a level 1 - alpha interval, which
+covers when its log-scale bounds hold the true mu.  Replicate r of cell c
+uses the substream (seed, c * outer_reps + r), so results are reproducible
+and independent of how replicates are scheduled across workers.
 
 Grid configs are flat TOML or JSON files with arrays ``mu``, ``sigma2_2`` and
 ``n_pairs``, scalars ``sigma2_1``, ``alpha``, ``outer_reps``, ``inner_reps``,
@@ -22,6 +22,7 @@ import functools
 import importlib.resources
 import json
 import math
+import numbers
 import os
 import tomllib
 from concurrent.futures import ProcessPoolExecutor
@@ -65,7 +66,9 @@ class SimulationCell:
 
     def __post_init__(self):
         sigma2s = tuple(float(v) for v in self.sigma2s)
-        ns = tuple(int(n) for n in self.ns)
+        ns = tuple(_whole("ns entry", n) for n in self.ns)
+        for name in ("outer_reps", "inner_reps", "seed", "cell_index"):
+            _whole(name, getattr(self, name))
         if len(sigma2s) != len(ns):
             raise ValueError("sigma2s and ns must be the same length")
         if not ns:
@@ -90,6 +93,13 @@ class SimulationCell:
             raise ValueError("inner_reps must be at least 1000")
         if any(entry.monte_carlo for entry in entries):
             require_draws(self.inner_reps, 1.0 - self.alpha)
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int; any other type, bool included, is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -150,8 +160,6 @@ def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int,
                 interval = entry.interval(work, level)
                 if interval is None:
                     ci_failed = 1
-                elif entry.original_scale:
-                    covered = int(interval.phi_lower <= math.exp(cell.mu) <= interval.phi_upper)
                 else:
                     covered = int(interval.lower <= cell.mu <= interval.upper)
         except (ValueError, ArithmeticError):

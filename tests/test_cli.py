@@ -203,6 +203,10 @@ def test_bad_seed_is_a_usage_error(capsys, monkeypatch):
     code, out, err = _run(capsys, "ci", "--example", "rmrs", "--method", "all")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "seed" in err
+    monkeypatch.setenv("LNMEAN_SEED", "abc")
+    code, out, err = _run(capsys, "ci", "--example", "rmrs", "--method", "all")
+    assert code == 2 and out == ""
+    assert err == "error: LNMEAN_SEED must be an integer, not 'abc'\n"
 
 
 def test_nonpositive_raw_data_under_lognormal_model(capsys, tmp_path):

@@ -9,6 +9,7 @@ from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Alternative, Dataset,
                     StreamKey, TestSpec, chi_square, gci, gp_value, interval_from_pivots,
                     pivot_draw_umvue, pivot_draw_weighted, pivot_weights,
                     pvalue_from_pivots, sample_pivots, umvue_known_variance)
+from lnmean.methods import METHODS, SharedWork
 
 
 def _dataset(rng, k, model=LOGNORMAL_MEAN, n_range=(5, 40)):
@@ -186,10 +187,10 @@ def test_interval_and_median_match_separate_quantiles():
         separate = (float(np.quantile(pivots, alpha / 2.0)),
                     float(np.quantile(pivots, 1.0 - alpha / 2.0)),
                     float(np.quantile(pivots, 0.5)))
-        assert interval_from_pivots(pivots, level) == separate
-        interval = gci(ds, level, cfg, pivots=pivots)
+        interval = interval_from_pivots(pivots, level)
         assert (interval.lower, interval.upper) == separate[:2]
         assert interval.estimate == math.exp(separate[2])
+        assert gci(ds, level, cfg) == interval
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +319,13 @@ def test_gp_value_is_pure_function_of_inputs():
     second = gp_value(ds, spec, cfg)
     assert first == second
     assert gci(ds, 0.9, cfg) == gci(ds, 0.9, cfg)
-    # the same draw passed in gives the same outcomes as drawing it inside
-    pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
-    assert gp_value(ds, spec, cfg, pivots=pivots) == first
-    assert gci(ds, 0.9, cfg, pivots=pivots) == gci(ds, 0.9, cfg)
+    # the method table's entries, reading one shared draw per method, give
+    # the same outcomes as drawing inside gp_value and gci
+    work = SharedWork(ds, cfg.reps, lambda name: StreamKey(cfg.seed).generator())
+    for name, kind in (("gv-weighted", PivotMethod.WEIGHTED), ("gv-umvue", PivotMethod.UMVUE)):
+        same_draw = MCConfig(reps=cfg.reps, seed=cfg.seed, method=kind)
+        assert METHODS[name].test(work, spec, math.exp(spec.mu0)) == gp_value(ds, spec, same_draw)
+        assert METHODS[name].interval(work, 0.9) == gci(ds, 0.9, same_draw)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +372,31 @@ def test_gci_rejects_unresolvable_tail():
         gci(ds, 0.9999, MCConfig(reps=1000, seed=0, method=PivotMethod.UMVUE))
 
 
+def test_summarizers_check_the_draws_they_read():
+    ds = Dataset(groups=(SampleSummary(5, 0.0, 1.0),))
+    pivots = sample_pivots(ds, PivotMethod.UMVUE, 1000, StreamKey(0).generator())
+    # 1000 draws leave 0.5 in each tail of a 99.9% interval
+    with pytest.raises(ValueError, match="too small"):
+        interval_from_pivots(pivots, 0.999)
+    with pytest.raises(ValueError, match="at least 1000"):
+        pvalue_from_pivots(pivots[:999], TestSpec(0.0))
+    with pytest.raises(ValueError, match="level"):
+        interval_from_pivots(pivots, 1.0)
+    assert pvalue_from_pivots(pivots, TestSpec(0.0)).reps_used == 1000
+    assert interval_from_pivots(pivots, 0.95).level == 0.95
+
+
 def test_gci_duality_with_two_sided_test():
     rng = np.random.default_rng(73)
     ds = _dataset(rng, 2)
     reps, level = 20_000, 0.95
     pivots = sample_pivots(ds, PivotMethod.WEIGHTED, reps, StreamKey(42).generator())
-    lower, upper, _ = interval_from_pivots(pivots, level)
+    interval = interval_from_pivots(pivots, level)
     grid = np.linspace(pivots.min(), pivots.max(), 400)
     mismatches = []
     for mu0 in grid:
-        p, _ = pvalue_from_pivots(pivots, mu0, Alternative.TWO_SIDED)
-        inside = lower <= mu0 <= upper
+        p = pvalue_from_pivots(pivots, TestSpec(mu0)).p_value
+        inside = interval.lower <= mu0 <= interval.upper
         if inside != (p > 1.0 - level):
             mismatches.append((mu0, p))
     # ties at the empirical quantile can flip the call, but only right at the

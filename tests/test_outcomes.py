@@ -15,11 +15,11 @@ def test_alternative_coercion():
 
 
 def test_test_outcome_validation():
-    TestOutcome(p_value=0.5, mc_std_error=0.01, reps_used=1000, method="x")
+    TestOutcome(p_value=0.5, mc_std_error=0.01, reps_used=1000)
     with pytest.raises(ValueError, match="p_value"):
-        TestOutcome(p_value=1.5, mc_std_error=0.0, reps_used=0, method="x")
+        TestOutcome(p_value=1.5, mc_std_error=0.0, reps_used=0)
     with pytest.raises(ValueError):
-        TestOutcome(p_value=0.5, mc_std_error=-0.1, reps_used=0, method="x")
+        TestOutcome(p_value=0.5, mc_std_error=-0.1, reps_used=0)
 
 
 def test_interval_outcome_validation():
@@ -30,15 +30,15 @@ def test_interval_outcome_validation():
 
 
 def test_interval_from_log_exponentiates_exactly():
-    interval = interval_from_log(0.5, 1.5, level=0.9, method="m", estimate=2.0)
+    interval = interval_from_log(0.5, 1.5, level=0.9, estimate=2.0)
     assert interval.phi_lower == math.exp(0.5)
     assert interval.phi_upper == math.exp(1.5)
     assert interval.width == interval.phi_upper - interval.phi_lower
-    assert interval.method == "m" and interval.estimate == 2.0
+    assert interval.estimate == 2.0
 
 
 def test_interval_from_phi_handles_nonpositive_lower():
-    interval = interval_from_phi(-5.0, 10.0, level=0.95, method="wald")
+    interval = interval_from_phi(-5.0, 10.0, level=0.95)
     assert interval.lower == -math.inf
     assert interval.phi_lower == -5.0
     assert interval.upper == pytest.approx(math.log(10.0))

@@ -43,6 +43,12 @@ def test_cell_validation():
                           ns=(5, 10, 25, 30, 50)).methods == METHOD_ORDER
     with pytest.raises(ValueError, match="at least one group"):
         SimulationCell(mu=0.0, sigma2s=(), ns=())
+    # integer fields are refused, not truncated or failed later, when not integers
+    for field, bad in (("ns", (5.5, 10)), ("ns", (True, 10)), ("outer_reps", 150.9),
+                       ("outer_reps", True), ("inner_reps", 5000.0), ("seed", 1.5),
+                       ("seed", False), ("cell_index", 2.0)):
+        with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
+            SimulationCell(**dict(ok, **{field: bad}))
     # non-finite parameters would fail every replicate, so they are refused
     for mu in (math.nan, math.inf):
         with pytest.raises(ValueError, match="mu must be finite"):
