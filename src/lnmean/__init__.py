@@ -9,7 +9,7 @@ harness for size/power/coverage studies.
 from .classical import (AhmedComponents, MleResult, ahmed_ci, ahmed_components,
                         ahmed_test, baklizi_ci, constrained_sigma2, gupta_li_ci,
                         gupta_li_mle, gupta_li_test, log_likelihood, lr_test)
-from .generalized import (MCConfig, PivotMethod, TestSpec, gci, gp_value,
+from .generalized import (MCConfig, PivotDraws, PivotMethod, TestSpec, gci, gp_value,
                           interval_from_pivots, pivot_draw_umvue,
                           pivot_draw_weighted, pivot_weights, pvalue_from_pivots,
                           sample_pivots)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AhmedComponents", "Alternative", "COMMON_NORMAL_MEAN", "Dataset",
     "IntervalOutcome", "KnownVarianceSpec", "LOGNORMAL_MEAN", "MCConfig",
-    "MleResult", "ModelSpec", "PivotMethod", "RMRS_GROUP_LABELS",
+    "MleResult", "ModelSpec", "PivotDraws", "PivotMethod", "RMRS_GROUP_LABELS",
     "RMRS_SUMMARY_ROWS", "RateEstimate", "SampleSummary", "SimulationCell",
     "SimulationResult", "StreamKey", "TestOutcome", "TestSpec",
     "ahmed_ci", "ahmed_components", "ahmed_test", "baklizi_ci",

@@ -94,7 +94,7 @@ def main(argv=None) -> int:
                "example": _cmd_example, "simulate": _cmd_simulate}[args.command]
     try:
         return handler(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -145,10 +145,11 @@ def _read_raw_csv(path) -> tuple[list[str], list[list[float]]]:
             label = (row["group"] or "").strip()
             if not label:
                 raise ValueError(f"{path}:{line}: empty group label")
+            text = _field(row, "value", path, line)
             try:
-                value = float(row["value"])
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}:{line}: bad value {row['value']!r}") from None
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"{path}:{line}: bad value {text!r}") from None
             groups.setdefault(label, []).append(value)
     if not groups:
         raise ValueError(f"{path}: no data rows")
@@ -162,15 +163,24 @@ def _read_summary_csv(path) -> tuple[list[str], list[SampleSummary]]:
         reader = csv.DictReader(fh)
         _require_columns(reader, path, ("group", "n", "mean_log", "var_log"))
         for line, row in enumerate(reader, start=2):
+            n, mean, variance = (_field(row, name, path, line)
+                                 for name in ("n", "mean_log", "var_log"))
             try:
                 labels.append((row["group"] or "").strip())
-                groups.append(SampleSummary(n=int(row["n"]), mean=float(row["mean_log"]),
-                                            variance=float(row["var_log"])))
+                groups.append(SampleSummary(n=int(n), mean=float(mean),
+                                            variance=float(variance)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: {exc}") from None
     if not groups:
         raise ValueError(f"{path}: no data rows")
     return labels, groups
+
+
+def _field(row: dict, name: str, path, line: int) -> str:
+    """The text of column ``name``; a row too short to have it is a ValueError."""
+    if row[name] is None:
+        raise ValueError(f"{path}:{line}: missing value for {name}")
+    return row[name]
 
 
 def _require_columns(reader, path, names) -> None:
@@ -197,11 +207,11 @@ def _null_values(args, model: ModelSpec) -> tuple[float, float | None]:
 
 def _shared_work(ds: Dataset, entries, reps: int, seed: int,
                  level: float | None = None) -> methods.SharedWork:
-    # every Monte Carlo method draws from the seed's own stream, so a method's
-    # result does not depend on which other methods were requested
+    # both Monte Carlo methods read one draw from the seed's stream, in an
+    # order that does not depend on which of them were requested
     if any(entry.monte_carlo for entry in entries):
         require_draws(reps, level)
-    return methods.SharedWork(ds, reps, lambda name: StreamKey(seed).generator())
+    return methods.SharedWork(ds, reps, StreamKey(seed).generator)
 
 
 def _results(entries, run) -> list[dict]:

@@ -4,10 +4,12 @@ Two pivot constructions are available.  The "weighted" pivot averages
 per-group pivots with data-dependent random weights; the "umvue" pivot plugs
 random variance surrogates into the known-variance point estimator.
 
-``sample_pivots`` simulates one draw of a pivot for mu, the shared
-parameter.  ``pvalue_from_pivots`` reads a test outcome off that draw (a tail
-frequency) and ``interval_from_pivots`` an interval (two empirical
-quantiles), each checking that the draw is large enough for what it reads.
+``PivotDraws`` holds the random draws of one Monte Carlo stream, which both
+pivots read, and ``sample_pivots`` evaluates one pivot for mu, the shared
+parameter, on them.  ``pvalue_from_pivots`` reads a test outcome off the
+pivots (a tail frequency) and ``interval_from_pivots`` an interval (two
+empirical quantiles), each checking that there are enough pivots for what it
+reads.
 ``gp_value`` and ``gci`` draw from a seed and read in one call.
 """
 
@@ -162,20 +164,66 @@ def pivot_draw_umvue(ds: Dataset, u, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def sample_pivots(ds: Dataset, method: PivotMethod, reps: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Simulate ``reps`` pivot values; the draw order per replication is fixed."""
+class PivotDraws:
+    """The random draws of one Monte Carlo stream, shared by both pivots.
+
+    The draws are group-major ``(k, reps)`` arrays taken from ``rng`` in a
+    fixed order: u ~ chi2(n_i - 1), then z ~ N(0, 1), then v ~ chi2(n_i - 1).
+    The umvue pivot reads u and z[0]; the rest of z, and v, are drawn the
+    first time the weighted pivot asks for them.  Either pivot alone draws
+    only what it reads, and each reads the same numbers whichever asks first.
+    """
+
+    def __init__(self, ds: Dataset, reps: int, rng: np.random.Generator):
+        self.ds = ds
+        self.reps = reps
+        self._rng = rng
+        self._dfs = (ds.counts() - 1)[:, None]
+        self._u = chi_square(self._dfs, rng, (ds.k, reps))
+        self._z = np.empty((ds.k, reps))
+        self._z[0] = std_normal(rng, reps)
+        self._v = None
+
+    def umvue(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, z[0]): the draws of the umvue pivot."""
+        return self._u, self._z[0]
+
+    def weighted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, u, v): the draws of the weighted pivot."""
+        if self._v is None:
+            self._z[1:] = std_normal(self._rng, (self.ds.k - 1, self.reps))
+            self._v = chi_square(self._dfs, self._rng, (self.ds.k, self.reps))
+        return self._z, self._u, self._v
+
+
+# rows of draws per pivot evaluation: the formulas' temporaries stay this
+# long instead of ``reps`` long
+PIVOT_BLOCK = 8192
+
+
+def sample_pivots(draws: PivotDraws, method: PivotMethod) -> np.ndarray:
+    """``draws.reps`` pivot values of ``method`` from ``draws``.
+
+    The formulas run over ``PIVOT_BLOCK`` rows at a time into one array; they
+    work row by row, so each value is the one they give on the whole arrays.
+    """
     method = PivotMethod.coerce(method)
-    dfs = ds.counts() - 1
-    shape = (reps, ds.k)
+    ds = draws.ds
     if method is PivotMethod.WEIGHTED:
-        u = chi_square(dfs, rng, shape)
-        v = chi_square(dfs, rng, shape)
-        z = std_normal(rng, shape)
-        return pivot_draw_weighted(ds, z, u, v)
-    u = chi_square(dfs, rng, shape)
-    z = std_normal(rng, reps)
-    return pivot_draw_umvue(ds, u, z)
+        z, u, v = draws.weighted()
+
+        def block(rows):
+            return pivot_draw_weighted(ds, z[:, rows].T, u[:, rows].T, v[:, rows].T)
+    else:
+        u, z0 = draws.umvue()
+
+        def block(rows):
+            return pivot_draw_umvue(ds, u[:, rows].T, z0[rows])
+    out = np.empty(draws.reps)
+    for start in range(0, draws.reps, PIVOT_BLOCK):
+        rows = slice(start, start + PIVOT_BLOCK)
+        out[rows] = block(rows)
+    return out
 
 
 def pvalue_from_pivots(pivots: np.ndarray, spec: TestSpec) -> TestOutcome:
@@ -217,15 +265,15 @@ def interval_from_pivots(pivots: np.ndarray, level: float) -> IntervalOutcome:
 def gp_value(ds: Dataset, spec: TestSpec, cfg: MCConfig) -> TestOutcome:
     """Monte Carlo p-value for mu: ``cfg.reps`` pivots of ``cfg.method`` from
     the stream of ``cfg.seed``, read by ``pvalue_from_pivots``."""
-    pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
-    return pvalue_from_pivots(pivots, spec)
+    draws = PivotDraws(ds, cfg.reps, StreamKey(cfg.seed).generator())
+    return pvalue_from_pivots(sample_pivots(draws, cfg.method), spec)
 
 
 def gci(ds: Dataset, level: float, cfg: MCConfig) -> IntervalOutcome:
     """Confidence interval for mu: ``cfg.reps`` pivots of ``cfg.method`` from
     the stream of ``cfg.seed``, read by ``interval_from_pivots``."""
-    pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
-    return interval_from_pivots(pivots, level)
+    draws = PivotDraws(ds, cfg.reps, StreamKey(cfg.seed).generator())
+    return interval_from_pivots(sample_pivots(draws, cfg.method), level)
 
 
 def _check_group_axis(ds: Dataset, arr: np.ndarray, name: str) -> None:

@@ -21,10 +21,13 @@ from .outcomes import Alternative, IntervalOutcome, TestOutcome
 
 class SharedWork:
     """Work several methods need on one dataset, each piece done on first use;
-    a call that raises is not kept, so the next method to need it tries again."""
+    a call that raises is not kept, so the next method to need it tries again.
 
-    def __init__(self, ds: Dataset, reps: int,
-                 generator: Callable[[str], np.random.Generator]):
+    Both pivots read one ``PivotDraws`` of ``reps`` draws from the generator
+    that ``generator()`` makes when a pivot is first asked for.
+    """
+
+    def __init__(self, ds: Dataset, reps: int, generator: Callable[[], np.random.Generator]):
         self.ds = ds
         self.reps = reps
         self._generator = generator
@@ -41,10 +44,11 @@ class SharedWork:
     def components(self) -> classical.AhmedComponents:
         return self._once("components", lambda: classical.ahmed_components(self.ds))
 
-    def pivots(self, name: str, kind: PivotMethod) -> np.ndarray:
-        """``reps`` pivots for Monte Carlo method ``name``, from ``generator(name)``."""
-        return self._once(name, lambda: generalized.sample_pivots(
-            self.ds, kind, self.reps, self._generator(name)))
+    def pivots(self, kind: PivotMethod) -> np.ndarray:
+        """``reps`` pivots of ``kind`` from the shared draws."""
+        draws = self._once("draws", lambda: generalized.PivotDraws(
+            self.ds, self.reps, self._generator()))
+        return self._once(kind, lambda: generalized.sample_pivots(draws, kind))
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,10 @@ class Method:
 
 def _generalized(name: str, kind: PivotMethod) -> Method:
     def test(work, spec, phi0):
-        return generalized.pvalue_from_pivots(work.pivots(name, kind), spec)
+        return generalized.pvalue_from_pivots(work.pivots(kind), spec)
 
     def interval(work, level):
-        return generalized.interval_from_pivots(work.pivots(name, kind), level)
+        return generalized.interval_from_pivots(work.pivots(kind), level)
 
     return Method(name, test, interval, lognormal_only=False, monte_carlo=True)
 

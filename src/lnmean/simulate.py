@@ -36,11 +36,6 @@ from .methods import METHOD_ORDER, METHODS, SharedWork, select
 from .model import LOGNORMAL_MEAN, Dataset, SampleSummary
 from .samplers import StreamKey, std_normal
 
-# lane 0 of a replicate substream draws the data; each method's Monte Carlo
-# draws get their own lane so a method's result does not depend on which
-# other methods were requested
-_METHOD_LANES = {name: index + 1 for index, name in enumerate(METHOD_ORDER)}
-
 CSV_COLUMNS = ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
                "estimate", "std_error", "failures")
 
@@ -91,6 +86,13 @@ class SimulationCell:
             raise ValueError("outer_reps must be at least 100")
         if self.inner_reps < 1000:
             raise ValueError("inner_reps must be at least 1000")
+        # the seed and the replicates' stream indices are refused here, not in run_cell
+        StreamKey(self.seed)
+        first = self.cell_index * self.outer_reps
+        last = first + self.outer_reps - 1
+        if not (0 <= first and last < 2 ** 64):
+            raise ValueError(f"replicate stream indices {first}..{last} (cell_index * "
+                             "outer_reps onward) must fit in an unsigned 64-bit integer")
         if any(entry.monte_carlo for entry in entries):
             require_draws(self.inner_reps, 1.0 - self.alpha)
 
@@ -148,7 +150,9 @@ def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int,
         return {name: (0, 1, 0, 1) for name in cell.methods}
     spec = TestSpec(math.log(cell.phi0))
     level = 1.0 - cell.alpha
-    work = SharedWork(ds, cell.inner_reps, lambda name: base.generator(_METHOD_LANES[name]))
+    # lane 0 drew the data; lane 1 holds the Monte Carlo draws both
+    # generalized methods read
+    work = SharedWork(ds, cell.inner_reps, functools.partial(base.generator, 1))
     for name in cell.methods:
         entry = METHODS[name]
         rejected = covered = test_failed = ci_failed = 0

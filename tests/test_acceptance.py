@@ -37,7 +37,7 @@ def _reduced_pvalue_greater(ds, mu0, cfg):
     its normal draw integrated out: given the chi-square draws of the stream
     of ``cfg.seed`` the pivot is normal, so each draw gives a Phi term."""
     n = ds.counts()
-    u = chi_square(n - 1, StreamKey(cfg.seed).generator(), (cfg.reps, ds.k))
+    u = chi_square((n - 1)[:, None], StreamKey(cfg.seed).generator(), (ds.k, cfg.reps)).T
     rate = n * u / ((n - 1) * ds.variances())
     b_sum = np.sum(rate, axis=-1)
     a_sum = np.sum(rate * ds.means(), axis=-1) - ds.total_n * ds.model.b

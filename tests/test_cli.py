@@ -252,6 +252,36 @@ def test_large_log_variances_report_without_traceback(tmp_path):
         assert results[method]["mc_std_error"] > 0.0
 
 
+def _lnmean(*argv):
+    """``python -m lnmean`` in a child process, run on this checkout."""
+    import lnmean
+
+    env = dict(os.environ, PYTHONPATH=str(Path(lnmean.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "lnmean", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_short_csv_rows_name_the_missing_value(tmp_path):
+    summary = tmp_path / "f.csv"
+    summary.write_text("group,n,mean_log,var_log\na,10,1.0,0.5\nb,12,1.2\n")
+    raw = tmp_path / "raw.csv"
+    raw.write_text("group,value\na,1.0\nb\n")
+    for source, path, column in (("--summary", summary, "var_log"), ("--input", raw, "value")):
+        proc = _lnmean("ci", source, path, "--method", "ahmed")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: {path}:3: missing value for {column}"
+
+
+def test_unallocatable_reps_is_a_usage_error():
+    # 10^15 draws per group: numpy refuses the allocation before touching memory
+    proc = _lnmean("test", "--example", "rmrs", "--phi0", "20000", "--method", "gv-umvue",
+                   "--reps", 10 ** 15)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: Unable to allocate")
+
+
 def test_ahmed_overflow_fails_by_name_and_others_report(tmp_path):
     # at log means near 400 the ahmed weights overflow; ahmed and baklizi
     # report the failure and every other method still reports its interval

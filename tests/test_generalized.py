@@ -5,10 +5,12 @@ import pytest
 from scipy import stats
 
 from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Alternative, Dataset,
-                    KnownVarianceSpec, MCConfig, ModelSpec, PivotMethod, SampleSummary,
-                    StreamKey, TestSpec, chi_square, gci, gp_value, interval_from_pivots,
-                    pivot_draw_umvue, pivot_draw_weighted, pivot_weights,
-                    pvalue_from_pivots, sample_pivots, umvue_known_variance)
+                    KnownVarianceSpec, MCConfig, ModelSpec, PivotDraws, PivotMethod,
+                    SampleSummary, StreamKey, TestSpec, chi_square, gci, gp_value,
+                    interval_from_pivots, pivot_draw_umvue, pivot_draw_weighted,
+                    pivot_weights, pvalue_from_pivots, sample_pivots, std_normal,
+                    umvue_known_variance)
+from lnmean.generalized import PIVOT_BLOCK
 from lnmean.methods import METHODS, SharedWork
 
 
@@ -139,7 +141,8 @@ def _reference_rao_blackwell(ds, spec, cfg):
     chi-square draws the pivot is normal, so each draw contributes a Phi term
     instead of a 0/1 tail indicator."""
     a = ds.model.a
-    u = chi_square(ds.counts() - 1, StreamKey(cfg.seed).generator(), (cfg.reps, ds.k))
+    u = chi_square((ds.counts() - 1)[:, None], StreamKey(cfg.seed).generator(),
+                   (ds.k, cfg.reps)).T
     a_sum, b_sum = _reference_umvue_sums(ds, u)
     root = np.sqrt(b_sum)
     terms = stats.norm.cdf(np.sign(a) * a_sum / root - abs(a) * root * spec.mu0)
@@ -181,7 +184,7 @@ def test_interval_and_median_match_separate_quantiles():
     rng = np.random.default_rng(74)
     ds = _dataset(rng, 3)
     cfg = MCConfig(reps=5001, seed=8, method=PivotMethod.WEIGHTED)
-    pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
+    pivots = sample_pivots(PivotDraws(ds, cfg.reps, StreamKey(cfg.seed).generator()), cfg.method)
     for level in (0.9, 0.95, 0.99):
         alpha = 1.0 - level
         separate = (float(np.quantile(pivots, alpha / 2.0)),
@@ -191,6 +194,77 @@ def test_interval_and_median_match_separate_quantiles():
         assert (interval.lower, interval.upper) == separate[:2]
         assert interval.estimate == math.exp(separate[2])
         assert gci(ds, level, cfg) == interval
+
+
+# ---------------------------------------------------------------------------
+# one draw per stream, read by both pivots
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_draws_follow_the_fixed_order(k):
+    ds = _dataset(np.random.default_rng(80 + k), k)
+    reps = 1500
+    draws = PivotDraws(ds, reps, StreamKey(k).generator())
+    u, z0 = draws.umvue()
+    z, u_again, v = draws.weighted()
+    assert u_again is u and np.array_equal(z[0], z0)
+    rng = StreamKey(k).generator()
+    dfs = (ds.counts() - 1)[:, None]
+    assert np.array_equal(u, chi_square(dfs, rng, (k, reps)))
+    assert np.array_equal(z, std_normal(rng, (k, reps)))
+    assert np.array_equal(v, chi_square(dfs, rng, (k, reps)))
+
+
+def test_pivots_do_not_depend_on_the_other_method():
+    ds = _dataset(np.random.default_rng(81), 3)
+
+    def pivots(order):
+        work = SharedWork(ds, 3000, StreamKey(12).generator)
+        return {kind: work.pivots(kind) for kind in order}
+
+    alone = {kind: pivots([kind])[kind] for kind in PivotMethod}
+    for order in (list(PivotMethod), list(PivotMethod)[::-1]):
+        together = pivots(order)
+        for kind in PivotMethod:
+            assert np.array_equal(together[kind], alone[kind]), (order, kind)
+
+
+def test_draw_counts_per_request_set(monkeypatch):
+    from lnmean import generalized
+
+    drawn = {"chi_square": 0, "std_normal": 0}
+    for name in drawn:
+        def counted(*args, original=getattr(generalized, name), name=name):
+            out = original(*args)
+            drawn[name] += out.size
+            return out
+
+        monkeypatch.setattr(generalized, name, counted)
+    ds = _dataset(np.random.default_rng(82), 3)
+    k, reps = ds.k, 2000
+    umvue, weighted = PivotMethod.UMVUE, PivotMethod.WEIGHTED
+    for requests, chi2, normals in (((umvue,), k * reps, reps),
+                                    ((weighted,), 2 * k * reps, k * reps),
+                                    ((umvue, weighted), 2 * k * reps, k * reps),
+                                    ((weighted, umvue), 2 * k * reps, k * reps)):
+        drawn.update(chi_square=0, std_normal=0)
+        work = SharedWork(ds, reps, StreamKey(5).generator)
+        for kind in requests:
+            work.pivots(kind)
+        assert (drawn["chi_square"], drawn["std_normal"]) == (chi2, normals), requests
+
+
+@pytest.mark.parametrize("reps", [3 * PIVOT_BLOCK + 17, 1000])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_blocks_match_the_formulas_on_whole_arrays(k, reps):
+    ds = _dataset(np.random.default_rng(83 + k), k)
+    draws = PivotDraws(ds, reps, StreamKey(k).generator())
+    weighted = sample_pivots(draws, PivotMethod.WEIGHTED)
+    umvue = sample_pivots(draws, PivotMethod.UMVUE)
+    z, u, v = draws.weighted()
+    assert weighted.shape == umvue.shape == (reps,)
+    assert np.array_equal(weighted, pivot_draw_weighted(ds, z.T, u.T, v.T))
+    assert np.array_equal(umvue, pivot_draw_umvue(ds, u.T, z[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +344,7 @@ def test_gp_value_alternative_identity_and_ties():
     spec_kw = dict(mu0=float(ds.means().mean()))
     p_greater = gp_value(ds, TestSpec(alternative=Alternative.GREATER, **spec_kw), cfg)
     p_less = gp_value(ds, TestSpec(alternative=Alternative.LESS, **spec_kw), cfg)
-    pivots = sample_pivots(ds, cfg.method, cfg.reps, StreamKey(cfg.seed).generator())
+    pivots = sample_pivots(PivotDraws(ds, cfg.reps, StreamKey(cfg.seed).generator()), cfg.method)
     ties = np.count_nonzero(pivots == spec_kw["mu0"]) / cfg.reps
     assert p_greater.p_value + p_less.p_value == pytest.approx(1.0 + ties, abs=1e-12)
 
@@ -319,9 +393,9 @@ def test_gp_value_is_pure_function_of_inputs():
     second = gp_value(ds, spec, cfg)
     assert first == second
     assert gci(ds, 0.9, cfg) == gci(ds, 0.9, cfg)
-    # the method table's entries, reading one shared draw per method, give
-    # the same outcomes as drawing inside gp_value and gci
-    work = SharedWork(ds, cfg.reps, lambda name: StreamKey(cfg.seed).generator())
+    # the method table's entries, reading one shared draw, give the same
+    # outcomes as drawing inside gp_value and gci
+    work = SharedWork(ds, cfg.reps, StreamKey(cfg.seed).generator)
     for name, kind in (("gv-weighted", PivotMethod.WEIGHTED), ("gv-umvue", PivotMethod.UMVUE)):
         same_draw = MCConfig(reps=cfg.reps, seed=cfg.seed, method=kind)
         assert METHODS[name].test(work, spec, math.exp(spec.mu0)) == gp_value(ds, spec, same_draw)
@@ -374,7 +448,7 @@ def test_gci_rejects_unresolvable_tail():
 
 def test_summarizers_check_the_draws_they_read():
     ds = Dataset(groups=(SampleSummary(5, 0.0, 1.0),))
-    pivots = sample_pivots(ds, PivotMethod.UMVUE, 1000, StreamKey(0).generator())
+    pivots = sample_pivots(PivotDraws(ds, 1000, StreamKey(0).generator()), PivotMethod.UMVUE)
     # 1000 draws leave 0.5 in each tail of a 99.9% interval
     with pytest.raises(ValueError, match="too small"):
         interval_from_pivots(pivots, 0.999)
@@ -390,7 +464,7 @@ def test_gci_duality_with_two_sided_test():
     rng = np.random.default_rng(73)
     ds = _dataset(rng, 2)
     reps, level = 20_000, 0.95
-    pivots = sample_pivots(ds, PivotMethod.WEIGHTED, reps, StreamKey(42).generator())
+    pivots = sample_pivots(PivotDraws(ds, reps, StreamKey(42).generator()), PivotMethod.WEIGHTED)
     interval = interval_from_pivots(pivots, level)
     grid = np.linspace(pivots.min(), pivots.max(), 400)
     mismatches = []

@@ -61,6 +61,15 @@ def test_cell_validation():
     with pytest.raises(ValueError, match="too small"):
         SimulationCell(**ok, alpha=0.01, inner_reps=1000)
     SimulationCell(**ok, alpha=0.01, inner_reps=1000, methods=("lrt", "baklizi"))
+    # the seed and every replicate's stream index fit in 64 bits, or the cell
+    # is refused before it runs
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed must fit"):
+            SimulationCell(**ok, seed=seed)
+    for cell_index, outer_reps in ((-1, 100), (2, 2 ** 63)):
+        with pytest.raises(ValueError, match="stream indices .* must fit"):
+            SimulationCell(**ok, cell_index=cell_index, outer_reps=outer_reps)
+    SimulationCell(**ok, seed=2 ** 64 - 1, cell_index=1, outer_reps=2 ** 63)
 
 
 def test_run_cell_is_deterministic():
@@ -262,6 +271,9 @@ def test_config_validation_errors():
             cells_from_config(dict(good, **{key: value}))
     with pytest.raises(ConfigError, match="finite"):
         cells_from_config(dict(good, mu=[math.nan]))
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ConfigError, match="seed"):
+            cells_from_config(dict(good, seed=seed))
 
 
 def test_config_entries_set_the_group_count():
