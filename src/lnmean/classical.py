@@ -11,12 +11,19 @@ The variances maximize the likelihood in closed form at any fixed mu, so the
 ML fit is a global search over the one-dimensional profile likelihood of mu.
 Callers that run several procedures on one dataset can compute the shared
 pieces once (``ahmed_components``, ``gupta_li_mle``) and pass them in.
+
+k is small, so formulas over the groups run in scalar arithmetic on Python
+floats.  Their sums go left to right, as numpy sums fewer than 8 elements, and
+exp and log come from numpy (``_numpy_exp``, ``_log_likelihood``), so for
+k < 8 the ahmed, baklizi and likelihood figures have the bits that the same
+formulas give on numpy arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +34,9 @@ from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
                        interval_from_log, interval_from_phi)
 
 _SIGMA2_FLOOR = 1e-12
+# the largest x whose exp is finite
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_AHMED_RANGE = "ahmed delta-method variances overflow or underflow the float range"
 # absolute tolerance of the Brent search for the ML estimate of mu
 _MU_XTOL = 1e-14
 
@@ -74,24 +84,35 @@ class AhmedComponents:
     std_error: float
 
 
+def _numpy_exp(xs: list[float]) -> list[float]:
+    """exp of each of ``xs`` from one numpy call; inf past the float range.
+
+    numpy's exp, not ``math.exp``: where numpy has a SIMD exp (AVX-512 builds)
+    the two differ in the last bit for about 5% of arguments.  Arguments past
+    the range never reach numpy, which would warn of the overflow.
+    """
+    exps = np.exp([min(x, _LOG_FLOAT_MAX) for x in xs]).tolist()
+    return [e if x <= _LOG_FLOAT_MAX else math.inf for x, e in zip(xs, exps)]
+
+
 def ahmed_components(ds: Dataset) -> AhmedComponents:
     _require_lognormal(ds)
-    n = ds.counts()
-    mu_hat = ds.means()
-    sigma2 = (n - 1) / n * ds.variances()
-    with np.errstate(over="ignore", divide="ignore"):
-        theta = np.exp(mu_hat + 0.5 * sigma2)
-        v = sigma2 * (1.0 + 0.5 * sigma2) * np.exp(2.0 * mu_hat + sigma2)
-        weights = n / v
-    total = float(np.sum(weights))
+    sigma2s = [(g.n - 1) / g.n * g.variance for g in ds.groups]
+    exps = _numpy_exp([g.mean + 0.5 * s for g, s in zip(ds.groups, sigma2s)]
+                      + [2.0 * g.mean + s for g, s in zip(ds.groups, sigma2s)])
+    thetas = exps[:ds.k]
+    v_hats = [s * (1.0 + 0.5 * s) * e for s, e in zip(sigma2s, exps[ds.k:])]
+    if 0.0 in v_hats:  # an underflowed variance: its weight n / v is infinite
+        raise ValueError(_AHMED_RANGE)
+    total = pooled = 0.0
+    for g, theta, v in zip(ds.groups, thetas, v_hats):
+        weight = g.n / v
+        total += weight
+        pooled += weight * theta
     if not (math.isfinite(total) and total > 0.0):
-        raise ValueError("ahmed delta-method variances overflow or underflow the float range")
-    return AhmedComponents(
-        theta_hats=tuple(theta),
-        v_hats=tuple(v),
-        theta_tilde=float(np.sum(weights * theta) / total),
-        std_error=total ** -0.5,
-    )
+        raise ValueError(_AHMED_RANGE)
+    return AhmedComponents(theta_hats=tuple(thetas), v_hats=tuple(v_hats),
+                           theta_tilde=pooled / total, std_error=total ** -0.5)
 
 
 def ahmed_ci(ds: Dataset, level: float = 0.95, *,
@@ -135,12 +156,14 @@ def baklizi_ci(ds: Dataset, level: float = 0.95, *,
     """
     comp = ahmed_components(ds) if components is None else components
     q = _chi2_quantile(level, ds.k)
-    n = ds.counts()
-    theta = np.asarray(comp.theta_hats)
-    w = n / np.asarray(comp.v_hats)
-    a = float(np.sum(w))
-    b = -2.0 * float(np.sum(w * theta))
-    c = float(np.sum(w * theta ** 2)) - q
+    a = b = c = 0.0
+    for g, theta, v in zip(ds.groups, comp.theta_hats, comp.v_hats):
+        w = g.n / v
+        a += w
+        b += w * theta
+        c += w * (theta * theta)  # not theta ** 2, which raises where this gives inf
+    b *= -2.0
+    c -= q
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return None
@@ -181,15 +204,27 @@ def log_likelihood(ds: Dataset, mu: float, sigma2s) -> float:
         raise ValueError(f"need exactly {ds.k} variances")
     if np.any(v <= 0.0):
         raise ValueError("variances must be strictly positive")
-    n = ds.counts()
-    quad = (n - 1) * ds.variances() + n * (ds.means() - mu + v / 2.0) ** 2
-    return float(np.sum(-0.5 * n * np.log(2.0 * math.pi * v) - quad / (2.0 * v)))
+    return _log_likelihood(ds.group_terms(), mu, v.tolist())
+
+
+def _log_likelihood(groups, mu: float, sigma2s: list[float]) -> float:
+    # numpy's log, for the reason _numpy_exp gives
+    logs = np.log([2.0 * math.pi * v for v in sigma2s]).tolist()
+    total = 0.0
+    for (n, ybar, scaled), v, log_v in zip(groups, sigma2s, logs):
+        d = ybar - mu + v / 2.0
+        total += -0.5 * n * log_v - (scaled + n * (d * d)) / (2.0 * v)
+    return total
 
 
 def _sigma2_at(n: float, ybar: float, scaled: float, mu: float) -> float:
     # 2 (sqrt(1 + x) - 1) written as 2x / (sqrt(1 + x) + 1): no cancellation at small x
-    x = (scaled + n * (ybar - mu) ** 2) / n
-    return max(2.0 * x / (math.sqrt(1.0 + x) + 1.0), _SIGMA2_FLOOR)
+    d = ybar - mu
+    x = (scaled + n * (d * d)) / n
+    v = 2.0 * x / (math.sqrt(1.0 + x) + 1.0)
+    if not v < math.inf:  # also catches nan, from x = inf
+        raise ValueError(f"the profile variance at mu = {mu:.6g} overflows the float range")
+    return max(v, _SIGMA2_FLOOR)
 
 
 def constrained_sigma2(ds: Dataset, mu: float) -> np.ndarray:
@@ -213,8 +248,9 @@ def _profile_score(mu: float, groups) -> float:
     return total
 
 
-def _profile_log_likelihood(ds: Dataset, mu: float) -> float:
-    return log_likelihood(ds, mu, constrained_sigma2(ds, mu))
+def _profile_log_likelihood(groups, mu: float) -> float:
+    return _log_likelihood(groups, mu, [_sigma2_at(n, ybar, scaled, mu)
+                                        for n, ybar, scaled in groups])
 
 
 def _scan_points(groups) -> list[float]:
@@ -270,9 +306,10 @@ def gupta_li_mle(ds: Dataset) -> MleResult:
             evaluations += info.function_calls
             converged = converged and info.converged
             candidates.append(root)
-    ll, mu_hat = max((_profile_log_likelihood(ds, mu), mu) for mu in candidates)
-    return MleResult(mu_hat=mu_hat, sigma2_hats=tuple(constrained_sigma2(ds, mu_hat).tolist()),
-                     log_likelihood=ll, iterations=evaluations, converged=converged)
+    ll, mu_hat = max((_profile_log_likelihood(groups, mu), mu) for mu in candidates)
+    sigma2_hats = tuple(_sigma2_at(n, ybar, scaled, mu_hat) for n, ybar, scaled in groups)
+    return MleResult(mu_hat=mu_hat, sigma2_hats=sigma2_hats, log_likelihood=ll,
+                     iterations=evaluations, converged=converged)
 
 
 def _gupta_li_sd(ds: Dataset, sigma2_hats) -> float:
@@ -327,7 +364,7 @@ def lr_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> TestOu
     if fit is None:
         fit = gupta_li_mle(ds)
     # the clamp only removes rounding residue when mu0 is within ulps of mu_hat
-    lam = max(2.0 * (fit.log_likelihood - _profile_log_likelihood(ds, mu0)), 0.0)
+    lam = max(2.0 * (fit.log_likelihood - _profile_log_likelihood(ds.group_terms(), mu0)), 0.0)
     return TestOutcome(p_value=float(special.chdtrc(1, lam)), mc_std_error=0.0,
                        reps_used=0, statistic=lam)
 

@@ -1,10 +1,22 @@
 """Reproducible, substreamed random variate generation.
 
-Streams are counter-based (Philox keyed through a seed sequence), so distinct
-(seed, stream_index) pairs give statistically independent streams while the
-same pair always reproduces the identical sequence.  Parallel work is split
-by stream index instead of sharing one mutable generator, which makes results
-independent of worker count.
+Streams are counter-based (Philox keyed through a seed sequence).  The same
+address (seed, stream_index, lanes...) always reproduces the identical
+sequence, and distinct addresses give statistically independent streams,
+except where the seed sequence reads two addresses as one.  It hashes the
+32-bit words of the address after zero-padding them to its 4-word pool, so:
+
+* trailing zero lanes alias the shorter address: ``StreamKey(s, i).generator()``
+  and ``StreamKey(s, i).generator(0)`` are the same stream;
+* an integer of 2**32 or more spans several words: ``StreamKey(s, 2**32)``
+  is ``StreamKey(s, 0).generator(1)``.
+
+The addresses of one run do not meet: the command line draws from
+``StreamKey(seed)`` with no lane, and simulation replicate r of cell c reads
+lanes 0 and 1 of stream c * outer_reps + r, which stays far below 2**32 on
+any grid of practical size.  Parallel work is split by stream index instead
+of sharing one mutable generator, which makes results independent of worker
+count.
 """
 
 from __future__ import annotations

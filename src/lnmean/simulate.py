@@ -128,11 +128,18 @@ def _rate(successes: int, failures: int, reps: int) -> RateEstimate:
 
 
 def _simulate_dataset(cell: SimulationCell, rng: np.random.Generator) -> Dataset:
+    # one draw split by group is the same stream as one draw per group in turn;
+    # the mean and variance are numpy's, in numpy's order of operations
+    z = std_normal(rng, sum(cell.ns))
     groups = []
+    start = 0
     for sigma2, n in zip(cell.sigma2s, cell.ns):
-        values = cell.mu - 0.5 * sigma2 + math.sqrt(sigma2) * std_normal(rng, n)
-        groups.append(SampleSummary(n=n, mean=float(values.mean()),
-                                    variance=float(values.var(ddof=1))))
+        values = cell.mu - 0.5 * sigma2 + math.sqrt(sigma2) * z[start:start + n]
+        start += n
+        mean = np.add.reduce(values) / n
+        d = values - mean
+        groups.append(SampleSummary(n=n, mean=float(mean),
+                                    variance=float(np.add.reduce(d * d) / (n - 1))))
     return Dataset(groups=tuple(groups), model=LOGNORMAL_MEAN)
 
 

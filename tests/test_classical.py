@@ -122,6 +122,20 @@ def test_baklizi_empty_acceptance_set_returns_none():
     assert baklizi_ci(Dataset(groups=groups, model=LOGNORMAL_MEAN), 0.95) is None
 
 
+@pytest.mark.parametrize("means", [(-500.0,), (500.0,), (1e200,), (-500.0, -499.9, -499.8),
+                                   (500.0, 500.1, 500.2), (1e200, 1e200), (0.0, -500.0)])
+def test_ahmed_and_baklizi_out_of_range_fail_by_name(means):
+    # at -500 the delta-method variances underflow to 0 (an infinite weight
+    # n / v), at +500 and 1e200 they overflow to inf (a zero weight); both are
+    # the named ValueError, never a ZeroDivisionError or OverflowError
+    groups = tuple(SampleSummary(10 + i, mean, 1.0 + i) for i, mean in enumerate(means))
+    ds = Dataset(groups=groups, model=LOGNORMAL_MEAN)
+    for call in (lambda: ahmed_components(ds), lambda: ahmed_ci(ds),
+                 lambda: ahmed_test(ds, 2.0), lambda: baklizi_ci(ds)):
+        with pytest.raises(ValueError, match="overflow or underflow the float range"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # maximum likelihood and the Wald interval
 
@@ -358,6 +372,18 @@ def test_lr_agrees_with_direct_joint_maximization():
         ll0 = log_likelihood(ds, mu0, constrained_sigma2(ds, mu0))
         direct = 2.0 * (-res.fun - ll0)
         assert ours == pytest.approx(direct, abs=1e-6)
+
+
+def test_lr_names_an_overflowing_profile_variance():
+    # (ybar - mu0)^2 at log means of 1e200 and mu0 = 0 is past the float range;
+    # the fit itself stays near 1e200 and succeeds
+    ds = Dataset(groups=(SampleSummary(10, 1e200, 1.0), SampleSummary(12, 1e200, 2.0)),
+                 model=LOGNORMAL_MEAN)
+    with pytest.raises(ValueError, match="profile variance at mu = 0 overflows"):
+        lr_test(ds, 1.0)
+    fit = gupta_li_mle(ds)
+    assert fit.mu_hat == pytest.approx(1e200, rel=1e-12)
+    assert gupta_li_test(ds, 1.0, fit=fit).p_value == 0.0
 
 
 def test_lr_requires_positive_phi0():

@@ -308,6 +308,19 @@ def test_ahmed_overflow_fails_by_name_and_others_report(tmp_path):
     assert "ahmed          (failed: " in proc.stdout
 
 
+def test_lrt_overflow_fails_by_name_and_gupta_li_reports(capsys, tmp_path):
+    # at log means of 1e200, (ybar - mu0)^2 overflows in the profile at mu0 = 0
+    path = tmp_path / "f.csv"
+    path.write_text("group,n,mean_log,var_log\na,10,1e200,1\nb,12,1e200,2\n")
+    code, out, err = _run(capsys, "test", "--summary", str(path),
+                          "--method", "lrt,gupta-li,ahmed", "--phi0", "1")
+    assert code == 0, err
+    rows = {line.split()[0]: line for line in out.splitlines()[4:]}
+    assert "(failed: the profile variance at mu = 0 overflows the float range)" in rows["lrt"]
+    assert rows["gupta-li"].split()[1] == "0.0000"
+    assert "(failed: ahmed delta-method variances overflow" in rows["ahmed"]
+
+
 def test_ci_table_rows_stay_narrow_for_huge_bounds(capsys, tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text("group,n,mean_log,var_log\na,3,0,800\nb,3,1,900\n")

@@ -1,0 +1,172 @@
+"""The scalar group kernels against the numpy formulas they replaced.
+
+For k < 8 numpy sums left to right, as the scalar kernels do, so the two
+agree bit for bit; from k = 8 on numpy sums pairwise and they agree to 1e-12
+relative (the baklizi bounds to 1e-12 times their conditioning, see
+``_amplification``).  The references below are the array formulas, kept here
+only.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lnmean import classical
+from lnmean.model import LOGNORMAL_MEAN, Dataset, SampleSummary
+from lnmean.samplers import StreamKey, std_normal
+from lnmean.simulate import SimulationCell, _simulate_dataset
+
+
+def _ahmed_reference(ds):
+    n = ds.counts()
+    mu_hat = ds.means()
+    sigma2 = (n - 1) / n * ds.variances()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        theta = np.exp(mu_hat + 0.5 * sigma2)
+        v = sigma2 * (1.0 + 0.5 * sigma2) * np.exp(2.0 * mu_hat + sigma2)
+        weights = n / v
+        total = float(np.sum(weights))
+        if not (math.isfinite(total) and total > 0.0):
+            return None
+        theta_tilde = float(np.sum(weights * theta) / total)
+    return [*theta.tolist(), *v.tolist(), theta_tilde, total ** -0.5]
+
+
+def _baklizi_reference(ds, theta_hats, v_hats, level=0.95):
+    q = classical._chi2_quantile(level, ds.k)
+    n = ds.counts()
+    theta = np.asarray(theta_hats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = n / np.asarray(v_hats)
+        a = float(np.sum(w))
+        b = -2.0 * float(np.sum(w * theta))
+        c = float(np.sum(w * theta ** 2)) - q
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return None
+    root = math.sqrt(disc)
+    return classical.interval_from_phi((-b - root) / (2.0 * a), (-b + root) / (2.0 * a),
+                                       level, estimate=-b / (2.0 * a))
+
+
+def _log_likelihood_reference(ds, mu, sigma2s):
+    v = np.asarray(sigma2s, dtype=float)
+    n = ds.counts()
+    quad = (n - 1) * ds.variances() + n * (ds.means() - mu + v / 2.0) ** 2
+    return float(np.sum(-0.5 * n * np.log(2.0 * math.pi * v) - quad / (2.0 * v)))
+
+
+def _simulate_reference(cell, rng):
+    groups = []
+    for sigma2, n in zip(cell.sigma2s, cell.ns):
+        values = cell.mu - 0.5 * sigma2 + math.sqrt(sigma2) * std_normal(rng, n)
+        groups.append((n, float(values.mean()), float(values.var(ddof=1))))
+    return groups
+
+
+def _random_dataset(rng, k):
+    """n in 2..10^6, |mean| up to 500 and variances in 1e-8..1e3, all log-uniform.
+
+    Half the datasets draw each group mean from the model at one common mu, so
+    that the baklizi acceptance set is not always empty.
+    """
+    mu = float(rng.choice((-1, 1)) * 10 ** rng.uniform(-3, math.log10(500)))
+    common = rng.random() < 0.5
+    groups = []
+    for _ in range(k):
+        n = int(np.exp(rng.uniform(math.log(2), math.log(1e6))))
+        variance = float(10 ** rng.uniform(-8, 3))
+        if common:
+            mean = mu - variance / 2.0 + math.sqrt(variance / n) * float(rng.normal())
+        else:
+            mean = float(rng.choice((-1, 1)) * 10 ** rng.uniform(-3, math.log10(500)))
+        groups.append(SampleSummary(n, mean, variance))
+    return Dataset(groups=tuple(groups), model=LOGNORMAL_MEAN)
+
+
+def _ahmed(ds):
+    try:
+        comp = classical.ahmed_components(ds)
+    except ValueError as exc:
+        assert "overflow or underflow" in str(exc)
+        return None, None
+    return comp, [*comp.theta_hats, *comp.v_hats, comp.theta_tilde, comp.std_error]
+
+
+def _interval(baklizi, *args):
+    """The bounds and estimate of an interval, or what stopped it."""
+    try:
+        interval = baklizi(*args)
+    except ValueError as exc:
+        return str(exc)
+    return interval and [interval.phi_lower, interval.phi_upper, interval.estimate]
+
+
+def _bits(values):
+    return values if values is None or isinstance(values, str) else [v.hex() for v in values]
+
+
+def _close(values, reference, rel):
+    if values is None or isinstance(values, str):
+        assert values == reference
+    else:
+        assert np.allclose(values, reference, rtol=rel, atol=0.0, equal_nan=True), (values, reference)
+
+
+def _amplification(bounds):
+    """centre / half-width of a baklizi interval, at least 1.
+
+    The half-width is the square root of b^2 - 4ac, a difference that cancels
+    by (centre / half-width)^2, so a change in the last bits of the sums moves
+    the bounds by that ratio times as much.
+    """
+    if bounds is None or isinstance(bounds, str):
+        return 1.0
+    lower, upper, centre = bounds
+    return max(1.0, abs(centre) / (0.5 * (upper - lower)))
+
+
+@pytest.mark.parametrize("ks, exact", [(range(1, 8), True), (range(8, 51), False)])
+def test_group_kernels_match_the_numpy_formulas(ks, exact):
+    rng = np.random.default_rng(9090 + exact)
+    finite = 0
+    for _ in range(600 if exact else 150):
+        ds = _random_dataset(rng, int(rng.choice(ks)))
+        comp, values = _ahmed(ds)
+        reference = _ahmed_reference(ds)
+        if comp is not None:
+            finite += 1
+            bounds = _interval(lambda: classical.baklizi_ci(ds, components=comp))
+            bounds_reference = _interval(_baklizi_reference, ds, comp.theta_hats, comp.v_hats)
+        mu = float(rng.normal(ds.groups[0].mean, 1.0))
+        sigma2s = [float(10 ** rng.uniform(-8, 3)) for _ in range(ds.k)]
+        ll = classical.log_likelihood(ds, mu, sigma2s)
+        ll_reference = _log_likelihood_reference(ds, mu, sigma2s)
+        if exact:
+            assert _bits(values) == _bits(reference)
+            if comp is not None:
+                assert _bits(bounds) == _bits(bounds_reference)
+            assert ll.hex() == ll_reference.hex()
+        else:
+            _close(values, reference, 1e-12)
+            if comp is not None:
+                _close(bounds, bounds_reference, 1e-12 * _amplification(bounds_reference))
+            _close([ll], [ll_reference], 1e-12)
+    assert finite > 50  # enough datasets inside the float range to mean something
+
+
+def test_one_draw_split_by_group_is_the_per_group_stream():
+    rng = np.random.default_rng(77)
+    for k in (1, 2, 3, 5, 7, 12):
+        ns = tuple(int(n) for n in rng.integers(2, 3000, size=k))
+        if k == 2:
+            ns = (10 ** 6, 5)
+        cell = SimulationCell(mu=float(rng.uniform(-500, 500)),
+                              sigma2s=tuple(float(10 ** rng.uniform(-8, 3)) for _ in range(k)),
+                              ns=ns, methods=("ahmed",), outer_reps=100, seed=k)
+        key = StreamKey(k, 3)
+        ds = _simulate_dataset(cell, key.generator(0))
+        reference = _simulate_reference(cell, key.generator(0))
+        assert [(g.n, g.mean.hex(), g.variance.hex()) for g in ds.groups] == \
+            [(n, mean.hex(), variance.hex()) for n, mean, variance in reference]

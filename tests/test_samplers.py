@@ -39,6 +39,32 @@ def test_lanes_give_distinct_reproducible_streams():
     assert np.array_equal(lane0, std_normal(key.generator(0), 20))
 
 
+def test_trailing_zero_lanes_alias_the_shorter_address():
+    # the seed sequence zero-pads its entropy, as the module docstring says
+    key = StreamKey(seed=1, stream_index=0)
+    assert std_normal(key.generator(), 1) == std_normal(key.generator(0), 1)
+    key = StreamKey(seed=20240501, stream_index=7)
+    assert std_normal(key.generator(1), 1) == std_normal(key.generator(1, 0), 1)
+
+
+def test_simulation_lanes_are_pairwise_distinct():
+    # the data lane 0 and the Monte Carlo lane 1 of every replicate of two
+    # adjacent cells; the command line's StreamKey(seed) is not one of them
+    # (it is lane 0 of replicate 0), as no run reads both
+    from lnmean.simulate import SimulationCell
+
+    seed = 20240501
+    keys = []
+    for cell_index in (0, 1):
+        cell = SimulationCell(mu=0.0, sigma2s=(1.0, 2.5), ns=(5, 10), outer_reps=100,
+                              seed=seed, cell_index=cell_index)
+        for replicate in range(cell.outer_reps):
+            base = StreamKey(seed, cell.cell_index * cell.outer_reps + replicate)
+            keys += [base.generator(0), base.generator(1)]
+    first = [float(rng.random()) for rng in keys]
+    assert len(set(first)) == len(first) == 400
+
+
 def test_std_normal_moments():
     draws = std_normal(StreamKey(seed=2024).generator(), 1_000_000)
     assert abs(draws.mean()) < 0.004
