@@ -102,7 +102,8 @@ def ahmed_components(ds: Dataset) -> AhmedComponents:
                       + [2.0 * g.mean + s for g, s in zip(ds.groups, sigma2s)])
     thetas = exps[:ds.k]
     v_hats = [s * (1.0 + 0.5 * s) * e for s, e in zip(sigma2s, exps[ds.k:])]
-    if 0.0 in v_hats:  # an underflowed variance: its weight n / v is infinite
+    # an underflowed v weighs n / v = inf; an overflowed theta weighs 0, and 0 * inf is nan
+    if 0.0 in v_hats or math.inf in thetas:
         raise ValueError(_AHMED_RANGE)
     total = pooled = 0.0
     for g, theta, v in zip(ds.groups, thetas, v_hats):
@@ -143,16 +144,15 @@ def ahmed_test(ds: Dataset, phi0: float,
 
 
 def baklizi_ci(ds: Dataset, level: float = 0.95, *,
-               components: AhmedComponents | None = None) -> IntervalOutcome | None:
+               components: AhmedComponents | None = None) -> IntervalOutcome:
     """Interval of all theta accepted by the pooled quadratic criterion.
 
     The acceptance region sum_i n_i (theta_hat_i - theta)^2 / v_hat_i <= q,
     with q the level quantile of chi-square(k), is a parabola in theta; its
-    two roots bound the interval.  Returns ``None`` when the parabola's
-    minimum already exceeds q (group estimates too far apart for any common
-    value), which callers should treat as a failed interval rather than an
-    error.  ``components`` is ``ahmed_components(ds)`` when the caller
-    already has it.
+    two roots bound the interval.  When the parabola's minimum already
+    exceeds q (group estimates too far apart for any common value) the set
+    is empty, a ValueError.  ``components`` is ``ahmed_components(ds)`` when
+    the caller already has it.
     """
     comp = ahmed_components(ds) if components is None else components
     q = _chi2_quantile(level, ds.k)
@@ -166,7 +166,7 @@ def baklizi_ci(ds: Dataset, level: float = 0.95, *,
     c -= q
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        return None
+        raise ValueError(f"empty acceptance set: no common mean is accepted at level {level:g}")
     root = math.sqrt(disc)
     return interval_from_phi((-b - root) / (2.0 * a), (-b + root) / (2.0 * a),
                              level, estimate=-b / (2.0 * a))

@@ -221,7 +221,7 @@ def _results(entries, run) -> list[dict]:
     for entry in entries:
         try:
             rows.append({"method": entry.name, **run(entry)})
-        except (ValueError, ArithmeticError) as exc:
+        except methods.FAILURES as exc:
             rows.append({"method": entry.name, "error": str(exc)})
     return rows
 
@@ -237,8 +237,6 @@ def _test_row(entry, work, spec: TestSpec, phi0: float | None) -> dict:
 
 def _ci_row(entry, work, level: float) -> dict:
     interval = entry.interval(work, level)
-    if interval is None:
-        return {"empty": True}
     return {
         "mu_lower": interval.lower,
         "mu_upper": interval.upper,
@@ -383,7 +381,8 @@ def _render_test_table(report: dict) -> str:
             lines.append(f"  {row['method']:<14} (failed: {row['error']})")
             continue
         se = f"{row['mc_std_error']:.5f}" if row.get("mc_std_error") is not None else "-"
-        stat = f"{row['statistic']:.4f}" if row.get("statistic") is not None else "-"
+        stat = row.get("statistic")
+        stat = "-" if stat is None else f"{stat:.4e}" if abs(stat) >= 1e6 else f"{stat:.4f}"
         lines.append(f"  {row['method']:<14} {row['p_value']:>9.4f} {se:>9} {stat:>11}")
     return "\n".join(lines)
 
@@ -398,9 +397,6 @@ def _render_ci_table(report: dict) -> str:
     for row in report["results"]:
         if "error" in row:
             lines.append(f"  {row['method']:<14} (failed: {row['error']})")
-            continue
-        if row.get("empty"):
-            lines.append(f"  {row['method']:<14} {'(empty acceptance set)':>22}")
             continue
         mu_part = f"({row['mu_lower']:.4f}, {row['mu_upper']:.4f})"
         phi_part = f"({row['phi_lower']:#.7g}, {row['phi_upper']:#.7g})"

@@ -18,6 +18,9 @@ from .generalized import PivotMethod, TestSpec
 from .model import Dataset, ModelSpec
 from .outcomes import Alternative, IntervalOutcome, TestOutcome
 
+# what a procedure raises when it cannot answer on the data; any other exception is a bug
+FAILURES = (ValueError, ArithmeticError)
+
 
 class SharedWork:
     """Work several methods need on one dataset, each piece done on first use;
@@ -56,13 +59,14 @@ class Method:
     """One method's procedures and what they support.
 
     ``test(work, spec, phi0)`` also takes the null on the original scale, as
-    the caller has it; ``interval(work, level)`` gives None for an empty
-    acceptance set.  Either is None where the method has no such procedure.
+    the caller has it; ``interval(work, level)`` takes the level.  Either is
+    None where the method has no such procedure.  A procedure that cannot
+    answer on the data raises one of ``FAILURES``.
     """
 
     name: str
     test: Callable[[SharedWork, TestSpec, float | None], TestOutcome] | None
-    interval: Callable[[SharedWork, float], IntervalOutcome | None] | None
+    interval: Callable[[SharedWork, float], IntervalOutcome] | None
     lognormal_only: bool = True
     two_sided_only: bool = False
     monte_carlo: bool = False

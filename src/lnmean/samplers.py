@@ -13,10 +13,10 @@ except where the seed sequence reads two addresses as one.  It hashes the
 
 The addresses of one run do not meet: the command line draws from
 ``StreamKey(seed)`` with no lane, and simulation replicate r of cell c reads
-lanes 0 and 1 of stream c * outer_reps + r, which stays far below 2**32 on
-any grid of practical size.  Parallel work is split by stream index instead
-of sharing one mutable generator, which makes results independent of worker
-count.
+lanes 0 and 1 of stream c * outer_reps + r, and ``SimulationCell`` refuses a
+cell whose last such index is 2**32 or more.  Parallel work is split by
+stream index instead of sharing one mutable generator, which makes results
+independent of worker count.
 """
 
 from __future__ import annotations

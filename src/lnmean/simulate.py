@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .generalized import TestSpec, require_draws
-from .methods import METHOD_ORDER, METHODS, SharedWork, select
+from .methods import FAILURES, METHOD_ORDER, METHODS, SharedWork, select
 from .model import LOGNORMAL_MEAN, Dataset, SampleSummary
 from .samplers import StreamKey, std_normal
 
@@ -60,8 +60,10 @@ class SimulationCell:
     cell_index: int = 0
 
     def __post_init__(self):
-        sigma2s = tuple(float(v) for v in self.sigma2s)
+        sigma2s = tuple(_real("sigma2s entry", v) for v in self.sigma2s)
         ns = tuple(_whole("ns entry", n) for n in self.ns)
+        for name in ("mu", "phi0", "alpha"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         for name in ("outer_reps", "inner_reps", "seed", "cell_index"):
             _whole(name, getattr(self, name))
         if len(sigma2s) != len(ns):
@@ -86,22 +88,30 @@ class SimulationCell:
             raise ValueError("outer_reps must be at least 100")
         if self.inner_reps < 1000:
             raise ValueError("inner_reps must be at least 1000")
-        # the seed and the replicates' stream indices are refused here, not in run_cell
+        # the seed and the replicates' stream indices are refused here, not in run_cell;
+        # an index of 2**32 or more would alias another replicate's lane (see samplers)
         StreamKey(self.seed)
         first = self.cell_index * self.outer_reps
         last = first + self.outer_reps - 1
-        if not (0 <= first and last < 2 ** 64):
+        if not (0 <= first and last < 2 ** 32):
             raise ValueError(f"replicate stream indices {first}..{last} (cell_index * "
-                             "outer_reps onward) must fit in an unsigned 64-bit integer")
+                             "outer_reps onward) must fit in an unsigned 32-bit integer")
         if any(entry.monte_carlo for entry in entries):
             require_draws(self.inner_reps, 1.0 - self.alpha)
 
 
-def _whole(name: str, value) -> int:
-    """``value`` as an int; any other type, bool included, is a ValueError naming ``name``."""
+def _whole(name: str, value, error=ValueError) -> int:
+    """``value`` as an int; any other type, bool included, is an ``error`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
+        raise error(f"{name} must be an integer, not {value!r}")
     return int(value)
+
+
+def _real(name: str, value, error=ValueError) -> float:
+    """``value`` as a float; any other type, bool included, is an ``error`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -146,8 +156,9 @@ def _simulate_dataset(cell: SimulationCell, rng: np.random.Generator) -> Dataset
 def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int, int, int, int]]:
     """Per-method (rejected, test_failed, covered, ci_failed) flags for one replicate.
 
-    A method that raises ValueError or ArithmeticError on this replicate's
-    data counts as failed; any other exception is a bug and propagates.
+    A test or interval that raises one of ``FAILURES`` on this replicate's
+    data counts as failed, and the method's other procedure still runs; any
+    other exception is a bug and propagates.
     """
     base = StreamKey(cell.seed, cell.cell_index * cell.outer_reps + replicate)
     counts: dict[str, tuple[int, int, int, int]] = {}
@@ -163,19 +174,17 @@ def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int,
     for name in cell.methods:
         entry = METHODS[name]
         rejected = covered = test_failed = ci_failed = 0
-        try:
-            if entry.test is not None:
-                outcome = entry.test(work, spec, cell.phi0)
-                rejected = int(outcome.p_value < cell.alpha)
-            if entry.interval is not None:
+        if entry.test is not None:
+            try:
+                rejected = int(entry.test(work, spec, cell.phi0).p_value < cell.alpha)
+            except FAILURES:
+                test_failed = 1
+        if entry.interval is not None:
+            try:
                 interval = entry.interval(work, level)
-                if interval is None:
-                    ci_failed = 1
-                else:
-                    covered = int(interval.lower <= cell.mu <= interval.upper)
-        except (ValueError, ArithmeticError):
-            rejected = covered = 0
-            test_failed = ci_failed = 1
+                covered = int(interval.lower <= cell.mu <= interval.upper)
+            except FAILURES:
+                ci_failed = 1
         counts[name] = (rejected, test_failed, covered, ci_failed)
     return counts
 
@@ -293,18 +302,6 @@ def load_grid_config(path) -> dict:
     raise FileNotFoundError(f"config file not found: {given}")
 
 
-def _real(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, not {value!r}")
-    return float(value)
-
-
-def _integer(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
 def _list(key: str, value) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list, not {value!r}")
@@ -323,18 +320,19 @@ def cells_from_config(config: dict) -> list[SimulationCell]:
     missing = [key for key in _REQUIRED_KEYS if key not in config]
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
-    mus = [_real("mu", v) for v in _list("mu", config["mu"])]
-    sigma2_1 = _real("sigma2_1", config["sigma2_1"])
-    tails = [tuple(_real("sigma2_2", v) for v in (entry if isinstance(entry, list) else [entry]))
+    mus = [_real("mu", v, ConfigError) for v in _list("mu", config["mu"])]
+    sigma2_1 = _real("sigma2_1", config["sigma2_1"], ConfigError)
+    tails = [tuple(_real("sigma2_2", v, ConfigError)
+                   for v in (entry if isinstance(entry, list) else [entry]))
              for entry in _list("sigma2_2", config["sigma2_2"])]
-    sizes = [tuple(_integer("n_pairs size", n) for n in _list("n_pairs entry", entry))
+    sizes = [tuple(_whole("n_pairs size", n, ConfigError) for n in _list("n_pairs entry", entry))
              for entry in _list("n_pairs", config["n_pairs"])]
     common = dict(
-        phi0=_real("phi0", config.get("phi0", 1.0)),
-        alpha=_real("alpha", config["alpha"]),
-        outer_reps=_integer("outer_reps", config["outer_reps"]),
-        inner_reps=_integer("inner_reps", config["inner_reps"]),
-        seed=_integer("seed", config["seed"]),
+        phi0=_real("phi0", config.get("phi0", 1.0), ConfigError),
+        alpha=_real("alpha", config["alpha"], ConfigError),
+        outer_reps=_whole("outer_reps", config["outer_reps"], ConfigError),
+        inner_reps=_whole("inner_reps", config["inner_reps"], ConfigError),
+        seed=_whole("seed", config["seed"], ConfigError),
         methods=tuple(_list("methods", config["methods"])),
     )
     cells = []

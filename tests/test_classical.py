@@ -116,18 +116,23 @@ def test_baklizi_midpoint_level_free_and_width_monotone():
     assert wide.width > narrow.width
 
 
-def test_baklizi_empty_acceptance_set_returns_none():
+def test_baklizi_empty_acceptance_set_raises_by_name():
     # far-apart group estimates with tiny dispersion: no theta is accepted
     groups = (SampleSummary(50, 0.0, 0.01), SampleSummary(50, 3.0, 0.01))
-    assert baklizi_ci(Dataset(groups=groups, model=LOGNORMAL_MEAN), 0.95) is None
+    with pytest.raises(ValueError, match=r"^empty acceptance set: no common mean is "
+                                         r"accepted at level 0\.95$"):
+        baklizi_ci(Dataset(groups=groups, model=LOGNORMAL_MEAN), 0.95)
 
 
 @pytest.mark.parametrize("means", [(-500.0,), (500.0,), (1e200,), (-500.0, -499.9, -499.8),
-                                   (500.0, 500.1, 500.2), (1e200, 1e200), (0.0, -500.0)])
+                                   (500.0, 500.1, 500.2), (1e200, 1e200), (0.0, -500.0),
+                                   (0.0, 800.0)])
 def test_ahmed_and_baklizi_out_of_range_fail_by_name(means):
     # at -500 the delta-method variances underflow to 0 (an infinite weight
     # n / v), at +500 and 1e200 they overflow to inf (a zero weight); both are
-    # the named ValueError, never a ZeroDivisionError or OverflowError
+    # the named ValueError, never a ZeroDivisionError or OverflowError.  At
+    # (0, 800) only group 2 overflows, and its theta_hat of inf would make the
+    # pooled sum 0 * inf = nan beside group 1's finite weight
     groups = tuple(SampleSummary(10 + i, mean, 1.0 + i) for i, mean in enumerate(means))
     ds = Dataset(groups=groups, model=LOGNORMAL_MEAN)
     for call in (lambda: ahmed_components(ds), lambda: ahmed_ci(ds),

@@ -332,6 +332,35 @@ def test_ci_table_rows_stay_narrow_for_huge_bounds(capsys, tmp_path):
     assert max(len(row) for row in rows) <= 100
 
 
+def test_test_table_rows_stay_narrow_for_huge_statistics(capsys, tmp_path):
+    # gupta-li's statistic here is 3.8e200, printed in exponent form
+    path = tmp_path / "far.csv"
+    path.write_text("group,n,mean_log,var_log\na,10,1e200,1\nb,12,1e200,2\n")
+    code, out, err = _run(capsys, "test", "--summary", str(path), "--method", "gupta-li,lrt",
+                          "--phi0", "1")
+    assert code == 0, err
+    rows = out.splitlines()
+    assert len(rows) == 4 + 2
+    assert max(len(row) for row in rows) <= 100
+    assert rows[4].split()[1:] == ["0.0000", "-", "3.8475e+200"]
+
+
+def test_empty_acceptance_set_is_an_error_row(capsys, tmp_path):
+    path = tmp_path / "apart.csv"
+    path.write_text("group,n,mean_log,var_log\na,50,0,0.01\nb,50,3,0.01\n")
+    base = ("ci", "--summary", str(path), "--method", "ahmed,baklizi")
+    code, out, err = _run(capsys, *base)
+    assert code == 0, err
+    rows = {line.split()[0]: line for line in out.splitlines()[3:]}
+    assert "(failed: " not in rows["ahmed"]
+    assert "baklizi        (failed: empty acceptance set: no common mean is accepted " \
+           "at level 0.95)" in rows["baklizi"]
+    ahmed, baklizi = _run_json(capsys, *base, "--format", "json")["results"]
+    assert math.isfinite(ahmed["phi_lower"]) and "error" not in ahmed
+    assert baklizi == {"method": "baklizi", "error": "empty acceptance set: no common mean "
+                                                     "is accepted at level 0.95"}
+
+
 def test_example_shares_fit_components_and_pivots(capsys, monkeypatch):
     from lnmean import classical, generalized
 

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,3 +496,15 @@ def test_test_spec_validation():
     with pytest.raises(ValueError, match="alternative"):
         TestSpec(0.0, "sideways")
     assert TestSpec(0.0, "two_sided").alternative is Alternative.TWO_SIDED
+
+
+def test_readme_library_example_runs_and_its_two_readings_agree(capsys):
+    # the README's one python block, run as written; its claim that the
+    # weighted pivots read twice give what gp_value and gci print holds
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 6
+    assert printed[3] == printed[0] and printed[4] == printed[1]

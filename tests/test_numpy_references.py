@@ -24,6 +24,8 @@ def _ahmed_reference(ds):
     sigma2 = (n - 1) / n * ds.variances()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         theta = np.exp(mu_hat + 0.5 * sigma2)
+        if np.isinf(theta).any():  # its weight 0 would make the pooled sum 0 * inf = nan
+            return None
         v = sigma2 * (1.0 + 0.5 * sigma2) * np.exp(2.0 * mu_hat + sigma2)
         weights = n / v
         total = float(np.sum(weights))
@@ -44,7 +46,7 @@ def _baklizi_reference(ds, theta_hats, v_hats, level=0.95):
         c = float(np.sum(w * theta ** 2)) - q
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        return None
+        raise ValueError(f"empty acceptance set: no common mean is accepted at level {level:g}")
     root = math.sqrt(disc)
     return classical.interval_from_phi((-b - root) / (2.0 * a), (-b + root) / (2.0 * a),
                                        level, estimate=-b / (2.0 * a))
@@ -100,7 +102,7 @@ def _interval(baklizi, *args):
         interval = baklizi(*args)
     except ValueError as exc:
         return str(exc)
-    return interval and [interval.phi_lower, interval.phi_upper, interval.estimate]
+    return [interval.phi_lower, interval.phi_upper, interval.estimate]
 
 
 def _bits(values):
@@ -121,7 +123,7 @@ def _amplification(bounds):
     by (centre / half-width)^2, so a change in the last bits of the sums moves
     the bounds by that ratio times as much.
     """
-    if bounds is None or isinstance(bounds, str):
+    if isinstance(bounds, str):
         return 1.0
     lower, upper, centre = bounds
     return max(1.0, abs(centre) / (0.5 * (upper - lower)))

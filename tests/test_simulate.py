@@ -49,6 +49,15 @@ def test_cell_validation():
                        ("seed", False), ("cell_index", 2.0)):
         with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
             SimulationCell(**dict(ok, **{field: bad}))
+    # so are real fields that are not real numbers, rather than a TypeError
+    # later or a bool read as 1.0
+    for field, bad in (("mu", "0"), ("mu", True), ("phi0", "1"), ("phi0", False),
+                       ("alpha", "0.05"), ("alpha", True), ("sigma2s", (True, 0.5)),
+                       ("sigma2s", ("1", 0.5)), ("sigma2s", (None, 0.5))):
+        with pytest.raises(ValueError, match=f"{field}.* must be a number"):
+            SimulationCell(**dict(ok, **{field: bad}))
+    cell = SimulationCell(**dict(ok, mu=1, sigma2s=(1, 0.5), phi0=2, alpha=0.1))
+    assert (cell.mu, cell.sigma2s, cell.phi0, cell.alpha) == (1.0, (1.0, 0.5), 2.0, 0.1)
     # non-finite parameters would fail every replicate, so they are refused
     for mu in (math.nan, math.inf):
         with pytest.raises(ValueError, match="mu must be finite"):
@@ -61,15 +70,17 @@ def test_cell_validation():
     with pytest.raises(ValueError, match="too small"):
         SimulationCell(**ok, alpha=0.01, inner_reps=1000)
     SimulationCell(**ok, alpha=0.01, inner_reps=1000, methods=("lrt", "baklizi"))
-    # the seed and every replicate's stream index fit in 64 bits, or the cell
-    # is refused before it runs
+    # the seed fits in 64 bits and every replicate's stream index in 32, or
+    # the cell is refused before it runs: stream index 2**32 + j would read
+    # the lane-1 stream of replicate j (see samplers)
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError, match="seed must fit"):
             SimulationCell(**ok, seed=seed)
-    for cell_index, outer_reps in ((-1, 100), (2, 2 ** 63)):
+    for cell_index, outer_reps in ((-1, 100), (2, 2 ** 63), (1, 2 ** 63),
+                                   (2 ** 32 // 100, 100)):
         with pytest.raises(ValueError, match="stream indices .* must fit"):
             SimulationCell(**ok, cell_index=cell_index, outer_reps=outer_reps)
-    SimulationCell(**ok, seed=2 ** 64 - 1, cell_index=1, outer_reps=2 ** 63)
+    SimulationCell(**ok, seed=2 ** 64 - 1, cell_index=2 ** 32 // 100 - 1, outer_reps=100)
 
 
 def test_run_cell_is_deterministic():
@@ -183,6 +194,20 @@ def test_method_failures_are_counted_not_fatal(monkeypatch):
     assert result.rejection["lrt"].estimate == 0.0
     assert result.rejection["lrt"].failures == cell.outer_reps
     assert result.rejection["ahmed"].failures == 0
+
+
+def test_a_failure_counts_against_the_procedure_that_raised_it():
+    # at mu = 720 the original-scale bounds exp(720) of gupta-li's and
+    # gv-weighted's intervals overflow, so every interval fails; their tests
+    # at phi0 = e^700 still answer, and reject as lrt does
+    cell = SimulationCell(mu=720.0, sigma2s=(1.0, 0.5), ns=(5, 10), phi0=math.exp(700),
+                          methods=("lrt", "gupta-li", "gv-weighted"),
+                          outer_reps=100, inner_reps=1000, seed=3)
+    result = run_cell(cell)
+    for name in ("lrt", "gupta-li", "gv-weighted"):
+        assert (result.rejection[name].estimate, result.rejection[name].failures) == (1.0, 0)
+    for name in ("gupta-li", "gv-weighted"):
+        assert (result.coverage[name].estimate, result.coverage[name].failures) == (0.0, 100)
 
 
 def test_method_bugs_propagate(monkeypatch):
