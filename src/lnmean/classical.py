@@ -1,8 +1,8 @@
 """Classical procedures for the common lognormal mean.
 
 All of these assume the (a=1, b=-0.5) model on the log scale: a pooled Wald
-estimator with per-group delta-method variances (ahmed), the quadratic
-acceptance-set interval built from the same components (baklizi), maximum
+estimator with per-group delta-method variances (ahmed), the chi-square
+acceptance-set interval centred on its pooled estimate (baklizi), maximum
 likelihood with a Wald interval from the efficient information for mu
 (gupta-li), and a profile likelihood-ratio test (lrt).  Every procedure
 takes any number of groups.
@@ -147,29 +147,26 @@ def baklizi_ci(ds: Dataset, level: float = 0.95, *,
                components: AhmedComponents | None = None) -> IntervalOutcome:
     """Interval of all theta accepted by the pooled quadratic criterion.
 
-    The acceptance region sum_i n_i (theta_hat_i - theta)^2 / v_hat_i <= q,
-    with q the level quantile of chi-square(k), is a parabola in theta; its
-    two roots bound the interval.  When the parabola's minimum already
-    exceeds q (group estimates too far apart for any common value) the set
+    The acceptance set sum_i n_i (theta_hat_i - theta)^2 / v_hat_i <= q, with q
+    the level quantile of chi-square(k), is Q + (theta - theta_tilde)^2 / se^2
+    <= q about ahmed's pooled estimate theta_tilde and its standard error se,
+    where Q is the same sum at theta_tilde: theta_tilde +/- se sqrt(q - Q).
+    When Q > q (group estimates too far apart for any common value) the set
     is empty, a ValueError.  ``components`` is ``ahmed_components(ds)`` when
     the caller already has it.
     """
     comp = ahmed_components(ds) if components is None else components
     q = _chi2_quantile(level, ds.k)
-    a = b = c = 0.0
+    spread = 0.0
     for g, theta, v in zip(ds.groups, comp.theta_hats, comp.v_hats):
-        w = g.n / v
-        a += w
-        b += w * theta
-        c += w * (theta * theta)  # not theta ** 2, which raises where this gives inf
-    b *= -2.0
-    c -= q
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
+        d = theta - comp.theta_tilde
+        spread += g.n / v * (d * d)  # not d ** 2, which raises where this gives inf
+    if math.isnan(spread):  # an overflowed v_hat's weight 0 times an overflowed d * d
+        raise ValueError(_AHMED_RANGE)
+    if spread > q:
         raise ValueError(f"empty acceptance set: no common mean is accepted at level {level:g}")
-    root = math.sqrt(disc)
-    return interval_from_phi((-b - root) / (2.0 * a), (-b + root) / (2.0 * a),
-                             level, estimate=-b / (2.0 * a))
+    centre, half = comp.theta_tilde, comp.std_error * math.sqrt(q - spread)
+    return interval_from_phi(centre - half, centre + half, level, estimate=centre)
 
 
 # ---------------------------------------------------------------------------

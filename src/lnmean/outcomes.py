@@ -59,7 +59,8 @@ class IntervalOutcome:
     ``phi_upper`` bound exp(mu) on the original scale.  One pair is native to
     the method and the other is derived from it, so methods whose original
     scale bound can be nonpositive (Wald-type) get ``lower = -inf``, and
-    ``lower <= mu <= upper`` is the coverage check for every method.
+    ``lower <= mu <= upper`` is the coverage check for every method, so order
+    is checked there only: a derived original-scale bound may be inf, or 0.
     ``estimate`` is the method's point estimate of exp(mu), if it has one.
     """
 
@@ -75,8 +76,6 @@ class IntervalOutcome:
             raise ValueError("level must be in (0, 1)")
         if not self.lower < self.upper:
             raise ValueError(f"empty interval: [{self.lower}, {self.upper}]")
-        if not self.phi_lower < self.phi_upper:
-            raise ValueError("empty interval on the original scale")
 
     @property
     def width(self) -> float:

@@ -124,6 +124,53 @@ def test_baklizi_empty_acceptance_set_raises_by_name():
         baklizi_ci(Dataset(groups=groups, model=LOGNORMAL_MEAN), 0.95)
 
 
+def test_baklizi_bounds_solve_the_acceptance_criterion():
+    # the centred form against the definition: the criterion
+    # C(t) = sum_i n_i (theta_hat_i - t)^2 / v_hat_i equals q at each bound, and
+    # the set is refused exactly when its minimum Q = C(theta_tilde) exceeds q.
+    # Rounding moves a bound by a few ulps, and C by that times
+    # |C'(bound)| <= 2 sqrt(q) / se, well under 1e-12 q at theta / se < 40 here
+    rng = np.random.default_rng(4242)
+    answered = refused = 0
+    for _ in range(400):
+        k = int(rng.integers(1, 8))
+        spread = 10 ** rng.uniform(-1, 1)
+        groups = tuple(SampleSummary(int(rng.integers(4, 40)), float(rng.normal(0.0, spread)),
+                                     float(rng.uniform(0.2, 3.0))) for _ in range(k))
+        ds = Dataset(groups=groups, model=LOGNORMAL_MEAN)
+        comp = ahmed_components(ds)
+        n, theta, v = ds.counts(), np.array(comp.theta_hats), np.array(comp.v_hats)
+
+        def criterion(t):
+            return float(np.sum(n * (theta - t) ** 2 / v))
+
+        q = stats.chi2.ppf(0.95, k)
+        try:
+            interval = baklizi_ci(ds, 0.95)
+        except ValueError as exc:
+            assert str(exc).startswith("empty acceptance set")
+            assert criterion(comp.theta_tilde) > q
+            refused += 1
+            continue
+        assert criterion(comp.theta_tilde) <= q
+        for bound in (interval.phi_lower, interval.phi_upper):
+            assert criterion(bound) == pytest.approx(q, rel=1e-12)
+        answered += 1
+    assert answered > 100 and refused > 100, (answered, refused)
+
+
+def test_baklizi_nan_spread_is_the_named_range_error():
+    # group a's v_hat overflows, a weight of 0, and its distance from the
+    # pooled estimate squared overflows too: 0 * inf is nan, ahmed's range
+    # error, not an empty interval.  Ahmed itself answers from group b
+    groups = (SampleSummary(2, 377.0, 0.01), SampleSummary(20, -159.0, 0.0001))
+    ds = Dataset(groups=groups, model=LOGNORMAL_MEAN)
+    assert ahmed_ci(ds).lower == pytest.approx(-159.0042, abs=1e-4)
+    with pytest.raises(ValueError, match="^ahmed delta-method variances overflow or underflow "
+                                         "the float range$"):
+        baklizi_ci(ds)
+
+
 @pytest.mark.parametrize("means", [(-500.0,), (500.0,), (1e200,), (-500.0, -499.9, -499.8),
                                    (500.0, 500.1, 500.2), (1e200, 1e200), (0.0, -500.0),
                                    (0.0, 800.0)])
@@ -172,12 +219,14 @@ def test_gupta_li_mle_single_group_matches_grid_search():
 
 def _profile_on_grid(ds, mu):
     # profile log-likelihood at each mu, written out independently of the
-    # library: variances at their conditional maximizers, then the joint
+    # library: variances at their conditional maximizers, 2 (sqrt(1 + x) - 1)
+    # in a form that does not cancel at small x, then the joint
     # log-likelihood, summed over groups
     n = ds.counts()[:, None]
     ybar = ds.means()[:, None]
     scaled = (n - 1) * ds.variances()[:, None]
-    v = 2.0 * (np.sqrt(1.0 + (scaled + n * (ybar - mu) ** 2) / n) - 1.0)
+    x = (scaled + n * (ybar - mu) ** 2) / n
+    v = 2.0 * x / (np.sqrt(1.0 + x) + 1.0)
     ll = -0.5 * n * np.log(2.0 * np.pi * v) - (scaled + n * (ybar - mu + v / 2.0) ** 2) / (2.0 * v)
     return ll.sum(axis=0)
 

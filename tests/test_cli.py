@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +310,25 @@ def test_ahmed_overflow_fails_by_name_and_others_report(tmp_path):
     assert "ahmed          (failed: " in proc.stdout
 
 
+def test_intervals_past_the_float_range_answer_on_the_log_scale(capsys, tmp_path):
+    # at log means near 800 exp of every bound overflows: the intervals answer
+    # on the log scale, where coverage is read, and report inf on the original
+    # scale; ahmed's weights overflow, so ahmed and baklizi fail by name
+    path = tmp_path / "far.csv"
+    path.write_text("group,n,mean_log,var_log\na,10,800,1\nb,12,800.2,2\n")
+    report = _run_json(capsys, "ci", "--summary", str(path), "--reps", "10000",
+                       "--format", "json")
+    results = {r["method"]: r for r in report["results"]}
+    for method in ("gupta-li", "gv-weighted", "gv-umvue"):
+        row = results[method]
+        assert 800.0 < row["mu_lower"] < row["mu_upper"] < 803.0, method
+        assert row["phi_lower"] == row["phi_upper"] == row["estimate"] == "inf", method
+    gupta_li = results["gupta-li"]
+    assert (round(gupta_li["mu_lower"], 4), round(gupta_li["mu_upper"], 4)) == (800.1403, 801.3883)
+    for method in ("ahmed", "baklizi"):
+        assert "overflow" in results[method]["error"]
+
+
 def test_lrt_overflow_fails_by_name_and_gupta_li_reports(capsys, tmp_path):
     # at log means of 1e200, (ybar - mu0)^2 overflows in the profile at mu0 = 0
     path = tmp_path / "f.csv"
@@ -406,6 +427,45 @@ def test_one_sided_alt_excludes_two_sided_only_methods(capsys):
     assert code == 2 and "two-sided" in err
 
 
+SUMMARY = "group,n,mean_log,var_log\n"
+RAW = "group,value\n"
+TWO_GROUPS = SUMMARY + "a,10,0.5,1.0\nb,5,0.1,1.0\n"
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    pytest.param(TWO_GROUPS, "test --summary {path} --mu0 0 --model-a 1",
+                 "--model-a and --model-b must be given together", id="model-a-alone"),
+    pytest.param(None, "test --example rmrs --mu0 0 --model-a 1 --model-b 0",
+                 "the bundled example fixes the lognormal-mean model", id="example-with-model"),
+    pytest.param(RAW + "a,1.0\n ,2.0\n", "ci --input {path}",
+                 "{path}:3: empty group label", id="empty-label"),
+    pytest.param(RAW + "a,1.0\na,abc\n", "ci --input {path}",
+                 "{path}:3: bad value 'abc'", id="bad-value"),
+    pytest.param(RAW, "ci --input {path}", "{path}: no data rows", id="raw-header-only"),
+    pytest.param(SUMMARY, "ci --summary {path}", "{path}: no data rows",
+                 id="summary-header-only"),
+    pytest.param(SUMMARY + "a,1,0.5,1.0\nb,5,0.1,1.0\n", "ci --summary {path}",
+                 "{path}:2: each group needs at least two observations", id="n-of-1"),
+    pytest.param("group,n,mean_log\na,10,0.5\n", "ci --summary {path}",
+                 "{path}: missing column(s) var_log", id="missing-column"),
+    pytest.param(TWO_GROUPS, "test --summary {path} --phi0 2 --model-a 1 --model-b 0",
+                 "--phi0 applies to the lognormal-mean model; use --mu0",
+                 id="phi0-outside-lognormal"),
+    pytest.param(None, "test --example rmrs --phi0 0", "phi0 must be positive",
+                 id="test-phi0-0"),
+    pytest.param(None, "example --phi0 0", "phi0 must be positive", id="example-phi0-0"),
+    pytest.param(None, "ci --example rmrs --level 1.5", "level must be in (0, 1)",
+                 id="ci-level"),
+    pytest.param(None, "example --level 1.5", "level must be in (0, 1)", id="example-level"),
+])
+def test_usage_errors_exit_2_with_their_message(capsys, tmp_path, text, argv, message):
+    path = tmp_path / "data.csv"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = _run(capsys, *(arg.format(path=path) for arg in argv.split()))
+    assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 
@@ -487,3 +547,25 @@ def test_simulate_five_group_cell_runs_every_method(capsys, tmp_path):
                                         "gv-weighted", "gv-umvue"}
     assert all(row[:5] == ["0", "1", "0.05", "0.1;0.5;1;2.5;1", "5;10;25;30;50"]
                for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def test_readme_command_examples_run(capsys):
+    # every README command that reads no file of the user's, run as written,
+    # as the README's library example is (test_generalized), so that drift
+    # in the documentation fails the suite
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    commands = [shlex.split(line.split("#")[0])[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("lnmean ")]
+    runnable = [argv for argv in commands
+                if not {"--input", "--summary", "--output"} & set(argv)]
+    assert [argv[0] for argv in runnable] == ["example", "test", "ci", "simulate"]
+    for argv in runnable:
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if "json" in argv:
+            json.loads(out)

@@ -2,9 +2,9 @@
 
 For k < 8 numpy sums left to right, as the scalar kernels do, so the two
 agree bit for bit; from k = 8 on numpy sums pairwise and they agree to 1e-12
-relative (the baklizi bounds to 1e-12 times their conditioning, see
-``_amplification``).  The references below are the array formulas, kept here
-only.
+relative (the baklizi bounds to 1e-12 times the conditioning of their
+half-width, see ``_amplification``).  The references below are the array
+formulas, kept here only.
 """
 
 import math
@@ -41,15 +41,15 @@ def _baklizi_reference(ds, theta_hats, v_hats, level=0.95):
     theta = np.asarray(theta_hats)
     with np.errstate(over="ignore", invalid="ignore"):
         w = n / np.asarray(v_hats)
-        a = float(np.sum(w))
-        b = -2.0 * float(np.sum(w * theta))
-        c = float(np.sum(w * theta ** 2)) - q
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
+        total = float(np.sum(w))
+        centre = float(np.sum(w * theta) / total)
+        spread = float(np.sum(w * (theta - centre) ** 2))
+    if math.isnan(spread):
+        raise ValueError(classical._AHMED_RANGE)
+    if spread > q:
         raise ValueError(f"empty acceptance set: no common mean is accepted at level {level:g}")
-    root = math.sqrt(disc)
-    return classical.interval_from_phi((-b - root) / (2.0 * a), (-b + root) / (2.0 * a),
-                                       level, estimate=-b / (2.0 * a))
+    half = total ** -0.5 * math.sqrt(q - spread)
+    return classical.interval_from_phi(centre - half, centre + half, level, estimate=centre)
 
 
 def _log_likelihood_reference(ds, mu, sigma2s):
@@ -116,17 +116,18 @@ def _close(values, reference, rel):
         assert np.allclose(values, reference, rtol=rel, atol=0.0, equal_nan=True), (values, reference)
 
 
-def _amplification(bounds):
-    """centre / half-width of a baklizi interval, at least 1.
+def _amplification(bounds, comp, k):
+    """q / (q - Q) of a baklizi interval, at least 1.
 
-    The half-width is the square root of b^2 - 4ac, a difference that cancels
-    by (centre / half-width)^2, so a change in the last bits of the sums moves
-    the bounds by that ratio times as much.
+    A relative change e in the spread Q moves sqrt(q - Q) by e Q / (2 (q - Q))
+    relative; with se's own change e, the half-width se sqrt(q - Q) moves by
+    at most e q / (q - Q), which is (se sqrt(q) / half-width)^2.
     """
     if isinstance(bounds, str):
         return 1.0
-    lower, upper, centre = bounds
-    return max(1.0, abs(centre) / (0.5 * (upper - lower)))
+    lower, upper, _ = bounds
+    widest = comp.std_error * math.sqrt(classical._chi2_quantile(0.95, k))
+    return max(1.0, (widest / (0.5 * (upper - lower))) ** 2)
 
 
 @pytest.mark.parametrize("ks, exact", [(range(1, 8), True), (range(8, 51), False)])
@@ -153,7 +154,8 @@ def test_group_kernels_match_the_numpy_formulas(ks, exact):
         else:
             _close(values, reference, 1e-12)
             if comp is not None:
-                _close(bounds, bounds_reference, 1e-12 * _amplification(bounds_reference))
+                _close(bounds, bounds_reference,
+                       1e-12 * _amplification(bounds_reference, comp, ds.k))
             _close([ll], [ll_reference], 1e-12)
     assert finite > 50  # enough datasets inside the float range to mean something
 

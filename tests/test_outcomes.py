@@ -27,6 +27,11 @@ def test_interval_outcome_validation():
         IntervalOutcome(lower=1.0, upper=1.0, level=0.95, phi_lower=2.0, phi_upper=3.0)
     with pytest.raises(ValueError, match="level"):
         interval_from_log(0.0, 1.0, level=1.2)
+    # order is checked on the log scale only: the derived bounds may saturate
+    far = interval_from_log(800.0, 801.0, level=0.95)
+    assert (far.phi_lower, far.phi_upper) == (math.inf, math.inf)
+    near = interval_from_log(-801.0, -800.0, level=0.95)
+    assert (near.phi_lower, near.phi_upper) == (0.0, 0.0)
 
 
 def test_interval_from_log_exponentiates_exactly():

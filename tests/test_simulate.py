@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lnmean import SimulationCell, classical, run_cell, run_grid, simulate, write_csv
+from lnmean import SimulationCell, StreamKey, classical, run_cell, run_grid, simulate, write_csv
 from lnmean.methods import METHOD_ORDER, normalize_method
 from lnmean.simulate import (ConfigError, cells_from_config, load_grid_config,
                              parse_grid_config, result_rows)
@@ -196,18 +196,49 @@ def test_method_failures_are_counted_not_fatal(monkeypatch):
     assert result.rejection["ahmed"].failures == 0
 
 
-def test_a_failure_counts_against_the_procedure_that_raised_it():
-    # at mu = 720 the original-scale bounds exp(720) of gupta-li's and
-    # gv-weighted's intervals overflow, so every interval fails; their tests
-    # at phi0 = e^700 still answer, and reject as lrt does
+def test_a_failure_counts_against_the_procedure_that_raised_it(monkeypatch):
+    def broken(ds, level, **shared):
+        raise ValueError("forced failure")
+
+    # every gupta-li interval fails; its test at phi0 = e^700 still answers,
+    # and rejects as lrt does
+    monkeypatch.setattr(classical, "gupta_li_ci", broken)
+    names = ("lrt", "gupta-li", "gv-weighted")
     cell = SimulationCell(mu=720.0, sigma2s=(1.0, 0.5), ns=(5, 10), phi0=math.exp(700),
-                          methods=("lrt", "gupta-li", "gv-weighted"),
-                          outer_reps=100, inner_reps=1000, seed=3)
+                          methods=names, outer_reps=100, inner_reps=1000, seed=3)
     result = run_cell(cell)
-    for name in ("lrt", "gupta-li", "gv-weighted"):
+    for name in names:
         assert (result.rejection[name].estimate, result.rejection[name].failures) == (1.0, 0)
-    for name in ("gupta-li", "gv-weighted"):
-        assert (result.coverage[name].estimate, result.coverage[name].failures) == (0.0, 100)
+    gupta_li = result.coverage["gupta-li"]
+    assert (gupta_li.estimate, gupta_li.failures) == (0.0, 100)
+    assert result.coverage["gv-weighted"].failures == 0
+
+
+def test_intervals_past_the_float_range_cover_as_at_mu_zero():
+    # at mu = 720 exp of every bound overflows to inf; coverage is read on the
+    # log scale, so the intervals answer and cover as the same draws at mu = 0
+    names = ("gupta-li", "gv-weighted", "gv-umvue")
+    far, near = (run_cell(SimulationCell(mu=mu, sigma2s=(1.0, 0.5), ns=(5, 10), methods=names,
+                                         outer_reps=100, inner_reps=1000, seed=3))
+                 for mu in (720.0, 0.0))
+    for name in names:
+        assert far.coverage[name].failures == near.coverage[name].failures == 0, name
+        assert far.coverage[name].estimate == near.coverage[name].estimate, name
+
+
+def test_a_failed_data_draw_counts_against_every_procedure():
+    # a variance of 1e308 overflows the data draw's sums, so _simulate_dataset
+    # refuses the replicate's data; every test and interval fails, and the cell runs on
+    names = ("lrt", "ahmed", "baklizi", "gv-umvue")
+    cell = SimulationCell(mu=0.0, sigma2s=(1e308, 1.0), ns=(5, 10), methods=names,
+                          outer_reps=100, inner_reps=1000)
+    with pytest.raises(ValueError):
+        simulate._simulate_dataset(cell, StreamKey(cell.seed, 0).generator(0))
+    result = run_cell(cell)
+    assert set(result.rejection) == {"lrt", "ahmed", "gv-umvue"}
+    assert set(result.coverage) == {"ahmed", "baklizi", "gv-umvue"}
+    for rate in (*result.rejection.values(), *result.coverage.values()):
+        assert (rate.estimate, rate.failures) == (0.0, 100)
 
 
 def test_method_bugs_propagate(monkeypatch):
