@@ -46,10 +46,14 @@ def _require_lognormal(ds: Dataset) -> None:
         raise ValueError("defined for the lognormal-mean model (a=1, b=-0.5) only")
 
 
-def _require_phi0(phi0: float) -> float:
+def _require_phi0(phi0: float) -> None:
     if not (math.isfinite(phi0) and phi0 > 0.0):
         raise ValueError("phi0 must be finite and positive")
-    return math.log(phi0)
+
+
+def _require_mu0(mu0: float) -> None:
+    if not math.isfinite(mu0):
+        raise ValueError("mu0 must be finite")
 
 
 # The quantiles depend only on the level (and k), and each scipy call costs
@@ -335,13 +339,13 @@ def gupta_li_ci(ds: Dataset, level: float = 0.95, *,
                              estimate=exp_or_inf(fit.mu_hat))
 
 
-def gupta_li_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> TestOutcome:
-    """Two-sided Wald test of mu = ln(phi0) on the log scale.
+def gupta_li_test(ds: Dataset, *, mu0: float, fit: MleResult | None = None) -> TestOutcome:
+    """Two-sided Wald test of mu = mu0 on the log scale.
 
     ``fit`` is ``gupta_li_mle(ds)`` when the caller already has it.
     """
     _require_lognormal(ds)
-    mu0 = _require_phi0(phi0)
+    _require_mu0(mu0)
     if fit is None:
         fit = gupta_li_mle(ds)
     z = (fit.mu_hat - mu0) / _gupta_li_sd(ds, fit.sigma2_hats)
@@ -349,15 +353,15 @@ def gupta_li_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> 
     return TestOutcome(p_value=float(min(p, 1.0)), mc_std_error=0.0, reps_used=0, statistic=z)
 
 
-def lr_test(ds: Dataset, phi0: float, *, fit: MleResult | None = None) -> TestOutcome:
-    """Profile likelihood-ratio test of mu = ln(phi0), chi-square(1) calibrated.
+def lr_test(ds: Dataset, *, mu0: float, fit: MleResult | None = None) -> TestOutcome:
+    """Profile likelihood-ratio test of mu = mu0 (log scale), chi-square(1) calibrated.
 
     The statistic is 2 (l_p(mu_hat) - l_p(mu0)) with l_p the profile
     log-likelihood, nonnegative because mu_hat is its global maximizer.
     ``fit`` is ``gupta_li_mle(ds)`` when the caller already has it.
     """
     _require_lognormal(ds)
-    mu0 = _require_phi0(phi0)
+    _require_mu0(mu0)
     if fit is None:
         fit = gupta_li_mle(ds)
     # the clamp only removes rounding residue when mu0 is within ulps of mu_hat

@@ -8,8 +8,8 @@ random variance surrogates into the known-variance point estimator.
 pivots read, and ``sample_pivots`` evaluates one pivot for mu, the shared
 parameter, on them.  ``pvalue_from_pivots`` reads a test outcome off the
 pivots (a tail frequency) and ``interval_from_pivots`` an interval (two
-empirical quantiles), each checking that there are enough pivots for what it
-reads.
+empirical quantiles off one sort), each checking that there are enough
+pivots for what it reads.
 ``gp_value`` and ``gci`` draw from a seed and read in one call.
 """
 
@@ -178,11 +178,16 @@ class PivotDraws:
         self.ds = ds
         self.reps = reps
         self._rng = rng
-        self._dfs = (ds.counts() - 1)[:, None]
-        self._u = chi_square(self._dfs, rng, (ds.k, reps))
+        self._u = self._chi_square_rows()
         self._z = np.empty((ds.k, reps))
         self._z[0] = std_normal(rng, reps)
         self._v = None
+
+    def _chi_square_rows(self) -> np.ndarray:
+        # one scalar-df call per group row draws what one broadcast call over
+        # (k, reps) draws, in the same order, without numpy's per-element
+        # broadcast iteration
+        return np.array([chi_square(g.n - 1, self._rng, self.reps) for g in self.ds.groups])
 
     def umvue(self) -> tuple[np.ndarray, np.ndarray]:
         """(u, z[0]): the draws of the umvue pivot."""
@@ -192,7 +197,7 @@ class PivotDraws:
         """(z, u, v): the draws of the weighted pivot."""
         if self._v is None:
             self._z[1:] = std_normal(self._rng, (self.ds.k - 1, self.reps))
-            self._v = chi_square(self._dfs, self._rng, (self.ds.k, self.reps))
+            self._v = self._chi_square_rows()
         return self._z, self._u, self._v
 
 
@@ -251,14 +256,39 @@ def pvalue_from_pivots(pivots: np.ndarray, spec: TestSpec) -> TestOutcome:
                        reps_used=m)
 
 
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile``'s default (linear) quantile at ``q`` < 1 of the sorted ``ordered``.
+
+    It is numpy's own arithmetic: the virtual index (m - 1) q, its floor and
+    fractional part gamma, and the lerp from whichever of the two straddling
+    order statistics is nearer.
+    """
+    virtual = (ordered.size - 1) * q
+    below = math.floor(virtual)
+    gamma = virtual - below
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
 def interval_from_pivots(pivots: np.ndarray, level: float) -> IntervalOutcome:
     """Equal-tailed interval from empirical pivot quantiles (linear
-    interpolation), with exp(median) as the estimate, from one partition."""
+    interpolation), with exp(median) as the estimate.
+
+    One sort serves all three quantiles, each read off as ``np.quantile``
+    reads it.  A NaN pivot sorts last and makes every quantile NaN, as it does
+    in ``np.quantile``, and the interval is then empty.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     require_draws(pivots.size, level)
     alpha = 1.0 - level
-    lower, median, upper = np.quantile(pivots, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0])
+    ordered = np.sort(pivots)
+    if math.isnan(ordered[-1]):
+        lower = median = upper = math.nan
+    else:
+        lower, median, upper = (_linear_quantile(ordered, q)
+                                for q in (alpha / 2.0, 0.5, 1.0 - alpha / 2.0))
     return interval_from_log(lower, upper, level, estimate=exp_or_inf(median))
 
 

@@ -59,9 +59,10 @@ class Method:
     """One method's procedures and what they support.
 
     ``test(work, spec, phi0)`` also takes the null on the original scale, as
-    the caller has it; ``interval(work, level)`` takes the level.  Either is
-    None where the method has no such procedure.  A procedure that cannot
-    answer on the data raises one of ``FAILURES``.
+    the caller has it, for ahmed, which tests there; every other test reads
+    the log-scale ``spec.mu0``.  ``interval(work, level)`` takes the level.
+    Either is None where the method has no such procedure.  A procedure that
+    cannot answer on the data raises one of ``FAILURES``.
     """
 
     name: str
@@ -97,7 +98,8 @@ def _generalized(name: str, kind: PivotMethod) -> Method:
 
 METHODS = {entry.name: entry for entry in (
     Method("lrt",
-           test=lambda work, spec, phi0: classical.lr_test(work.ds, phi0, fit=work.fit()),
+           test=lambda work, spec, phi0: classical.lr_test(
+               work.ds, mu0=spec.mu0, fit=work.fit()),
            interval=None, two_sided_only=True),
     Method("ahmed",
            test=lambda work, spec, phi0: classical.ahmed_test(
@@ -105,7 +107,8 @@ METHODS = {entry.name: entry for entry in (
            interval=lambda work, level: classical.ahmed_ci(
                work.ds, level, components=work.components())),
     Method("gupta-li",
-           test=lambda work, spec, phi0: classical.gupta_li_test(work.ds, phi0, fit=work.fit()),
+           test=lambda work, spec, phi0: classical.gupta_li_test(
+               work.ds, mu0=spec.mu0, fit=work.fit()),
            interval=lambda work, level: classical.gupta_li_ci(work.ds, level, fit=work.fit()),
            two_sided_only=True),
     Method("baklizi",

@@ -72,9 +72,9 @@ def test_criterion_1_rmrs_deterministic_intervals():
 
 def test_criterion_2_rmrs_deterministic_pvalues():
     start = time.perf_counter()
-    lrt_p = lr_test(RMRS, PHI0).p_value
+    lrt_p = lr_test(RMRS, mu0=math.log(PHI0)).p_value
     ahmed_p = ahmed_test(RMRS, PHI0).p_value
-    gupta_p = gupta_li_test(RMRS, PHI0).p_value
+    gupta_p = gupta_li_test(RMRS, mu0=math.log(PHI0)).p_value
     elapsed = time.perf_counter() - start
     checks = {
         "lrt": (abs(lrt_p - 0.5245), 0.01),
@@ -261,7 +261,7 @@ def test_criterion_7_property_suite():
         ds = Dataset(groups=tuple(
             SampleSummary(int(rng.integers(3, 25)), float(rng.normal()),
                           float(rng.uniform(0.2, 3.0))) for _ in range(k)))
-        if lr_test(ds, float(np.exp(rng.normal(0, 1)))).statistic < 0:
+        if lr_test(ds, mu0=float(rng.normal(0, 1))).statistic < 0:
             failures.append("negative likelihood-ratio statistic")
             break
 

@@ -12,6 +12,7 @@ from lnmean.classical import _gupta_li_sd
 
 RMRS = rmrs_dataset()
 PHI0 = 20000.0
+MU0 = math.log(PHI0)
 
 
 def _dataset(rng, k, n_range=(4, 40)):
@@ -276,7 +277,7 @@ def test_ml_methods_on_large_log_variances():
     assert fit.converged
     grid = np.linspace(-1.0, 1000.0, 200_001)
     assert fit.log_likelihood >= _profile_on_grid(ds, grid).max() - 1e-9
-    for outcome in (lr_test(ds, 1.0), gupta_li_test(ds, 1.0)):
+    for outcome in (lr_test(ds, mu0=0.0), gupta_li_test(ds, mu0=0.0)):
         assert math.isfinite(outcome.statistic)
         assert 0.0 <= outcome.p_value <= 1.0
 
@@ -285,8 +286,8 @@ def test_shared_fit_gives_identical_results():
     rng = np.random.default_rng(89)
     ds = _dataset(rng, 2)
     fit = gupta_li_mle(ds)
-    assert lr_test(ds, 1.5, fit=fit) == lr_test(ds, 1.5)
-    assert gupta_li_test(ds, 1.5, fit=fit) == gupta_li_test(ds, 1.5)
+    assert lr_test(ds, mu0=0.4, fit=fit) == lr_test(ds, mu0=0.4)
+    assert gupta_li_test(ds, mu0=0.4, fit=fit) == gupta_li_test(ds, mu0=0.4)
     assert gupta_li_ci(ds, 0.9, fit=fit) == gupta_li_ci(ds, 0.9)
     comp = ahmed_components(ds)
     assert ahmed_test(ds, 1.5, components=comp) == ahmed_test(ds, 1.5)
@@ -308,7 +309,7 @@ def test_gupta_li_rmrs_interval_and_pvalue():
     interval = gupta_li_ci(RMRS, 0.95)
     _rel_close(interval.phi_lower, 16596.91, 0.003)
     _rel_close(interval.phi_upper, 28658.17, 0.003)
-    assert gupta_li_test(RMRS, PHI0).p_value == pytest.approx(0.5343, abs=0.01)
+    assert gupta_li_test(RMRS, mu0=MU0).p_value == pytest.approx(0.5343, abs=0.01)
 
 
 def test_gupta_li_variance_symmetry_halves_single_group_value():
@@ -333,7 +334,7 @@ def test_gupta_li_runs_at_any_group_count():
         fit = gupta_li_mle(ds)
         interval = gupta_li_ci(ds, fit=fit)
         assert interval.lower < fit.mu_hat < interval.upper
-        assert 0.0 < gupta_li_test(ds, 1.0, fit=fit).p_value <= 1.0
+        assert 0.0 < gupta_li_test(ds, mu0=0.0, fit=fit).p_value <= 1.0
 
 
 def _expected_information(ds, sigma2s):
@@ -390,12 +391,12 @@ def test_gupta_li_sd_matches_the_two_group_formula():
 
 
 def test_lr_rmrs_pvalue():
-    assert lr_test(RMRS, PHI0).p_value == pytest.approx(0.5245, abs=0.01)
+    assert lr_test(RMRS, mu0=MU0).p_value == pytest.approx(0.5245, abs=0.01)
 
 
 def test_lr_at_the_mle_is_one():
     fit = gupta_li_mle(RMRS)
-    outcome = lr_test(RMRS, math.exp(fit.mu_hat))
+    outcome = lr_test(RMRS, mu0=fit.mu_hat)
     assert outcome.statistic == pytest.approx(0.0, abs=1e-9)
     assert outcome.p_value > 0.999
 
@@ -404,16 +405,16 @@ def test_lr_statistic_nonnegative():
     rng = np.random.default_rng(86)
     for _ in range(1000):
         ds = _dataset(rng, int(rng.integers(1, 4)), n_range=(3, 25))
-        phi0 = float(np.exp(rng.normal(ds.means().mean(), 1.0)))
-        assert lr_test(ds, phi0).statistic >= 0.0
+        mu0 = float(rng.normal(ds.means().mean(), 1.0))
+        assert lr_test(ds, mu0=mu0).statistic >= 0.0
 
 
 def test_lr_agrees_with_direct_joint_maximization():
     rng = np.random.default_rng(87)
     for _ in range(5):
         ds = _dataset(rng, 2)
-        phi0 = float(np.exp(rng.normal(ds.means().mean(), 0.4)))
-        ours = lr_test(ds, phi0).statistic
+        mu0 = float(rng.normal(ds.means().mean(), 0.4))
+        ours = lr_test(ds, mu0=mu0).statistic
 
         def negative_ll(theta, ds=ds):
             return -log_likelihood(ds, theta[0], np.exp(theta[1:]))
@@ -422,7 +423,6 @@ def test_lr_agrees_with_direct_joint_maximization():
         res = optimize.minimize(negative_ll, start, method="Nelder-Mead",
                                 options={"xatol": 1e-12, "fatol": 1e-13,
                                          "maxiter": 40_000, "maxfev": 40_000})
-        mu0 = math.log(phi0)
         ll0 = log_likelihood(ds, mu0, constrained_sigma2(ds, mu0))
         direct = 2.0 * (-res.fun - ll0)
         assert ours == pytest.approx(direct, abs=1e-6)
@@ -434,15 +434,20 @@ def test_lr_names_an_overflowing_profile_variance():
     ds = Dataset(groups=(SampleSummary(10, 1e200, 1.0), SampleSummary(12, 1e200, 2.0)),
                  model=LOGNORMAL_MEAN)
     with pytest.raises(ValueError, match="profile variance at mu = 0 overflows"):
-        lr_test(ds, 1.0)
+        lr_test(ds, mu0=0.0)
     fit = gupta_li_mle(ds)
     assert fit.mu_hat == pytest.approx(1e200, rel=1e-12)
-    assert gupta_li_test(ds, 1.0, fit=fit).p_value == 0.0
+    assert gupta_li_test(ds, mu0=0.0, fit=fit).p_value == 0.0
 
 
-def test_lr_requires_positive_phi0():
-    with pytest.raises(ValueError, match="positive"):
-        lr_test(RMRS, -3.0)
+def test_ml_tests_take_a_finite_log_scale_null_by_keyword():
+    for test in (lr_test, gupta_li_test):
+        with pytest.raises(ValueError, match="mu0 must be finite"):
+            test(RMRS, mu0=math.inf)
+        # an original-scale null passed by position, as these tests once took it,
+        # is refused rather than read on the log scale
+        with pytest.raises(TypeError):
+            test(RMRS, PHI0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +460,7 @@ def test_all_methods_permutation_invariant():
     flipped = Dataset(groups=ds.groups[::-1], model=ds.model)
     assert ahmed_ci(ds).phi_lower == pytest.approx(ahmed_ci(flipped).phi_lower, rel=1e-12)
     assert baklizi_ci(ds).phi_upper == pytest.approx(baklizi_ci(flipped).phi_upper, rel=1e-12)
-    assert gupta_li_test(ds, 2.0).p_value == pytest.approx(
-        gupta_li_test(flipped, 2.0).p_value, rel=1e-9)
-    assert lr_test(ds, 2.0).p_value == pytest.approx(lr_test(flipped, 2.0).p_value, rel=1e-9)
+    assert gupta_li_test(ds, mu0=0.7).p_value == pytest.approx(
+        gupta_li_test(flipped, mu0=0.7).p_value, rel=1e-9)
+    assert lr_test(ds, mu0=0.7).p_value == pytest.approx(
+        lr_test(flipped, mu0=0.7).p_value, rel=1e-9)

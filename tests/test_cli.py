@@ -235,8 +235,8 @@ def test_large_log_variances_report_without_traceback(tmp_path):
     results = {r["method"]: r for r in json.loads(proc.stdout)["results"]}
     assert set(results) == {"ahmed", "gupta-li", "baklizi", "gv-weighted", "gv-umvue"}
     assert results["gv-weighted"]["phi_upper"] == "inf"
-    # exp(mu0) overflows too: phi0 is inf, so the methods that test phi0 fail
-    # by name and the generalized methods still report
+    # exp(mu0) overflows too: phi0 is inf, so ahmed, which tests phi0, fails by
+    # name, and the methods that test mu0 on the log scale report
     proc = subprocess.run([sys.executable, "-m", "lnmean", "test", "--example", "rmrs",
                            "--mu0", "1000", "--reps", "10000", "--format", "json"],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -245,8 +245,9 @@ def test_large_log_variances_report_without_traceback(tmp_path):
     report = json.loads(proc.stdout)
     assert report["phi0"] == "inf"
     results = {r["method"]: r for r in report["results"]}
-    for method in ("lrt", "ahmed", "gupta-li"):
-        assert "phi0" in results[method]["error"]
+    assert "phi0" in results["ahmed"]["error"]
+    for method in ("lrt", "gupta-li"):
+        assert 0.0 <= results[method]["p_value"] < 1e-100, method
     for method in ("gv-weighted", "gv-umvue"):
         # no pivot reaches mu0, but the Monte Carlo error of that zero is
         # not zero: it is resolved only to 1/reps
@@ -327,6 +328,24 @@ def test_intervals_past_the_float_range_answer_on_the_log_scale(capsys, tmp_path
     assert (round(gupta_li["mu_lower"], 4), round(gupta_li["mu_upper"], 4)) == (800.1403, 801.3883)
     for method in ("ahmed", "baklizi"):
         assert "overflow" in results[method]["error"]
+
+
+def test_log_scale_tests_answer_at_a_null_past_the_float_range(capsys, tmp_path):
+    # phi0 = exp(800.1) is inf, but lrt and gupta-li test mu0 on the log scale,
+    # as the generalized methods do; ahmed tests on the original scale, where
+    # its weights overflow, and fails by name
+    path = tmp_path / "far.csv"
+    path.write_text("group,n,mean_log,var_log\na,10,800,1\nb,12,800.2,2\n")
+    report = _run_json(capsys, "test", "--summary", str(path), "--mu0", "800.1",
+                       "--reps", "5000", "--format", "json")
+    assert report["phi0"] == "inf"
+    results = {r["method"]: r for r in report["results"]}
+    for method in ("lrt", "gupta-li", "gv-weighted", "gv-umvue"):
+        assert "error" not in results[method], results[method]
+        assert 0.0 < results[method]["p_value"] < 1.0, method
+    assert math.isfinite(results["lrt"]["statistic"]) and results["lrt"]["statistic"] > 0.0
+    assert results["ahmed"]["error"] == (
+        "ahmed delta-method variances overflow or underflow the float range")
 
 
 def test_lrt_overflow_fails_by_name_and_gupta_li_reports(capsys, tmp_path):

@@ -12,8 +12,9 @@ from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Alternative, Dataset,
                     interval_from_pivots, pivot_draw_umvue, pivot_draw_weighted,
                     pivot_weights, pvalue_from_pivots, sample_pivots, std_normal,
                     umvue_known_variance)
-from lnmean.generalized import PIVOT_BLOCK
+from lnmean.generalized import PIVOT_BLOCK, _linear_quantile
 from lnmean.methods import METHODS, SharedWork
+from lnmean.outcomes import exp_or_inf
 
 
 def _dataset(rng, k, model=LOGNORMAL_MEAN, n_range=(5, 40)):
@@ -196,6 +197,39 @@ def test_interval_and_median_match_separate_quantiles():
         assert (interval.lower, interval.upper) == separate[:2]
         assert interval.estimate == math.exp(separate[2])
         assert gci(ds, level, cfg) == interval
+
+
+@pytest.mark.parametrize("m", [1000, 5000, 5001, 7919, 100_000])
+def test_sorted_quantiles_are_the_ones_np_quantile_reads(m):
+    # interval_from_pivots reads numpy's linear quantile off one sort; if a
+    # numpy release changes that formula, this fails
+    rng = np.random.default_rng(m)
+    samples = {
+        "normal": rng.standard_normal(m),
+        "ties": rng.integers(0, 7, m).astype(float),
+        "near 1e300": rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 1.0, m) * 1e300,
+    }
+    probabilities = np.concatenate([rng.uniform(0.0, 1.0, 60), [0.0, 0.5]])
+    for name, pivots in samples.items():
+        ordered = np.sort(pivots)
+        ours = [_linear_quantile(ordered, q) for q in probabilities.tolist()]
+        assert np.array_equal(ours, np.quantile(pivots, probabilities)), name
+        for level in (0.5, 0.9, 0.95, 0.99, 0.999):
+            if m * (1.0 - level) / 2.0 < 10.0:  # too few pivots per tail to read
+                continue
+            alpha = 1.0 - level
+            lower, median, upper = np.quantile(pivots, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0])
+            interval = interval_from_pivots(pivots, level)
+            assert np.array_equal([interval.lower, interval.upper], [lower, upper]), (name, level)
+            assert interval.estimate == exp_or_inf(median), (name, level)
+
+
+def test_a_nan_pivot_empties_the_interval_as_np_quantile_does():
+    pivots = np.random.default_rng(9).standard_normal(5000)
+    pivots[1234] = np.nan
+    assert np.isnan(np.quantile(pivots, [0.025, 0.5, 0.975])).all()
+    with pytest.raises(ValueError, match=r"empty interval: \[nan, nan\]"):
+        interval_from_pivots(pivots, 0.95)
 
 
 # ---------------------------------------------------------------------------

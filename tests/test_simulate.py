@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+from scipy import stats
 
 from lnmean import SimulationCell, StreamKey, classical, run_cell, run_grid, simulate, write_csv
 from lnmean.methods import METHOD_ORDER, normalize_method
@@ -143,7 +144,22 @@ def test_run_cell_rates_and_se_formula():
             assert 0.0 <= rate.estimate <= 1.0
             expected_se = math.sqrt(rate.estimate * (1 - rate.estimate) / cell.outer_reps)
             assert rate.std_error == pytest.approx(expected_se, rel=1e-12)
-            assert rate.failures == 0
+    # baklizi's acceptance set is empty exactly when the spread Q of the group
+    # estimates about the pooled one exceeds the chi-square(k) quantile, which
+    # happens in a few replicates of this cell; nothing else may fail here
+    q = stats.chi2.ppf(0.95, len(cell.ns))
+    empty = 0
+    for replicate in range(cell.outer_reps):
+        key = StreamKey(cell.seed, cell.cell_index * cell.outer_reps + replicate)
+        ds = simulate._simulate_dataset(cell, key.generator(0))
+        comp = classical.ahmed_components(ds)
+        spread = sum(g.n / v * (theta - comp.theta_tilde) ** 2
+                     for g, theta, v in zip(ds.groups, comp.theta_hats, comp.v_hats))
+        empty += spread > q
+    assert result.coverage["baklizi"].failures == empty
+    others = [rate for name, rate in (*result.rejection.items(), *result.coverage.items())
+              if name != "baklizi"]
+    assert [rate.failures for rate in others] == [0] * len(others)
     # a nominal-size cell should reject rarely and cover usually
     assert result.rejection["gv-weighted"].estimate < 0.15
     assert result.coverage["gv-weighted"].estimate > 0.85
@@ -184,7 +200,7 @@ def test_power_saturates_for_distant_alternative():
 
 
 def test_method_failures_are_counted_not_fatal(monkeypatch):
-    def broken(ds, phi0, **shared):
+    def broken(ds, **shared):
         raise ValueError("forced failure")
 
     monkeypatch.setattr(classical, "lr_test", broken)
