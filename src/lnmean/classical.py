@@ -9,8 +9,13 @@ takes any number of groups.
 
 The variances maximize the likelihood in closed form at any fixed mu, so the
 ML fit is a global search over the one-dimensional profile likelihood of mu.
-Callers that run several procedures on one dataset can compute the shared
-pieces once (``ahmed_components``, ``gupta_li_mle``) and pass them in.
+
+Two builders take the dataset and do the shared work: ``ahmed_components``
+(ahmed and baklizi) and ``gupta_li_mle`` (gupta-li and lrt).  The procedures
+read what a builder made and recompute none of it; only the likelihood-ratio
+test also needs the dataset, for the profile likelihood at its null.  The
+builders refuse a dataset outside the lognormal-mean model, so the pieces
+exist only for that model.
 
 k is small, so formulas over the groups run in scalar arithmetic on Python
 floats.  Their sums go left to right, as numpy sums fewer than 8 elements, and
@@ -77,13 +82,13 @@ class AhmedComponents:
     """Per-group lognormal-mean estimates and their pooled combination.
 
     ``theta_hats`` are the per-group mean estimates exp(mean + sigma2/2) with
-    the n-divisor group variances sigma2, ``v_hats`` their delta-method
-    variances, and ``theta_tilde`` the inverse-variance pooled estimate with
-    standard error ``std_error``.
+    the n-divisor group variances sigma2, ``weights`` the inverse variances
+    n_i / v_hat_i of their delta-method variances v_hat_i, and ``theta_tilde``
+    the inverse-variance pooled estimate with standard error ``std_error``.
     """
 
     theta_hats: tuple[float, ...]
-    v_hats: tuple[float, ...]
+    weights: tuple[float, ...]
     theta_tilde: float
     std_error: float
 
@@ -109,46 +114,35 @@ def ahmed_components(ds: Dataset) -> AhmedComponents:
     # an underflowed v weighs n / v = inf; an overflowed theta weighs 0, and 0 * inf is nan
     if 0.0 in v_hats or math.inf in thetas:
         raise ValueError(_AHMED_RANGE)
+    weights = [g.n / v for g, v in zip(ds.groups, v_hats)]
     total = pooled = 0.0
-    for g, theta, v in zip(ds.groups, thetas, v_hats):
-        weight = g.n / v
+    for weight, theta in zip(weights, thetas):
         total += weight
         pooled += weight * theta
     if not (math.isfinite(total) and total > 0.0):
         raise ValueError(_AHMED_RANGE)
-    return AhmedComponents(theta_hats=tuple(thetas), v_hats=tuple(v_hats),
+    return AhmedComponents(theta_hats=tuple(thetas), weights=tuple(weights),
                            theta_tilde=pooled / total, std_error=total ** -0.5)
 
 
-def ahmed_ci(ds: Dataset, level: float = 0.95, *,
-             components: AhmedComponents | None = None) -> IntervalOutcome:
-    """Wald interval theta_tilde +/- z * SE on the original scale.
-
-    ``components`` is ``ahmed_components(ds)`` when the caller already has it.
-    """
-    comp = ahmed_components(ds) if components is None else components
+def ahmed_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
+    """Wald interval theta_tilde +/- z * SE on the original scale."""
     z = _normal_quantile(level)
     return interval_from_phi(comp.theta_tilde - z * comp.std_error,
                              comp.theta_tilde + z * comp.std_error,
                              level, estimate=comp.theta_tilde)
 
 
-def ahmed_test(ds: Dataset, phi0: float,
-               alternative: Alternative = Alternative.TWO_SIDED, *,
-               components: AhmedComponents | None = None) -> TestOutcome:
-    """Wald test of the pooled estimate against phi0 on the original scale.
-
-    ``components`` is ``ahmed_components(ds)`` when the caller already has it.
-    """
+def ahmed_test(comp: AhmedComponents, phi0: float,
+               alternative: Alternative = Alternative.TWO_SIDED) -> TestOutcome:
+    """Wald test of the pooled estimate against phi0 on the original scale."""
     _require_phi0(phi0)
-    comp = ahmed_components(ds) if components is None else components
     z = (comp.theta_tilde - phi0) / comp.std_error
     p = _wald_pvalue(z, alternative)
     return TestOutcome(p_value=p, mc_std_error=0.0, reps_used=0, statistic=z)
 
 
-def baklizi_ci(ds: Dataset, level: float = 0.95, *,
-               components: AhmedComponents | None = None) -> IntervalOutcome:
+def baklizi_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
     """Interval of all theta accepted by the pooled quadratic criterion.
 
     The acceptance set sum_i n_i (theta_hat_i - theta)^2 / v_hat_i <= q, with q
@@ -156,15 +150,13 @@ def baklizi_ci(ds: Dataset, level: float = 0.95, *,
     <= q about ahmed's pooled estimate theta_tilde and its standard error se,
     where Q is the same sum at theta_tilde: theta_tilde +/- se sqrt(q - Q).
     When Q > q (group estimates too far apart for any common value) the set
-    is empty, a ValueError.  ``components`` is ``ahmed_components(ds)`` when
-    the caller already has it.
+    is empty, a ValueError.
     """
-    comp = ahmed_components(ds) if components is None else components
-    q = _chi2_quantile(level, ds.k)
+    q = _chi2_quantile(level, len(comp.weights))
     spread = 0.0
-    for g, theta, v in zip(ds.groups, comp.theta_hats, comp.v_hats):
+    for weight, theta in zip(comp.weights, comp.theta_hats):
         d = theta - comp.theta_tilde
-        spread += g.n / v * (d * d)  # not d ** 2, which raises where this gives inf
+        spread += weight * (d * d)  # not d ** 2, which raises where this gives inf
     if math.isnan(spread):  # an overflowed v_hat's weight 0 times an overflowed d * d
         raise ValueError(_AHMED_RANGE)
     if spread > q:
@@ -181,14 +173,18 @@ def baklizi_ci(ds: Dataset, level: float = 0.95, *,
 class MleResult:
     """Maximum-likelihood fit of (mu, sigma^2_1..k).
 
-    ``iterations`` counts evaluations of the profile score of mu, and
-    ``converged`` is False only if a Brent search stopped short of its
-    tolerance.
+    ``std_error`` is the asymptotic SD of mu_hat, the efficient information
+    for mu to the power -1/2: group i is N(mu - v_i/2, v_i), and once v_i is
+    profiled out it carries information 2 n_i / (v_i (2 + v_i)) about mu, and
+    the groups add.  ``iterations`` counts evaluations of the profile score
+    of mu, and ``converged`` is False only if a Brent search stopped short of
+    its tolerance.
     """
 
     mu_hat: float
     sigma2_hats: tuple[float, ...]
     log_likelihood: float
+    std_error: float
     iterations: int
     converged: bool
 
@@ -309,61 +305,36 @@ def gupta_li_mle(ds: Dataset) -> MleResult:
             candidates.append(root)
     ll, mu_hat = max((_profile_log_likelihood(groups, mu), mu) for mu in candidates)
     sigma2_hats = tuple(_sigma2_at(n, ybar, scaled, mu_hat) for n, ybar, scaled in groups)
+    information = sum(2.0 * n / (v * (2.0 + v)) for (n, _, _), v in zip(groups, sigma2_hats))
     return MleResult(mu_hat=mu_hat, sigma2_hats=sigma2_hats, log_likelihood=ll,
-                     iterations=evaluations, converged=converged)
+                     std_error=information ** -0.5, iterations=evaluations,
+                     converged=converged)
 
 
-def _gupta_li_sd(ds: Dataset, sigma2_hats) -> float:
-    """Asymptotic SD of mu_hat: the efficient information for mu to the power -1/2.
-
-    Group i is N(mu - v_i/2, v_i); once v_i is profiled out it carries
-    information 2 n_i / (v_i (2 + v_i)) about mu, and the groups add.
-    """
-    information = sum(2.0 * n / (v * (2.0 + v))
-                      for (n, _, _), v in zip(ds.group_terms(), sigma2_hats))
-    return information ** -0.5
-
-
-def gupta_li_ci(ds: Dataset, level: float = 0.95, *,
-                fit: MleResult | None = None) -> IntervalOutcome:
-    """Wald interval exp(mu_hat +/- z * SD(mu_hat)).
-
-    ``fit`` is ``gupta_li_mle(ds)`` when the caller already has it.
-    """
-    _require_lognormal(ds)
-    if fit is None:
-        fit = gupta_li_mle(ds)
-    sd = _gupta_li_sd(ds, fit.sigma2_hats)
+def gupta_li_ci(fit: MleResult, level: float = 0.95) -> IntervalOutcome:
+    """Wald interval exp(mu_hat +/- z * SD(mu_hat))."""
     z = _normal_quantile(level)
-    return interval_from_log(fit.mu_hat - z * sd, fit.mu_hat + z * sd, level,
-                             estimate=exp_or_inf(fit.mu_hat))
+    return interval_from_log(fit.mu_hat - z * fit.std_error, fit.mu_hat + z * fit.std_error,
+                             level, estimate=exp_or_inf(fit.mu_hat))
 
 
-def gupta_li_test(ds: Dataset, *, mu0: float, fit: MleResult | None = None) -> TestOutcome:
-    """Two-sided Wald test of mu = mu0 on the log scale.
-
-    ``fit`` is ``gupta_li_mle(ds)`` when the caller already has it.
-    """
-    _require_lognormal(ds)
+def gupta_li_test(fit: MleResult, *, mu0: float) -> TestOutcome:
+    """Two-sided Wald test of mu = mu0 on the log scale."""
     _require_mu0(mu0)
-    if fit is None:
-        fit = gupta_li_mle(ds)
-    z = (fit.mu_hat - mu0) / _gupta_li_sd(ds, fit.sigma2_hats)
-    p = 2.0 * special.ndtr(-abs(z))
-    return TestOutcome(p_value=float(min(p, 1.0)), mc_std_error=0.0, reps_used=0, statistic=z)
+    z = (fit.mu_hat - mu0) / fit.std_error
+    return TestOutcome(p_value=_wald_pvalue(z, Alternative.TWO_SIDED), mc_std_error=0.0,
+                       reps_used=0, statistic=z)
 
 
-def lr_test(ds: Dataset, *, mu0: float, fit: MleResult | None = None) -> TestOutcome:
+def lr_test(ds: Dataset, fit: MleResult, *, mu0: float) -> TestOutcome:
     """Profile likelihood-ratio test of mu = mu0 (log scale), chi-square(1) calibrated.
 
-    The statistic is 2 (l_p(mu_hat) - l_p(mu0)) with l_p the profile
-    log-likelihood, nonnegative because mu_hat is its global maximizer.
-    ``fit`` is ``gupta_li_mle(ds)`` when the caller already has it.
+    ``fit`` is ``gupta_li_mle(ds)``.  The statistic is 2 (l_p(mu_hat) -
+    l_p(mu0)) with l_p the profile log-likelihood, nonnegative because mu_hat
+    is its global maximizer.
     """
     _require_lognormal(ds)
     _require_mu0(mu0)
-    if fit is None:
-        fit = gupta_li_mle(ds)
     # the clamp only removes rounding residue when mu0 is within ulps of mu_hat
     lam = max(2.0 * (fit.log_likelihood - _profile_log_likelihood(ds.group_terms(), mu0)), 0.0)
     return TestOutcome(p_value=float(special.chdtrc(1, lam)), mc_std_error=0.0,

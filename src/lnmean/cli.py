@@ -14,7 +14,7 @@ from . import methods
 from .generalized import TestSpec, require_draws
 from .model import LOGNORMAL_MEAN, Dataset, ModelSpec, SampleSummary, summarize
 from .outcomes import Alternative, exp_or_inf
-from .rmrs import RMRS_SUMMARY_ROWS, rmrs_dataset
+from .rmrs import RMRS_GROUP_LABELS, RMRS_SUMMARY_ROWS, rmrs_dataset
 from .samplers import StreamKey
 from .simulate import cells_from_config, load_grid_config, run_grid, write_csv
 
@@ -127,7 +127,7 @@ def _load_dataset(args) -> tuple[list[str], Dataset]:
     if args.example is not None:
         if (args.model_a, args.model_b) != (None, None):
             raise ValueError("the bundled example fixes the lognormal-mean model")
-        return list(label for label, *_ in RMRS_SUMMARY_ROWS), rmrs_dataset()
+        return list(RMRS_GROUP_LABELS), rmrs_dataset()
     if args.summary is not None:
         labels, groups = _read_summary_csv(args.summary)
         return labels, Dataset(groups=tuple(groups), model=model)
@@ -194,13 +194,18 @@ def _require_columns(reader, path, names) -> None:
 # test / ci / example
 
 
+def _log_phi0(phi0: float) -> float:
+    """log(phi0) of an original-scale null phi0, which must be positive and finite."""
+    if not (math.isfinite(phi0) and phi0 > 0):
+        raise ValueError("phi0 must be positive and finite")
+    return math.log(phi0)
+
+
 def _null_values(args, model: ModelSpec) -> tuple[float, float | None]:
     if args.phi0 is not None:
         if not model.is_lognormal_mean:
             raise ValueError("--phi0 applies to the lognormal-mean model; use --mu0")
-        if args.phi0 <= 0:
-            raise ValueError("phi0 must be positive")
-        return math.log(args.phi0), args.phi0
+        return _log_phi0(args.phi0), args.phi0
     phi0 = exp_or_inf(args.mu0) if model.is_lognormal_mean else None
     return args.mu0, phi0
 
@@ -298,12 +303,10 @@ def _cmd_ci(args) -> int:
 
 def _cmd_example(args) -> int:
     ds = rmrs_dataset()
-    if args.phi0 <= 0:
-        raise ValueError("phi0 must be positive")
+    mu0 = _log_phi0(args.phi0)
     if not 0.0 < args.level < 1.0:
         raise ValueError("level must be in (0, 1)")
     seed = _resolve_seed(args.seed)
-    mu0 = math.log(args.phi0)
     spec = TestSpec(mu0, Alternative.TWO_SIDED)
     tests = methods.select(["all"], ds.model, "test")
     intervals = methods.select(["all"], ds.model, "interval")

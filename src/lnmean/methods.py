@@ -98,23 +98,19 @@ def _generalized(name: str, kind: PivotMethod) -> Method:
 
 METHODS = {entry.name: entry for entry in (
     Method("lrt",
-           test=lambda work, spec, phi0: classical.lr_test(
-               work.ds, mu0=spec.mu0, fit=work.fit()),
+           test=lambda work, spec, phi0: classical.lr_test(work.ds, work.fit(), mu0=spec.mu0),
            interval=None, two_sided_only=True),
     Method("ahmed",
            test=lambda work, spec, phi0: classical.ahmed_test(
-               work.ds, phi0, alternative=spec.alternative, components=work.components()),
-           interval=lambda work, level: classical.ahmed_ci(
-               work.ds, level, components=work.components())),
+               work.components(), phi0, spec.alternative),
+           interval=lambda work, level: classical.ahmed_ci(work.components(), level)),
     Method("gupta-li",
-           test=lambda work, spec, phi0: classical.gupta_li_test(
-               work.ds, mu0=spec.mu0, fit=work.fit()),
-           interval=lambda work, level: classical.gupta_li_ci(work.ds, level, fit=work.fit()),
+           test=lambda work, spec, phi0: classical.gupta_li_test(work.fit(), mu0=spec.mu0),
+           interval=lambda work, level: classical.gupta_li_ci(work.fit(), level),
            two_sided_only=True),
     Method("baklizi",
            test=None,
-           interval=lambda work, level: classical.baklizi_ci(
-               work.ds, level, components=work.components())),
+           interval=lambda work, level: classical.baklizi_ci(work.components(), level)),
     _generalized("gv-weighted", PivotMethod.WEIGHTED),
     _generalized("gv-umvue", PivotMethod.UMVUE),
 )}

@@ -59,7 +59,7 @@ def std_normal(rng: np.random.Generator, size=None):
 
 
 def chi_square(df, rng: np.random.Generator, size=None):
-    """Chi-square draws with integer degrees of freedom >= 1.
+    """Chi-square draws with finite integer degrees of freedom >= 1.
 
     ``df`` may be a scalar or an array that broadcasts against ``size`` (one
     degrees-of-freedom per column, say).  Draws are strictly positive, which
@@ -69,6 +69,6 @@ def chi_square(df, rng: np.random.Generator, size=None):
     if df_arr.size == 0:
         raise ValueError("df must be nonempty")
     # one combined check: each np.any costs more than a small draw
-    if not ((df_arr >= 1) & (df_arr == np.floor(df_arr))).all():
-        raise ValueError("df must be integer and >= 1")
+    if not ((df_arr >= 1) & (df_arr == np.floor(df_arr)) & np.isfinite(df_arr)).all():
+        raise ValueError("df must be a finite integer >= 1")
     return rng.chisquare(df, size)

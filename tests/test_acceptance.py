@@ -13,8 +13,9 @@ from scipy import stats
 
 from lnmean import (COMMON_NORMAL_MEAN, Alternative, Dataset, MCConfig,
                     PivotMethod, SampleSummary, SimulationCell, StreamKey,
-                    TestSpec, ahmed_ci, ahmed_test, baklizi_ci, chi_square, gci,
-                    gp_value, gupta_li_ci, gupta_li_test, lr_test,
+                    TestSpec, ahmed_ci, ahmed_components, ahmed_test, baklizi_ci,
+                    chi_square, gci, gp_value, gupta_li_ci, gupta_li_mle, gupta_li_test,
+                    lr_test,
                     pivot_draw_umvue, pivot_draw_weighted, pivot_weights,
                     rmrs_dataset, run_cell, write_csv)
 
@@ -49,9 +50,10 @@ def _reduced_pvalue_greater(ds, mu0, cfg):
 
 def test_criterion_1_rmrs_deterministic_intervals():
     start = time.perf_counter()
-    ahmed = ahmed_ci(RMRS, 0.95)
-    gupta = gupta_li_ci(RMRS, 0.95)
-    baklizi = baklizi_ci(RMRS, 0.95)
+    comp = ahmed_components(RMRS)
+    ahmed = ahmed_ci(comp, 0.95)
+    gupta = gupta_li_ci(gupta_li_mle(RMRS), 0.95)
+    baklizi = baklizi_ci(comp, 0.95)
     elapsed = time.perf_counter() - start
     checks = {
         "ahmed lower": (_rel_err(ahmed.phi_lower, 15831.21), 0.003),
@@ -72,9 +74,10 @@ def test_criterion_1_rmrs_deterministic_intervals():
 
 def test_criterion_2_rmrs_deterministic_pvalues():
     start = time.perf_counter()
-    lrt_p = lr_test(RMRS, mu0=math.log(PHI0)).p_value
-    ahmed_p = ahmed_test(RMRS, PHI0).p_value
-    gupta_p = gupta_li_test(RMRS, mu0=math.log(PHI0)).p_value
+    fit = gupta_li_mle(RMRS)
+    lrt_p = lr_test(RMRS, fit, mu0=math.log(PHI0)).p_value
+    ahmed_p = ahmed_test(ahmed_components(RMRS), PHI0).p_value
+    gupta_p = gupta_li_test(fit, mu0=math.log(PHI0)).p_value
     elapsed = time.perf_counter() - start
     checks = {
         "lrt": (abs(lrt_p - 0.5245), 0.01),
@@ -261,7 +264,7 @@ def test_criterion_7_property_suite():
         ds = Dataset(groups=tuple(
             SampleSummary(int(rng.integers(3, 25)), float(rng.normal()),
                           float(rng.uniform(0.2, 3.0))) for _ in range(k)))
-        if lr_test(ds, mu0=float(rng.normal(0, 1))).statistic < 0:
+        if lr_test(ds, gupta_li_mle(ds), mu0=float(rng.normal(0, 1))).statistic < 0:
             failures.append("negative likelihood-ratio statistic")
             break
 

@@ -8,7 +8,6 @@ from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Dataset, SampleSummary,
                     ahmed_ci, ahmed_components, ahmed_test, baklizi_ci,
                     constrained_sigma2, gupta_li_ci, gupta_li_mle, gupta_li_test,
                     log_likelihood, lr_test, rmrs_dataset)
-from lnmean.classical import _gupta_li_sd
 
 RMRS = rmrs_dataset()
 PHI0 = 20000.0
@@ -30,30 +29,32 @@ def _rel_close(value, target, rel):
 
 
 def test_ahmed_rmrs_interval():
-    interval = ahmed_ci(RMRS, 0.95)
+    interval = ahmed_ci(ahmed_components(RMRS), 0.95)
     _rel_close(interval.phi_lower, 15831.21, 0.003)
     _rel_close(interval.phi_upper, 27720.26, 0.003)
 
 
 def test_ahmed_rmrs_pvalue():
-    outcome = ahmed_test(RMRS, PHI0)
+    outcome = ahmed_test(ahmed_components(RMRS), PHI0)
     assert outcome.p_value == pytest.approx(0.5582, abs=0.005)
 
 
 def test_ahmed_single_group_reduction():
     ds = Dataset(groups=(SampleSummary(12, 0.8, 1.1),), model=LOGNORMAL_MEAN)
     comp = ahmed_components(ds)
-    interval = ahmed_ci(ds, 0.95)
+    interval = ahmed_ci(comp, 0.95)
     z = stats.norm.ppf(0.975)
-    half = z * math.sqrt(comp.v_hats[0] / 12)
+    sigma2 = 11 / 12 * 1.1
+    v_hat = sigma2 * (1.0 + 0.5 * sigma2) * math.exp(2 * 0.8 + sigma2)  # delta method
+    half = z * math.sqrt(v_hat / 12)
     assert interval.phi_lower == pytest.approx(comp.theta_hats[0] - half, rel=1e-12)
     assert interval.phi_upper == pytest.approx(comp.theta_hats[0] + half, rel=1e-12)
 
 
 def test_ahmed_duplicated_group_shrinks_width():
     group = SampleSummary(15, 1.0, 0.9)
-    single = ahmed_ci(Dataset(groups=(group,), model=LOGNORMAL_MEAN))
-    double = ahmed_ci(Dataset(groups=(group, group), model=LOGNORMAL_MEAN))
+    single = ahmed_ci(ahmed_components(Dataset(groups=(group,), model=LOGNORMAL_MEAN)))
+    double = ahmed_ci(ahmed_components(Dataset(groups=(group, group), model=LOGNORMAL_MEAN)))
     assert double.estimate == pytest.approx(single.estimate, rel=1e-12)
     assert double.width == pytest.approx(single.width / math.sqrt(2.0), rel=1e-12)
 
@@ -67,15 +68,15 @@ def test_ahmed_pooled_estimate_is_convex_combination():
 
 def test_ahmed_test_at_pooled_estimate_and_endpoint():
     comp = ahmed_components(RMRS)
-    assert ahmed_test(RMRS, comp.theta_tilde).p_value == pytest.approx(1.0, abs=1e-12)
-    interval = ahmed_ci(RMRS, 0.95)
-    assert ahmed_test(RMRS, interval.phi_upper).p_value == pytest.approx(0.05, abs=1e-10)
+    assert ahmed_test(comp, comp.theta_tilde).p_value == pytest.approx(1.0, abs=1e-12)
+    interval = ahmed_ci(comp, 0.95)
+    assert ahmed_test(comp, interval.phi_upper).p_value == pytest.approx(0.05, abs=1e-10)
 
 
 def test_ahmed_requires_lognormal_model():
     ds = Dataset(groups=(SampleSummary(5, 0.0, 1.0),), model=COMMON_NORMAL_MEAN)
     with pytest.raises(ValueError, match="lognormal"):
-        ahmed_ci(ds)
+        ahmed_components(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def test_ahmed_requires_lognormal_model():
 
 
 def test_baklizi_rmrs_interval():
-    interval = baklizi_ci(RMRS, 0.95)
+    interval = baklizi_ci(ahmed_components(RMRS), 0.95)
     _rel_close(interval.phi_lower, 14372.59, 0.003)
     _rel_close(interval.phi_upper, 29178.79, 0.003)
 
@@ -91,8 +92,9 @@ def test_baklizi_rmrs_interval():
 def test_baklizi_single_group_equals_ahmed():
     # with one group the chi-square(1) quantile is the squared normal quantile
     ds = Dataset(groups=(SampleSummary(9, 1.4, 0.8),), model=LOGNORMAL_MEAN)
-    quad = baklizi_ci(ds, 0.95)
-    wald = ahmed_ci(ds, 0.95)
+    comp = ahmed_components(ds)
+    quad = baklizi_ci(comp, 0.95)
+    wald = ahmed_ci(comp, 0.95)
     assert quad.phi_lower == pytest.approx(wald.phi_lower, rel=1e-9)
     assert quad.phi_upper == pytest.approx(wald.phi_upper, rel=1e-9)
 
@@ -101,7 +103,7 @@ def test_baklizi_identical_groups_center():
     group = SampleSummary(20, 0.5, 1.2)
     ds = Dataset(groups=(group, group, group), model=LOGNORMAL_MEAN)
     comp = ahmed_components(ds)
-    interval = baklizi_ci(ds, 0.95)
+    interval = baklizi_ci(comp, 0.95)
     midpoint = 0.5 * (interval.phi_lower + interval.phi_upper)
     assert midpoint == pytest.approx(comp.theta_hats[0], rel=1e-9)
 
@@ -109,8 +111,9 @@ def test_baklizi_identical_groups_center():
 def test_baklizi_midpoint_level_free_and_width_monotone():
     ds = Dataset(groups=(SampleSummary(18, 0.9, 1.1), SampleSummary(25, 1.0, 0.8),
                          SampleSummary(12, 1.1, 1.4)), model=LOGNORMAL_MEAN)
-    narrow = baklizi_ci(ds, 0.80)
-    wide = baklizi_ci(ds, 0.99)
+    comp = ahmed_components(ds)
+    narrow = baklizi_ci(comp, 0.80)
+    wide = baklizi_ci(comp, 0.99)
     mid_narrow = 0.5 * (narrow.phi_lower + narrow.phi_upper)
     mid_wide = 0.5 * (wide.phi_lower + wide.phi_upper)
     assert mid_narrow == pytest.approx(mid_wide, rel=1e-12)
@@ -122,12 +125,12 @@ def test_baklizi_empty_acceptance_set_raises_by_name():
     groups = (SampleSummary(50, 0.0, 0.01), SampleSummary(50, 3.0, 0.01))
     with pytest.raises(ValueError, match=r"^empty acceptance set: no common mean is "
                                          r"accepted at level 0\.95$"):
-        baklizi_ci(Dataset(groups=groups, model=LOGNORMAL_MEAN), 0.95)
+        baklizi_ci(ahmed_components(Dataset(groups=groups, model=LOGNORMAL_MEAN)), 0.95)
 
 
 def test_baklizi_bounds_solve_the_acceptance_criterion():
     # the centred form against the definition: the criterion
-    # C(t) = sum_i n_i (theta_hat_i - t)^2 / v_hat_i equals q at each bound, and
+    # C(t) = sum_i w_i (theta_hat_i - t)^2, w_i = n_i / v_hat_i, equals q at each bound, and
     # the set is refused exactly when its minimum Q = C(theta_tilde) exceeds q.
     # Rounding moves a bound by a few ulps, and C by that times
     # |C'(bound)| <= 2 sqrt(q) / se, well under 1e-12 q at theta / se < 40 here
@@ -140,14 +143,14 @@ def test_baklizi_bounds_solve_the_acceptance_criterion():
                                      float(rng.uniform(0.2, 3.0))) for _ in range(k))
         ds = Dataset(groups=groups, model=LOGNORMAL_MEAN)
         comp = ahmed_components(ds)
-        n, theta, v = ds.counts(), np.array(comp.theta_hats), np.array(comp.v_hats)
+        w, theta = np.array(comp.weights), np.array(comp.theta_hats)
 
         def criterion(t):
-            return float(np.sum(n * (theta - t) ** 2 / v))
+            return float(np.sum(w * (theta - t) ** 2))
 
         q = stats.chi2.ppf(0.95, k)
         try:
-            interval = baklizi_ci(ds, 0.95)
+            interval = baklizi_ci(comp, 0.95)
         except ValueError as exc:
             assert str(exc).startswith("empty acceptance set")
             assert criterion(comp.theta_tilde) > q
@@ -165,11 +168,11 @@ def test_baklizi_nan_spread_is_the_named_range_error():
     # pooled estimate squared overflows too: 0 * inf is nan, ahmed's range
     # error, not an empty interval.  Ahmed itself answers from group b
     groups = (SampleSummary(2, 377.0, 0.01), SampleSummary(20, -159.0, 0.0001))
-    ds = Dataset(groups=groups, model=LOGNORMAL_MEAN)
-    assert ahmed_ci(ds).lower == pytest.approx(-159.0042, abs=1e-4)
+    comp = ahmed_components(Dataset(groups=groups, model=LOGNORMAL_MEAN))
+    assert ahmed_ci(comp).lower == pytest.approx(-159.0042, abs=1e-4)
     with pytest.raises(ValueError, match="^ahmed delta-method variances overflow or underflow "
                                          "the float range$"):
-        baklizi_ci(ds)
+        baklizi_ci(comp)
 
 
 @pytest.mark.parametrize("means", [(-500.0,), (500.0,), (1e200,), (-500.0, -499.9, -499.8),
@@ -180,13 +183,11 @@ def test_ahmed_and_baklizi_out_of_range_fail_by_name(means):
     # n / v), at +500 and 1e200 they overflow to inf (a zero weight); both are
     # the named ValueError, never a ZeroDivisionError or OverflowError.  At
     # (0, 800) only group 2 overflows, and its theta_hat of inf would make the
-    # pooled sum 0 * inf = nan beside group 1's finite weight
+    # pooled sum 0 * inf = nan beside group 1's finite weight.  Every ahmed and
+    # baklizi procedure reads these components, so none of them answers here
     groups = tuple(SampleSummary(10 + i, mean, 1.0 + i) for i, mean in enumerate(means))
-    ds = Dataset(groups=groups, model=LOGNORMAL_MEAN)
-    for call in (lambda: ahmed_components(ds), lambda: ahmed_ci(ds),
-                 lambda: ahmed_test(ds, 2.0), lambda: baklizi_ci(ds)):
-        with pytest.raises(ValueError, match="overflow or underflow the float range"):
-            call()
+    with pytest.raises(ValueError, match="overflow or underflow the float range"):
+        ahmed_components(Dataset(groups=groups, model=LOGNORMAL_MEAN))
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +278,9 @@ def test_ml_methods_on_large_log_variances():
     assert fit.converged
     grid = np.linspace(-1.0, 1000.0, 200_001)
     assert fit.log_likelihood >= _profile_on_grid(ds, grid).max() - 1e-9
-    for outcome in (lr_test(ds, mu0=0.0), gupta_li_test(ds, mu0=0.0)):
+    for outcome in (lr_test(ds, fit, mu0=0.0), gupta_li_test(fit, mu0=0.0)):
         assert math.isfinite(outcome.statistic)
         assert 0.0 <= outcome.p_value <= 1.0
-
-
-def test_shared_fit_gives_identical_results():
-    rng = np.random.default_rng(89)
-    ds = _dataset(rng, 2)
-    fit = gupta_li_mle(ds)
-    assert lr_test(ds, mu0=0.4, fit=fit) == lr_test(ds, mu0=0.4)
-    assert gupta_li_test(ds, mu0=0.4, fit=fit) == gupta_li_test(ds, mu0=0.4)
-    assert gupta_li_ci(ds, 0.9, fit=fit) == gupta_li_ci(ds, 0.9)
-    comp = ahmed_components(ds)
-    assert ahmed_test(ds, 1.5, components=comp) == ahmed_test(ds, 1.5)
-    assert ahmed_ci(ds, 0.9, components=comp) == ahmed_ci(ds, 0.9)
-    assert baklizi_ci(ds, 0.9, components=comp) == baklizi_ci(ds, 0.9)
 
 
 def test_constrained_sigma2_solves_score_equation():
@@ -306,10 +294,11 @@ def test_constrained_sigma2_solves_score_equation():
 
 
 def test_gupta_li_rmrs_interval_and_pvalue():
-    interval = gupta_li_ci(RMRS, 0.95)
+    fit = gupta_li_mle(RMRS)
+    interval = gupta_li_ci(fit, 0.95)
     _rel_close(interval.phi_lower, 16596.91, 0.003)
     _rel_close(interval.phi_upper, 28658.17, 0.003)
-    assert gupta_li_test(RMRS, mu0=MU0).p_value == pytest.approx(0.5343, abs=0.01)
+    assert gupta_li_test(fit, mu0=MU0).p_value == pytest.approx(0.5343, abs=0.01)
 
 
 def test_gupta_li_variance_symmetry_halves_single_group_value():
@@ -321,7 +310,7 @@ def test_gupta_li_variance_symmetry_halves_single_group_value():
     assert fit.sigma2_hats[0] == pytest.approx(fit.sigma2_hats[1], rel=1e-12)
     n, v = 30, fit.sigma2_hats[0]
     single = (2 * n / v + n) / (2.0 * n ** 2 / v ** 2)
-    interval = gupta_li_ci(ds, 0.95)
+    interval = gupta_li_ci(fit, 0.95)
     z = stats.norm.ppf(0.975)
     width_log = interval.upper - interval.lower
     assert width_log == pytest.approx(2 * z * math.sqrt(single / 2.0), rel=1e-9)
@@ -332,9 +321,9 @@ def test_gupta_li_runs_at_any_group_count():
     for k in (1, 3):
         ds = _dataset(rng, k)
         fit = gupta_li_mle(ds)
-        interval = gupta_li_ci(ds, fit=fit)
+        interval = gupta_li_ci(fit)
         assert interval.lower < fit.mu_hat < interval.upper
-        assert 0.0 < gupta_li_test(ds, mu0=0.0, fit=fit).p_value <= 1.0
+        assert 0.0 < gupta_li_test(fit, mu0=0.0).p_value <= 1.0
 
 
 def _expected_information(ds, sigma2s):
@@ -361,8 +350,8 @@ def test_gupta_li_sd_inverts_the_full_fisher_information():
             fit = gupta_li_mle(ds)
             info = _expected_information(ds, fit.sigma2_hats)
             reference = math.sqrt(np.linalg.inv(info)[0, 0])
-            assert _gupta_li_sd(ds, fit.sigma2_hats) == pytest.approx(reference, rel=1e-10)
-            interval = gupta_li_ci(ds, 0.95, fit=fit)
+            assert fit.std_error == pytest.approx(reference, rel=1e-10)
+            interval = gupta_li_ci(fit, 0.95)
             assert interval.upper - interval.lower == pytest.approx(2 * z * reference,
                                                                     rel=1e-10)
 
@@ -381,9 +370,9 @@ def test_gupta_li_sd_matches_the_two_group_formula():
     for _ in range(2000):
         ds = _dataset(rng, 2, n_range=(2, 60))
         fit = gupta_li_mle(ds)
-        _rel_close(_gupta_li_sd(ds, fit.sigma2_hats), _two_group_sd(ds, fit.sigma2_hats), 1e-15)
+        _rel_close(fit.std_error, _two_group_sd(ds, fit.sigma2_hats), 1e-15)
     fit = gupta_li_mle(RMRS)
-    assert _gupta_li_sd(RMRS, fit.sigma2_hats) == _two_group_sd(RMRS, fit.sigma2_hats)
+    assert fit.std_error == _two_group_sd(RMRS, fit.sigma2_hats)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +380,12 @@ def test_gupta_li_sd_matches_the_two_group_formula():
 
 
 def test_lr_rmrs_pvalue():
-    assert lr_test(RMRS, mu0=MU0).p_value == pytest.approx(0.5245, abs=0.01)
+    assert lr_test(RMRS, gupta_li_mle(RMRS), mu0=MU0).p_value == pytest.approx(0.5245, abs=0.01)
 
 
 def test_lr_at_the_mle_is_one():
     fit = gupta_li_mle(RMRS)
-    outcome = lr_test(RMRS, mu0=fit.mu_hat)
+    outcome = lr_test(RMRS, fit, mu0=fit.mu_hat)
     assert outcome.statistic == pytest.approx(0.0, abs=1e-9)
     assert outcome.p_value > 0.999
 
@@ -406,7 +395,7 @@ def test_lr_statistic_nonnegative():
     for _ in range(1000):
         ds = _dataset(rng, int(rng.integers(1, 4)), n_range=(3, 25))
         mu0 = float(rng.normal(ds.means().mean(), 1.0))
-        assert lr_test(ds, mu0=mu0).statistic >= 0.0
+        assert lr_test(ds, gupta_li_mle(ds), mu0=mu0).statistic >= 0.0
 
 
 def test_lr_agrees_with_direct_joint_maximization():
@@ -414,7 +403,7 @@ def test_lr_agrees_with_direct_joint_maximization():
     for _ in range(5):
         ds = _dataset(rng, 2)
         mu0 = float(rng.normal(ds.means().mean(), 0.4))
-        ours = lr_test(ds, mu0=mu0).statistic
+        ours = lr_test(ds, gupta_li_mle(ds), mu0=mu0).statistic
 
         def negative_ll(theta, ds=ds):
             return -log_likelihood(ds, theta[0], np.exp(theta[1:]))
@@ -433,21 +422,22 @@ def test_lr_names_an_overflowing_profile_variance():
     # the fit itself stays near 1e200 and succeeds
     ds = Dataset(groups=(SampleSummary(10, 1e200, 1.0), SampleSummary(12, 1e200, 2.0)),
                  model=LOGNORMAL_MEAN)
-    with pytest.raises(ValueError, match="profile variance at mu = 0 overflows"):
-        lr_test(ds, mu0=0.0)
     fit = gupta_li_mle(ds)
     assert fit.mu_hat == pytest.approx(1e200, rel=1e-12)
-    assert gupta_li_test(ds, mu0=0.0, fit=fit).p_value == 0.0
+    with pytest.raises(ValueError, match="profile variance at mu = 0 overflows"):
+        lr_test(ds, fit, mu0=0.0)
+    assert gupta_li_test(fit, mu0=0.0).p_value == 0.0
 
 
 def test_ml_tests_take_a_finite_log_scale_null_by_keyword():
-    for test in (lr_test, gupta_li_test):
+    fit = gupta_li_mle(RMRS)
+    for test, pieces in ((lr_test, (RMRS, fit)), (gupta_li_test, (fit,))):
         with pytest.raises(ValueError, match="mu0 must be finite"):
-            test(RMRS, mu0=math.inf)
+            test(*pieces, mu0=math.inf)
         # an original-scale null passed by position, as these tests once took it,
         # is refused rather than read on the log scale
         with pytest.raises(TypeError):
-            test(RMRS, PHI0)
+            test(*pieces, PHI0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +448,12 @@ def test_all_methods_permutation_invariant():
     rng = np.random.default_rng(88)
     ds = _dataset(rng, 2)
     flipped = Dataset(groups=ds.groups[::-1], model=ds.model)
-    assert ahmed_ci(ds).phi_lower == pytest.approx(ahmed_ci(flipped).phi_lower, rel=1e-12)
-    assert baklizi_ci(ds).phi_upper == pytest.approx(baklizi_ci(flipped).phi_upper, rel=1e-12)
-    assert gupta_li_test(ds, mu0=0.7).p_value == pytest.approx(
-        gupta_li_test(flipped, mu0=0.7).p_value, rel=1e-9)
-    assert lr_test(ds, mu0=0.7).p_value == pytest.approx(
-        lr_test(flipped, mu0=0.7).p_value, rel=1e-9)
+    comp, comp_flipped = ahmed_components(ds), ahmed_components(flipped)
+    fit, fit_flipped = gupta_li_mle(ds), gupta_li_mle(flipped)
+    assert ahmed_ci(comp).phi_lower == pytest.approx(ahmed_ci(comp_flipped).phi_lower, rel=1e-12)
+    assert baklizi_ci(comp).phi_upper == pytest.approx(baklizi_ci(comp_flipped).phi_upper,
+                                                       rel=1e-12)
+    assert gupta_li_test(fit, mu0=0.7).p_value == pytest.approx(
+        gupta_li_test(fit_flipped, mu0=0.7).p_value, rel=1e-9)
+    assert lr_test(ds, fit, mu0=0.7).p_value == pytest.approx(
+        lr_test(flipped, fit_flipped, mu0=0.7).p_value, rel=1e-9)

@@ -470,9 +470,18 @@ TWO_GROUPS = SUMMARY + "a,10,0.5,1.0\nb,5,0.1,1.0\n"
     pytest.param(TWO_GROUPS, "test --summary {path} --phi0 2 --model-a 1 --model-b 0",
                  "--phi0 applies to the lognormal-mean model; use --mu0",
                  id="phi0-outside-lognormal"),
-    pytest.param(None, "test --example rmrs --phi0 0", "phi0 must be positive",
+    pytest.param(None, "test --example rmrs --phi0 0", "phi0 must be positive and finite",
                  id="test-phi0-0"),
-    pytest.param(None, "example --phi0 0", "phi0 must be positive", id="example-phi0-0"),
+    pytest.param(None, "test --example rmrs --phi0 inf", "phi0 must be positive and finite",
+                 id="test-phi0-inf"),
+    pytest.param(None, "test --example rmrs --phi0 nan", "phi0 must be positive and finite",
+                 id="test-phi0-nan"),
+    pytest.param(None, "example --phi0 0", "phi0 must be positive and finite",
+                 id="example-phi0-0"),
+    pytest.param(None, "example --phi0 inf", "phi0 must be positive and finite",
+                 id="example-phi0-inf"),
+    pytest.param(None, "example --phi0 nan", "phi0 must be positive and finite",
+                 id="example-phi0-nan"),
     pytest.param(None, "ci --example rmrs --level 1.5", "level must be in (0, 1)",
                  id="ci-level"),
     pytest.param(None, "example --level 1.5", "level must be in (0, 1)", id="example-level"),

@@ -90,6 +90,9 @@ def test_chi_square_df_validation():
         chi_square(-3, rng)
     with pytest.raises(ValueError):
         chi_square(2.5, rng)
+    for df in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            chi_square(df, rng, 3)
     with pytest.raises(ValueError):
         chi_square(np.array([4, 0]), rng, (10, 2))
 

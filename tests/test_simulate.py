@@ -153,8 +153,8 @@ def test_run_cell_rates_and_se_formula():
         key = StreamKey(cell.seed, cell.cell_index * cell.outer_reps + replicate)
         ds = simulate._simulate_dataset(cell, key.generator(0))
         comp = classical.ahmed_components(ds)
-        spread = sum(g.n / v * (theta - comp.theta_tilde) ** 2
-                     for g, theta, v in zip(ds.groups, comp.theta_hats, comp.v_hats))
+        spread = sum(w * (theta - comp.theta_tilde) ** 2
+                     for w, theta in zip(comp.weights, comp.theta_hats))
         empty += spread > q
     assert result.coverage["baklizi"].failures == empty
     others = [rate for name, rate in (*result.rejection.items(), *result.coverage.items())
@@ -200,7 +200,7 @@ def test_power_saturates_for_distant_alternative():
 
 
 def test_method_failures_are_counted_not_fatal(monkeypatch):
-    def broken(ds, **shared):
+    def broken(ds, fit, *, mu0):
         raise ValueError("forced failure")
 
     monkeypatch.setattr(classical, "lr_test", broken)
@@ -213,7 +213,7 @@ def test_method_failures_are_counted_not_fatal(monkeypatch):
 
 
 def test_a_failure_counts_against_the_procedure_that_raised_it(monkeypatch):
-    def broken(ds, level, **shared):
+    def broken(fit, level):
         raise ValueError("forced failure")
 
     # every gupta-li interval fails; its test at phi0 = e^700 still answers,
@@ -258,7 +258,7 @@ def test_a_failed_data_draw_counts_against_every_procedure():
 
 
 def test_method_bugs_propagate(monkeypatch):
-    def buggy(ds, phi0, **shared):
+    def buggy(comp, phi0, alternative):
         raise TypeError("a bug, not a method failure")
 
     monkeypatch.setattr(classical, "ahmed_test", buggy)
