@@ -12,10 +12,10 @@ ML fit is a global search over the one-dimensional profile likelihood of mu.
 
 Two builders take the dataset and do the shared work: ``ahmed_components``
 (ahmed and baklizi) and ``gupta_li_mle`` (gupta-li and lrt).  The procedures
-read what a builder made and recompute none of it; only the likelihood-ratio
-test also needs the dataset, for the profile likelihood at its null.  The
-builders refuse a dataset outside the lognormal-mean model, so the pieces
-exist only for that model.
+read what a builder made and recompute none of it; the fit carries the group
+terms that the likelihood-ratio test reads for the profile likelihood at its
+null.  The builders refuse a dataset outside the lognormal-mean model, so
+the pieces exist only for that model.
 
 k is small, so formulas over the groups run in scalar arithmetic on Python
 floats.  Their sums go left to right, as numpy sums fewer than 8 elements, and
@@ -36,7 +36,7 @@ from scipy import optimize, special, stats
 
 from .model import Dataset
 from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
-                       interval_from_log, interval_from_phi)
+                       interval_from_log, interval_from_phi, log_phi0)
 
 _SIGMA2_FLOOR = 1e-12
 # the largest x whose exp is finite
@@ -49,11 +49,6 @@ _MU_XTOL = 1e-14
 def _require_lognormal(ds: Dataset) -> None:
     if not ds.model.is_lognormal_mean:
         raise ValueError("defined for the lognormal-mean model (a=1, b=-0.5) only")
-
-
-def _require_phi0(phi0: float) -> None:
-    if not (math.isfinite(phi0) and phi0 > 0.0):
-        raise ValueError("phi0 must be finite and positive")
 
 
 def _require_mu0(mu0: float) -> None:
@@ -136,7 +131,7 @@ def ahmed_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
 def ahmed_test(comp: AhmedComponents, phi0: float,
                alternative: Alternative = Alternative.TWO_SIDED) -> TestOutcome:
     """Wald test of the pooled estimate against phi0 on the original scale."""
-    _require_phi0(phi0)
+    log_phi0(phi0)  # checks phi0
     z = (comp.theta_tilde - phi0) / comp.std_error
     p = _wald_pvalue(z, alternative)
     return TestOutcome(p_value=p, mc_std_error=0.0, reps_used=0, statistic=z)
@@ -178,7 +173,8 @@ class MleResult:
     profiled out it carries information 2 n_i / (v_i (2 + v_i)) about mu, and
     the groups add.  ``iterations`` counts evaluations of the profile score
     of mu, and ``converged`` is False only if a Brent search stopped short of
-    its tolerance.
+    its tolerance.  ``groups`` are the (n_i, ybar_i, (n_i - 1) s_i^2) of the
+    fitted dataset, which the likelihood-ratio test reads at its null.
     """
 
     mu_hat: float
@@ -187,6 +183,7 @@ class MleResult:
     std_error: float
     iterations: int
     converged: bool
+    groups: tuple[tuple[float, float, float], ...]
 
 
 def log_likelihood(ds: Dataset, mu: float, sigma2s) -> float:
@@ -308,7 +305,7 @@ def gupta_li_mle(ds: Dataset) -> MleResult:
     information = sum(2.0 * n / (v * (2.0 + v)) for (n, _, _), v in zip(groups, sigma2_hats))
     return MleResult(mu_hat=mu_hat, sigma2_hats=sigma2_hats, log_likelihood=ll,
                      std_error=information ** -0.5, iterations=evaluations,
-                     converged=converged)
+                     converged=converged, groups=tuple(groups))
 
 
 def gupta_li_ci(fit: MleResult, level: float = 0.95) -> IntervalOutcome:
@@ -326,17 +323,16 @@ def gupta_li_test(fit: MleResult, *, mu0: float) -> TestOutcome:
                        reps_used=0, statistic=z)
 
 
-def lr_test(ds: Dataset, fit: MleResult, *, mu0: float) -> TestOutcome:
+def lr_test(fit: MleResult, *, mu0: float) -> TestOutcome:
     """Profile likelihood-ratio test of mu = mu0 (log scale), chi-square(1) calibrated.
 
-    ``fit`` is ``gupta_li_mle(ds)``.  The statistic is 2 (l_p(mu_hat) -
-    l_p(mu0)) with l_p the profile log-likelihood, nonnegative because mu_hat
-    is its global maximizer.
+    The statistic is 2 (l_p(mu_hat) - l_p(mu0)) with l_p the profile
+    log-likelihood of the fitted groups, nonnegative because mu_hat is its
+    global maximizer.
     """
-    _require_lognormal(ds)
     _require_mu0(mu0)
     # the clamp only removes rounding residue when mu0 is within ulps of mu_hat
-    lam = max(2.0 * (fit.log_likelihood - _profile_log_likelihood(ds.group_terms(), mu0)), 0.0)
+    lam = max(2.0 * (fit.log_likelihood - _profile_log_likelihood(fit.groups, mu0)), 0.0)
     return TestOutcome(p_value=float(special.chdtrc(1, lam)), mc_std_error=0.0,
                        reps_used=0, statistic=lam)
 

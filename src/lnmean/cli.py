@@ -13,7 +13,7 @@ import sys
 from . import methods
 from .generalized import TestSpec, require_draws
 from .model import LOGNORMAL_MEAN, Dataset, ModelSpec, SampleSummary, summarize
-from .outcomes import Alternative, exp_or_inf
+from .outcomes import Alternative, exp_or_inf, log_phi0
 from .rmrs import RMRS_GROUP_LABELS, RMRS_SUMMARY_ROWS, rmrs_dataset
 from .samplers import StreamKey
 from .simulate import cells_from_config, load_grid_config, run_grid, write_csv
@@ -194,29 +194,23 @@ def _require_columns(reader, path, names) -> None:
 # test / ci / example
 
 
-def _log_phi0(phi0: float) -> float:
-    """log(phi0) of an original-scale null phi0, which must be positive and finite."""
-    if not (math.isfinite(phi0) and phi0 > 0):
-        raise ValueError("phi0 must be positive and finite")
-    return math.log(phi0)
-
-
 def _null_values(args, model: ModelSpec) -> tuple[float, float | None]:
     if args.phi0 is not None:
         if not model.is_lognormal_mean:
             raise ValueError("--phi0 applies to the lognormal-mean model; use --mu0")
-        return _log_phi0(args.phi0), args.phi0
+        return log_phi0(args.phi0), args.phi0
     phi0 = exp_or_inf(args.mu0) if model.is_lognormal_mean else None
     return args.mu0, phi0
 
 
 def _shared_work(ds: Dataset, entries, reps: int, seed: int,
                  level: float | None = None) -> methods.SharedWork:
-    # both Monte Carlo methods read one draw from the seed's stream, in an
-    # order that does not depend on which of them were requested
-    if any(entry.monte_carlo for entry in entries):
+    # the Monte Carlo methods read the draw rows of the seed's stream, each
+    # row its own substream, so no number depends on which were requested
+    kinds = methods.pivot_kinds(entries)
+    if kinds:
         require_draws(reps, level)
-    return methods.SharedWork(ds, reps, StreamKey(seed).generator)
+    return methods.SharedWork(ds, reps, StreamKey(seed), kinds=kinds)
 
 
 def _results(entries, run) -> list[dict]:
@@ -235,7 +229,7 @@ def _test_row(entry, work, spec: TestSpec, phi0: float | None) -> dict:
     outcome = entry.test(work, spec, phi0)
     return {
         "p_value": outcome.p_value,
-        "mc_std_error": outcome.mc_std_error if entry.monte_carlo else None,
+        "mc_std_error": outcome.mc_std_error if entry.pivot is not None else None,
         "statistic": outcome.statistic,
     }
 
@@ -303,7 +297,7 @@ def _cmd_ci(args) -> int:
 
 def _cmd_example(args) -> int:
     ds = rmrs_dataset()
-    mu0 = _log_phi0(args.phi0)
+    mu0 = log_phi0(args.phi0)
     if not 0.0 < args.level < 1.0:
         raise ValueError("level must be in (0, 1)")
     seed = _resolve_seed(args.seed)

@@ -4,12 +4,13 @@ Two pivot constructions are available.  The "weighted" pivot averages
 per-group pivots with data-dependent random weights; the "umvue" pivot plugs
 random variance surrogates into the known-variance point estimator.
 
-``PivotDraws`` holds the random draws of one Monte Carlo stream, which both
-pivots read, and ``sample_pivots`` evaluates one pivot for mu, the shared
-parameter, on them.  ``pvalue_from_pivots`` reads a test outcome off the
-pivots (a tail frequency) and ``interval_from_pivots`` an interval (two
-empirical quantiles off one sort), each checking that there are enough
-pivots for what it reads.
+``PivotDraws`` addresses the random draws of one Monte Carlo stream, one
+substream per draw row, which both pivots read, and ``sample_pivots``
+evaluates the requested pivots for mu, the shared parameter, on them in one
+pass.  ``pvalue_from_pivots`` reads a test outcome off the pivots (a tail
+frequency) and ``interval_from_pivots`` an interval (two empirical
+quantiles off one sort), each checking that there are enough pivots for
+what it reads.
 ``gp_value`` and ``gci`` draw from a seed and read in one call.
 """
 
@@ -165,69 +166,66 @@ def pivot_draw_umvue(ds: Dataset, u, z):
 
 
 class PivotDraws:
-    """The random draws of one Monte Carlo stream, shared by both pivots.
+    """The draw rows of one Monte Carlo stream, shared by both pivots.
 
-    The draws are group-major ``(k, reps)`` arrays taken from ``rng`` in a
-    fixed order: u ~ chi2(n_i - 1), then z ~ N(0, 1), then v ~ chi2(n_i - 1).
-    The umvue pivot reads u and z[0]; the rest of z, and v, are drawn the
-    first time the weighted pivot asks for them.  Either pivot alone draws
-    only what it reads, and each reads the same numbers whichever asks first.
+    There are 3k rows of ``reps`` draws: u_i ~ chi2(n_i - 1) are rows 0..k-1,
+    z_i ~ N(0, 1) rows k..2k-1 and v_i ~ chi2(n_i - 1) rows 2k..3k-1.  Row j
+    is its own substream, ``key.generator(*lanes, j)`` (see ``samplers``).
+    The umvue pivot reads the u rows and z_1, k + 1 rows; the weighted pivot
+    reads all 3k.  Nothing is drawn or kept here: ``sample_pivots`` makes the
+    generators of the rows it reads and draws them in order, so each pivot
+    reads the same numbers whichever other pivots are evaluated with it, and
+    the first m of ``reps`` pivots are the pivots of m draws.
     """
 
-    def __init__(self, ds: Dataset, reps: int, rng: np.random.Generator):
+    def __init__(self, ds: Dataset, reps: int, key: StreamKey, *lanes: int):
         self.ds = ds
         self.reps = reps
-        self._rng = rng
-        self._u = self._chi_square_rows()
-        self._z = np.empty((ds.k, reps))
-        self._z[0] = std_normal(rng, reps)
-        self._v = None
+        self.key = key
+        self.lanes = lanes
 
-    def _chi_square_rows(self) -> np.ndarray:
-        # one scalar-df call per group row draws what one broadcast call over
-        # (k, reps) draws, in the same order, without numpy's per-element
-        # broadcast iteration
-        return np.array([chi_square(g.n - 1, self._rng, self.reps) for g in self.ds.groups])
-
-    def umvue(self) -> tuple[np.ndarray, np.ndarray]:
-        """(u, z[0]): the draws of the umvue pivot."""
-        return self._u, self._z[0]
-
-    def weighted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(z, u, v): the draws of the weighted pivot."""
-        if self._v is None:
-            self._z[1:] = std_normal(self._rng, (self.ds.k - 1, self.reps))
-            self._v = self._chi_square_rows()
-        return self._z, self._u, self._v
+    def row_generator(self, row: int) -> np.random.Generator:
+        """A fresh generator at the start of draw row ``row``."""
+        return self.key.generator(*self.lanes, row)
 
 
-# rows of draws per pivot evaluation: the formulas' temporaries stay this
-# long instead of ``reps`` long
+# draws per row taken at a time: the draw arrays and the formulas'
+# temporaries stay this long instead of ``reps`` long.  It changes no number.
 PIVOT_BLOCK = 8192
 
 
-def sample_pivots(draws: PivotDraws, method: PivotMethod) -> np.ndarray:
-    """``draws.reps`` pivot values of ``method`` from ``draws``.
+def sample_pivots(draws: PivotDraws, kinds) -> np.ndarray:
+    """``draws.reps`` pivots of each of ``kinds``: row i holds those of ``kinds[i]``.
 
-    The formulas run over ``PIVOT_BLOCK`` rows at a time into one array; they
-    work row by row, so each value is the one they give on the whole arrays.
+    One pass walks the draws ``PIVOT_BLOCK`` at a time.  It fills reused
+    (k, block) arrays from the row substreams that the kinds read and runs
+    each kind's formula on them.  The formulas work draw by draw and each row
+    is one sequential stream, so no value depends on the block length.
     """
-    method = PivotMethod.coerce(method)
-    ds = draws.ds
-    if method is PivotMethod.WEIGHTED:
-        z, u, v = draws.weighted()
-
-        def block(rows):
-            return pivot_draw_weighted(ds, z[:, rows].T, u[:, rows].T, v[:, rows].T)
-    else:
-        u, z0 = draws.umvue()
-
-        def block(rows):
-            return pivot_draw_umvue(ds, u[:, rows].T, z0[rows])
-    out = np.empty(draws.reps)
-    for start in range(0, draws.reps, PIVOT_BLOCK):
-        rows = slice(start, start + PIVOT_BLOCK)
-        out[rows] = block(rows)
+    kinds = [PivotMethod.coerce(kind) for kind in kinds]
+    ds, k, reps = draws.ds, draws.ds.k, draws.reps
+    weighted = PivotMethod.WEIGHTED in kinds
+    dfs = [g.n - 1 for g in ds.groups]
+    u_rows = [draws.row_generator(i) for i in range(k)]
+    z_rows = [draws.row_generator(k + i) for i in range(k if weighted else 1)]
+    v_rows = [draws.row_generator(2 * k + i) for i in range(k)] if weighted else []
+    width = min(PIVOT_BLOCK, reps)
+    u, z, v = (np.empty((len(rows), width)) for rows in (u_rows, z_rows, v_rows))
+    out = np.empty((len(kinds), reps))
+    for start in range(0, reps, width):
+        m = min(width, reps - start)
+        for i, rng in enumerate(u_rows):
+            chi_square(dfs[i], rng, out=u[i, :m])
+        for i, rng in enumerate(z_rows):
+            std_normal(rng, out=z[i, :m])
+        for i, rng in enumerate(v_rows):
+            chi_square(dfs[i], rng, out=v[i, :m])
+        for row, kind in zip(out, kinds):
+            if kind is PivotMethod.WEIGHTED:
+                row[start:start + m] = pivot_draw_weighted(ds, z[:, :m].T, u[:, :m].T,
+                                                           v[:, :m].T)
+            else:
+                row[start:start + m] = pivot_draw_umvue(ds, u[:, :m].T, z[0, :m])
     return out
 
 
@@ -295,15 +293,15 @@ def interval_from_pivots(pivots: np.ndarray, level: float) -> IntervalOutcome:
 def gp_value(ds: Dataset, spec: TestSpec, cfg: MCConfig) -> TestOutcome:
     """Monte Carlo p-value for mu: ``cfg.reps`` pivots of ``cfg.method`` from
     the stream of ``cfg.seed``, read by ``pvalue_from_pivots``."""
-    draws = PivotDraws(ds, cfg.reps, StreamKey(cfg.seed).generator())
-    return pvalue_from_pivots(sample_pivots(draws, cfg.method), spec)
+    draws = PivotDraws(ds, cfg.reps, StreamKey(cfg.seed))
+    return pvalue_from_pivots(sample_pivots(draws, [cfg.method])[0], spec)
 
 
 def gci(ds: Dataset, level: float, cfg: MCConfig) -> IntervalOutcome:
     """Confidence interval for mu: ``cfg.reps`` pivots of ``cfg.method`` from
     the stream of ``cfg.seed``, read by ``interval_from_pivots``."""
-    draws = PivotDraws(ds, cfg.reps, StreamKey(cfg.seed).generator())
-    return interval_from_pivots(sample_pivots(draws, cfg.method), level)
+    draws = PivotDraws(ds, cfg.reps, StreamKey(cfg.seed))
+    return interval_from_pivots(sample_pivots(draws, [cfg.method])[0], level)
 
 
 def _check_group_axis(ds: Dataset, arr: np.ndarray, name: str) -> None:

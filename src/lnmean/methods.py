@@ -17,6 +17,7 @@ from . import classical, generalized
 from .generalized import PivotMethod, TestSpec
 from .model import Dataset, ModelSpec
 from .outcomes import Alternative, IntervalOutcome, TestOutcome
+from .samplers import StreamKey
 
 # what a procedure raises when it cannot answer on the data; any other exception is a bug
 FAILURES = (ValueError, ArithmeticError)
@@ -26,14 +27,17 @@ class SharedWork:
     """Work several methods need on one dataset, each piece done on first use;
     a call that raises is not kept, so the next method to need it tries again.
 
-    Both pivots read one ``PivotDraws`` of ``reps`` draws from the generator
-    that ``generator()`` makes when a pivot is first asked for.
+    The pivots read the draw rows of ``PivotDraws(ds, reps, key, *lanes)``.
+    ``kinds`` are the pivot kinds the caller's methods read: the first of
+    them asked for evaluates them all in one pass.  A kind outside them is
+    evaluated alone, from the same rows, to the same numbers.
     """
 
-    def __init__(self, ds: Dataset, reps: int, generator: Callable[[], np.random.Generator]):
+    def __init__(self, ds: Dataset, reps: int, key: StreamKey, *lanes: int,
+                 kinds: tuple[PivotMethod, ...]):
         self.ds = ds
-        self.reps = reps
-        self._generator = generator
+        self._draws = generalized.PivotDraws(ds, reps, key, *lanes)
+        self._kinds = kinds
         self._done: dict = {}  # cheaper to make than cache wrappers, once per replicate
 
     def _once(self, key, compute):
@@ -48,10 +52,11 @@ class SharedWork:
         return self._once("components", lambda: classical.ahmed_components(self.ds))
 
     def pivots(self, kind: PivotMethod) -> np.ndarray:
-        """``reps`` pivots of ``kind`` from the shared draws."""
-        draws = self._once("draws", lambda: generalized.PivotDraws(
-            self.ds, self.reps, self._generator()))
-        return self._once(kind, lambda: generalized.sample_pivots(draws, kind))
+        """``reps`` pivots of ``kind`` from the shared draw rows."""
+        if kind not in self._done:
+            batch = self._kinds if kind in self._kinds else (kind,)
+            self._done.update(zip(batch, generalized.sample_pivots(self._draws, batch)))
+        return self._done[kind]
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,8 @@ class Method:
     the caller has it, for ahmed, which tests there; every other test reads
     the log-scale ``spec.mu0``.  ``interval(work, level)`` takes the level.
     Either is None where the method has no such procedure.  A procedure that
-    cannot answer on the data raises one of ``FAILURES``.
+    cannot answer on the data raises one of ``FAILURES``.  ``pivot`` is the
+    Monte Carlo pivot kind that a generalized method reads.
     """
 
     name: str
@@ -70,7 +76,7 @@ class Method:
     interval: Callable[[SharedWork, float], IntervalOutcome] | None
     lognormal_only: bool = True
     two_sided_only: bool = False
-    monte_carlo: bool = False
+    pivot: PivotMethod | None = None
 
     def unsupported(self, model: ModelSpec, kind: str | None,
                     alternative: Alternative) -> str | None:
@@ -93,12 +99,12 @@ def _generalized(name: str, kind: PivotMethod) -> Method:
     def interval(work, level):
         return generalized.interval_from_pivots(work.pivots(kind), level)
 
-    return Method(name, test, interval, lognormal_only=False, monte_carlo=True)
+    return Method(name, test, interval, lognormal_only=False, pivot=kind)
 
 
 METHODS = {entry.name: entry for entry in (
     Method("lrt",
-           test=lambda work, spec, phi0: classical.lr_test(work.ds, work.fit(), mu0=spec.mu0),
+           test=lambda work, spec, phi0: classical.lr_test(work.fit(), mu0=spec.mu0),
            interval=None, two_sided_only=True),
     Method("ahmed",
            test=lambda work, spec, phi0: classical.ahmed_test(
@@ -116,6 +122,11 @@ METHODS = {entry.name: entry for entry in (
 )}
 
 METHOD_ORDER = tuple(METHODS)
+
+
+def pivot_kinds(entries) -> tuple[PivotMethod, ...]:
+    """The pivot kinds that the method table ``entries`` read, each once."""
+    return tuple(dict.fromkeys(entry.pivot for entry in entries if entry.pivot is not None))
 
 
 def normalize_method(name: str) -> str:

@@ -90,6 +90,13 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def log_phi0(phi0: float) -> float:
+    """log(phi0) of a null phi0 on the original scale, which must be positive and finite."""
+    if not (math.isfinite(phi0) and phi0 > 0.0):
+        raise ValueError("phi0 must be positive and finite")
+    return math.log(phi0)
+
+
 def interval_from_log(lower: float, upper: float, level: float,
                       estimate: float | None = None) -> IntervalOutcome:
     """Interval whose native scale is the log scale; exponentiates exactly."""

@@ -13,12 +13,23 @@ hashes the 32-bit words of the address after zero-padding them to its
 * an integer of 2**32 or more spans several words: ``StreamKey(s, 2**32)``
   is ``StreamKey(s, 0).generator(1)``.
 
-The addresses of one run do not meet: the command line draws from
-``StreamKey(seed)`` with no lane, and simulation replicate r of cell c reads
-lanes 0 and 1 of stream c * outer_reps + r, and ``SimulationCell`` refuses a
-cell whose last such index is 2**32 or more.  Parallel work is split by
-stream index instead of sharing one mutable generator, which makes results
-independent of worker count.
+The addresses of one run do not meet.  A Monte Carlo draw set gives each
+of its draw rows a substream of its own, one lane past the set's address
+(see ``generalized.PivotDraws``): row j is ``key.generator(*lanes, j)``.
+
+* The command line's rows are ``StreamKey(seed).generator(j)``.  Row 0 is
+  the same stream as ``StreamKey(seed).generator()``, which nothing reads.
+* Simulation replicate r of cell c has stream index i = c * outer_reps + r.
+  Lane 0 draws the data, and the pivot rows are ``generator(1, j)``; row 0
+  can be the same stream as lane 1 alone, which nothing reads.  ``SimulationCell`` refuses a
+  cell whose last index is 2**32 or more.
+* A row number j < 3k is one 32-bit word, so no row address spans into
+  another's.
+
+Each row is one sequential stream, so the pivots do not depend on how many
+draws are taken at a time.  Parallel work is split by stream index instead
+of sharing one mutable generator, which makes results independent of worker
+count.
 """
 
 from __future__ import annotations
@@ -53,17 +64,22 @@ class StreamKey:
         return np.random.Generator(np.random.SFC64(self.seed_sequence(*lanes)))
 
 
-def std_normal(rng: np.random.Generator, size=None):
-    """Standard normal draws from ``rng``."""
-    return rng.standard_normal(size)
+def std_normal(rng: np.random.Generator, size=None, out=None):
+    """Standard normal draws from ``rng``, written into ``out`` when it is given."""
+    return rng.standard_normal(size, out=out)
 
 
-def chi_square(df, rng: np.random.Generator, size=None):
+def chi_square(df, rng: np.random.Generator, size=None, out=None):
     """Chi-square draws with finite integer degrees of freedom >= 1.
 
     ``df`` may be a scalar or an array that broadcasts against ``size`` (one
-    degrees-of-freedom per column, say).  Draws are strictly positive, which
-    downstream code relies on since they appear in denominators.
+    degrees-of-freedom per column, say).  Given ``out``, the draws fill it in
+    place and it is returned.  Draws are strictly positive, which downstream
+    code relies on since they appear in denominators.
+
+    A draw is twice a standard gamma of shape df / 2: numpy's own chisquare
+    arithmetic, so the numbers are those of ``rng.chisquare(df, size)``, in
+    the order it draws them.
     """
     df_arr = np.asarray(df)
     if df_arr.size == 0:
@@ -71,4 +87,8 @@ def chi_square(df, rng: np.random.Generator, size=None):
     # one combined check: each np.any costs more than a small draw
     if not ((df_arr >= 1) & (df_arr == np.floor(df_arr)) & np.isfinite(df_arr)).all():
         raise ValueError("df must be a finite integer >= 1")
-    return rng.chisquare(df, size)
+    gamma = rng.standard_gamma(df_arr / 2.0, size, out=out)
+    if out is None:
+        return 2.0 * gamma
+    out *= 2.0
+    return out

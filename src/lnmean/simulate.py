@@ -31,9 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .generalized import TestSpec, require_draws
-from .methods import FAILURES, METHOD_ORDER, METHODS, SharedWork, select
+from .generalized import PivotMethod, TestSpec, require_draws
+from .methods import FAILURES, METHOD_ORDER, METHODS, SharedWork, pivot_kinds, select
 from .model import LOGNORMAL_MEAN, Dataset, SampleSummary
+from .outcomes import log_phi0
 from .samplers import StreamKey, std_normal
 
 CSV_COLUMNS = ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
@@ -80,8 +81,7 @@ class SimulationCell:
             raise ValueError("group variances must be finite and positive")
         if any(n < 2 for n in ns):
             raise ValueError("group sizes must be at least 2")
-        if not (math.isfinite(self.phi0) and self.phi0 > 0):
-            raise ValueError("phi0 must be positive")
+        log_phi0(self.phi0)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.outer_reps < 100:
@@ -96,7 +96,7 @@ class SimulationCell:
         if not (0 <= first and last < 2 ** 32):
             raise ValueError(f"replicate stream indices {first}..{last} (cell_index * "
                              "outer_reps onward) must fit in an unsigned 32-bit integer")
-        if any(entry.monte_carlo for entry in entries):
+        if pivot_kinds(entries):
             require_draws(self.inner_reps, 1.0 - self.alpha)
 
 
@@ -153,10 +153,11 @@ def _simulate_dataset(cell: SimulationCell, rng: np.random.Generator) -> Dataset
     return Dataset(groups=tuple(groups), model=LOGNORMAL_MEAN)
 
 
-def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int, int, int, int]]:
+def _run_replicate(cell: SimulationCell, kinds: tuple[PivotMethod, ...],
+                   replicate: int) -> dict[str, tuple[int, int, int, int]]:
     """Per-method (rejected, test_failed, covered, ci_failed) flags for one replicate.
 
-    A test or interval that raises one of ``FAILURES`` on this replicate's
+    ``kinds`` are the pivot kinds of the cell's methods.  A test or interval that raises one of ``FAILURES`` on this replicate's
     data counts as failed, and the method's other procedure still runs; any
     other exception is a bug and propagates.
     """
@@ -166,11 +167,11 @@ def _run_replicate(cell: SimulationCell, replicate: int) -> dict[str, tuple[int,
         ds = _simulate_dataset(cell, base.generator(0))
     except ValueError:
         return {name: (0, 1, 0, 1) for name in cell.methods}
-    spec = TestSpec(math.log(cell.phi0))
+    spec = TestSpec(log_phi0(cell.phi0))
     level = 1.0 - cell.alpha
-    # lane 0 drew the data; lane 1 holds the Monte Carlo draws both
-    # generalized methods read
-    work = SharedWork(ds, cell.inner_reps, functools.partial(base.generator, 1))
+    # lane 0 drew the data; the draw rows both generalized methods read are
+    # the substreams of lane 1
+    work = SharedWork(ds, cell.inner_reps, base, 1, kinds=kinds)
     for name in cell.methods:
         entry = METHODS[name]
         rejected = covered = test_failed = ci_failed = 0
@@ -196,7 +197,8 @@ def run_cell(cell: SimulationCell, workers: int = 1) -> SimulationResult:
     workers at once, and the results do not depend on how many there are.
     """
     workers = min(workers, os.cpu_count() or 1)
-    replicate = functools.partial(_run_replicate, cell)
+    kinds = pivot_kinds(METHODS[name] for name in cell.methods)
+    replicate = functools.partial(_run_replicate, cell, kinds)
     if workers <= 1:
         totals = _tally(cell, map(replicate, range(cell.outer_reps)))
     else:

@@ -278,7 +278,7 @@ def test_ml_methods_on_large_log_variances():
     assert fit.converged
     grid = np.linspace(-1.0, 1000.0, 200_001)
     assert fit.log_likelihood >= _profile_on_grid(ds, grid).max() - 1e-9
-    for outcome in (lr_test(ds, fit, mu0=0.0), gupta_li_test(fit, mu0=0.0)):
+    for outcome in (lr_test(fit, mu0=0.0), gupta_li_test(fit, mu0=0.0)):
         assert math.isfinite(outcome.statistic)
         assert 0.0 <= outcome.p_value <= 1.0
 
@@ -380,12 +380,22 @@ def test_gupta_li_sd_matches_the_two_group_formula():
 
 
 def test_lr_rmrs_pvalue():
-    assert lr_test(RMRS, gupta_li_mle(RMRS), mu0=MU0).p_value == pytest.approx(0.5245, abs=0.01)
+    assert lr_test(gupta_li_mle(RMRS), mu0=MU0).p_value == pytest.approx(0.5245, abs=0.01)
+
+
+def test_lr_reads_the_groups_of_its_fit():
+    # the fit carries its dataset's group terms, so a test of one dataset's
+    # null cannot be read off another dataset's fit
+    a = Dataset(groups=(SampleSummary(10, 0.0, 1.0), SampleSummary(12, 0.2, 2.0)))
+    b = Dataset(groups=(SampleSummary(10, 0.0, 5.0), SampleSummary(12, 0.2, 6.0)))
+    for ds in (a, b):
+        assert gupta_li_mle(ds).groups == tuple(ds.group_terms())
+    assert lr_test(gupta_li_mle(a), mu0=0.3).p_value == pytest.approx(0.104, abs=5e-4)
 
 
 def test_lr_at_the_mle_is_one():
     fit = gupta_li_mle(RMRS)
-    outcome = lr_test(RMRS, fit, mu0=fit.mu_hat)
+    outcome = lr_test(fit, mu0=fit.mu_hat)
     assert outcome.statistic == pytest.approx(0.0, abs=1e-9)
     assert outcome.p_value > 0.999
 
@@ -395,7 +405,7 @@ def test_lr_statistic_nonnegative():
     for _ in range(1000):
         ds = _dataset(rng, int(rng.integers(1, 4)), n_range=(3, 25))
         mu0 = float(rng.normal(ds.means().mean(), 1.0))
-        assert lr_test(ds, gupta_li_mle(ds), mu0=mu0).statistic >= 0.0
+        assert lr_test(gupta_li_mle(ds), mu0=mu0).statistic >= 0.0
 
 
 def test_lr_agrees_with_direct_joint_maximization():
@@ -403,7 +413,7 @@ def test_lr_agrees_with_direct_joint_maximization():
     for _ in range(5):
         ds = _dataset(rng, 2)
         mu0 = float(rng.normal(ds.means().mean(), 0.4))
-        ours = lr_test(ds, gupta_li_mle(ds), mu0=mu0).statistic
+        ours = lr_test(gupta_li_mle(ds), mu0=mu0).statistic
 
         def negative_ll(theta, ds=ds):
             return -log_likelihood(ds, theta[0], np.exp(theta[1:]))
@@ -425,19 +435,19 @@ def test_lr_names_an_overflowing_profile_variance():
     fit = gupta_li_mle(ds)
     assert fit.mu_hat == pytest.approx(1e200, rel=1e-12)
     with pytest.raises(ValueError, match="profile variance at mu = 0 overflows"):
-        lr_test(ds, fit, mu0=0.0)
+        lr_test(fit, mu0=0.0)
     assert gupta_li_test(fit, mu0=0.0).p_value == 0.0
 
 
 def test_ml_tests_take_a_finite_log_scale_null_by_keyword():
     fit = gupta_li_mle(RMRS)
-    for test, pieces in ((lr_test, (RMRS, fit)), (gupta_li_test, (fit,))):
+    for test in (lr_test, gupta_li_test):
         with pytest.raises(ValueError, match="mu0 must be finite"):
-            test(*pieces, mu0=math.inf)
+            test(fit, mu0=math.inf)
         # an original-scale null passed by position, as these tests once took it,
         # is refused rather than read on the log scale
         with pytest.raises(TypeError):
-            test(*pieces, PHI0)
+            test(fit, PHI0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,5 +465,5 @@ def test_all_methods_permutation_invariant():
                                                        rel=1e-12)
     assert gupta_li_test(fit, mu0=0.7).p_value == pytest.approx(
         gupta_li_test(fit_flipped, mu0=0.7).p_value, rel=1e-9)
-    assert lr_test(ds, fit, mu0=0.7).p_value == pytest.approx(
-        lr_test(flipped, fit_flipped, mu0=0.7).p_value, rel=1e-9)
+    assert lr_test(fit, mu0=0.7).p_value == pytest.approx(
+        lr_test(fit_flipped, mu0=0.7).p_value, rel=1e-9)

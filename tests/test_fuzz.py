@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from lnmean.generalized import TestSpec
-from lnmean.methods import FAILURES, METHODS, SharedWork
+from lnmean.methods import FAILURES, METHODS, SharedWork, pivot_kinds
 from lnmean.outcomes import IntervalOutcome, TestOutcome
 from lnmean.samplers import StreamKey
 
@@ -29,7 +29,7 @@ def test_every_method_answers_or_fails_by_name_on_random_data():
     for index in range(400):
         ds = _random_dataset(rng, int(math.exp(rng.uniform(0.0, math.log(51.0)))))
         mu0 = float(rng.uniform(-500.0, 500.0))
-        work = SharedWork(ds, 1000, StreamKey(index).generator)
+        work = SharedWork(ds, 1000, StreamKey(index), kinds=pivot_kinds(METHODS.values()))
         null = (TestSpec(mu0), math.exp(mu0))
         for name, entry in METHODS.items():
             for kind, procedure, args in ((TestOutcome, entry.test, null),

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,8 +145,7 @@ def _reference_rao_blackwell(ds, spec, cfg):
     chi-square draws the pivot is normal, so each draw contributes a Phi term
     instead of a 0/1 tail indicator."""
     a = ds.model.a
-    u = chi_square((ds.counts() - 1)[:, None], StreamKey(cfg.seed).generator(),
-                   (ds.k, cfg.reps)).T
+    u = _whole_rows(PivotDraws(ds, cfg.reps, StreamKey(cfg.seed)))[1].T
     a_sum, b_sum = _reference_umvue_sums(ds, u)
     root = np.sqrt(b_sum)
     terms = stats.norm.cdf(np.sign(a) * a_sum / root - abs(a) * root * spec.mu0)
@@ -187,7 +187,7 @@ def test_interval_and_median_match_separate_quantiles():
     rng = np.random.default_rng(74)
     ds = _dataset(rng, 3)
     cfg = MCConfig(reps=5001, seed=8, method=PivotMethod.WEIGHTED)
-    pivots = sample_pivots(PivotDraws(ds, cfg.reps, StreamKey(cfg.seed).generator()), cfg.method)
+    pivots = sample_pivots(PivotDraws(ds, cfg.reps, StreamKey(cfg.seed)), [cfg.method])[0]
     for level in (0.9, 0.95, 0.99):
         alpha = 1.0 - level
         separate = (float(np.quantile(pivots, alpha / 2.0)),
@@ -236,71 +236,148 @@ def test_a_nan_pivot_empties_the_interval_as_np_quantile_does():
 # one draw per stream, read by both pivots
 
 
+def _whole_rows(draws):
+    """(z, u, v) of ``draws`` as (k, reps) arrays: row j of the 3k is one
+    whole draw from its own substream, ``key.generator(*lanes, j)``."""
+    k, reps = draws.ds.k, draws.reps
+
+    def row(j):
+        return draws.key.generator(*draws.lanes, j)
+
+    dfs = (draws.ds.counts() - 1).tolist()
+    u = np.array([chi_square(dfs[i], row(i), reps) for i in range(k)])
+    z = np.array([std_normal(row(k + i), reps) for i in range(k)])
+    v = np.array([chi_square(dfs[i], row(2 * k + i), reps) for i in range(k)])
+    return z, u, v
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_draws_follow_the_fixed_order(k):
+def test_draws_follow_the_fixed_order(k, monkeypatch):
+    # the rows a kind reads, in row order: u_1..u_k, then z_1 (umvue), or
+    # u, z and v (weighted); no generator is made for a row nobody reads
+    made = []
+
+    def recorded(self, *lanes, original=StreamKey.generator):
+        made.append((self, lanes))
+        return original(self, *lanes)
+
+    monkeypatch.setattr(StreamKey, "generator", recorded)
     ds = _dataset(np.random.default_rng(80 + k), k)
-    reps = 1500
-    draws = PivotDraws(ds, reps, StreamKey(k).generator())
-    u, z0 = draws.umvue()
-    z, u_again, v = draws.weighted()
-    assert u_again is u and np.array_equal(z[0], z0)
-    rng = StreamKey(k).generator()
-    dfs = (ds.counts() - 1)[:, None]
-    assert np.array_equal(u, chi_square(dfs, rng, (k, reps)))
-    assert np.array_equal(z, std_normal(rng, (k, reps)))
-    assert np.array_equal(v, chi_square(dfs, rng, (k, reps)))
-
-
-def test_pivots_do_not_depend_on_the_other_method():
-    ds = _dataset(np.random.default_rng(81), 3)
-
-    def pivots(order):
-        work = SharedWork(ds, 3000, StreamKey(12).generator)
-        return {kind: work.pivots(kind) for kind in order}
-
-    alone = {kind: pivots([kind])[kind] for kind in PivotMethod}
-    for order in (list(PivotMethod), list(PivotMethod)[::-1]):
-        together = pivots(order)
-        for kind in PivotMethod:
-            assert np.array_equal(together[kind], alone[kind]), (order, kind)
-
-
-def test_draw_counts_per_request_set(monkeypatch):
-    from lnmean import generalized
-
-    drawn = {"chi_square": 0, "std_normal": 0}
-    for name in drawn:
-        def counted(*args, original=getattr(generalized, name), name=name):
-            out = original(*args)
-            drawn[name] += out.size
-            return out
-
-        monkeypatch.setattr(generalized, name, counted)
-    ds = _dataset(np.random.default_rng(82), 3)
-    k, reps = ds.k, 2000
-    umvue, weighted = PivotMethod.UMVUE, PivotMethod.WEIGHTED
-    for requests, chi2, normals in (((umvue,), k * reps, reps),
-                                    ((weighted,), 2 * k * reps, k * reps),
-                                    ((umvue, weighted), 2 * k * reps, k * reps),
-                                    ((weighted, umvue), 2 * k * reps, k * reps)):
-        drawn.update(chi_square=0, std_normal=0)
-        work = SharedWork(ds, reps, StreamKey(5).generator)
-        for kind in requests:
-            work.pivots(kind)
-        assert (drawn["chi_square"], drawn["std_normal"]) == (chi2, normals), requests
+    key = StreamKey(k, 3)
+    for lanes in ((), (1,)):
+        for kinds, rows in (([PivotMethod.UMVUE], [*range(k), k]),
+                            ([PivotMethod.WEIGHTED], range(3 * k)),
+                            (list(PivotMethod), range(3 * k))):
+            made.clear()
+            sample_pivots(PivotDraws(ds, 1000, key, *lanes), kinds)
+            assert made == [(key, (*lanes, row)) for row in rows], (lanes, kinds)
 
 
 @pytest.mark.parametrize("reps", [3 * PIVOT_BLOCK + 17, 1000])
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_blocks_match_the_formulas_on_whole_arrays(k, reps):
+    # each row of the block-by-block draw is one whole draw from its own substream
     ds = _dataset(np.random.default_rng(83 + k), k)
-    draws = PivotDraws(ds, reps, StreamKey(k).generator())
-    weighted = sample_pivots(draws, PivotMethod.WEIGHTED)
-    umvue = sample_pivots(draws, PivotMethod.UMVUE)
-    z, u, v = draws.weighted()
-    assert weighted.shape == umvue.shape == (reps,)
-    assert np.array_equal(weighted, pivot_draw_weighted(ds, z.T, u.T, v.T))
-    assert np.array_equal(umvue, pivot_draw_umvue(ds, u.T, z[0]))
+    for lanes in ((), (1,)):
+        draws = PivotDraws(ds, reps, StreamKey(k, 3), *lanes)
+        z, u, v = _whole_rows(draws)
+        both = sample_pivots(draws, [PivotMethod.WEIGHTED, PivotMethod.UMVUE])
+        assert both.shape == (2, reps)
+        assert np.array_equal(both[0], pivot_draw_weighted(ds, z.T, u.T, v.T))
+        assert np.array_equal(both[1], pivot_draw_umvue(ds, u.T, z[0]))
+
+
+def test_the_first_m_pivots_are_the_pivots_of_m_draws():
+    ds = _dataset(np.random.default_rng(84), 3)
+    kinds = [PivotMethod.UMVUE, PivotMethod.WEIGHTED]
+    full = sample_pivots(PivotDraws(ds, 2 * PIVOT_BLOCK + 5, StreamKey(6), 1), kinds)
+    for m in (PIVOT_BLOCK - 1, PIVOT_BLOCK, PIVOT_BLOCK + 1):
+        assert np.array_equal(sample_pivots(PivotDraws(ds, m, StreamKey(6), 1), kinds),
+                              full[:, :m]), m
+
+
+def test_the_block_length_changes_no_number(monkeypatch):
+    from lnmean import generalized
+
+    ds = _dataset(np.random.default_rng(85), 4)
+    draws = PivotDraws(ds, 3 * PIVOT_BLOCK + 17, StreamKey(7))
+    kinds = list(PivotMethod)
+    reference = sample_pivots(draws, kinds)
+    for block in (1000, 4096):
+        monkeypatch.setattr(generalized, "PIVOT_BLOCK", block)
+        assert np.array_equal(sample_pivots(draws, kinds), reference), block
+
+
+def test_no_draw_array_is_reps_long():
+    # at k = 20 and 200k draws, one (k, reps) draw array alone is 32 MB; the
+    # blocks, the formulas' temporaries and the (2, reps) result stay far below
+    ds = _dataset(np.random.default_rng(86), 20)
+    draws = PivotDraws(ds, 200_000, StreamKey(8))
+    tracemalloc.start()
+    try:
+        pivots = sample_pivots(draws, list(PivotMethod))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pivots.nbytes == 3_200_000
+    assert peak < 16e6, peak
+
+
+def test_pivots_do_not_depend_on_the_other_method():
+    ds = _dataset(np.random.default_rng(81), 3)
+
+    def pivots(order, kinds):
+        work = SharedWork(ds, 3000, StreamKey(12), kinds=kinds)
+        return {kind: work.pivots(kind) for kind in order}
+
+    alone = {kind: pivots([kind], (kind,))[kind] for kind in PivotMethod}
+    for order in (list(PivotMethod), list(PivotMethod)[::-1]):
+        # evaluated in one pass, and each kind alone outside the kinds told
+        for kinds in (tuple(PivotMethod), tuple(PivotMethod)[::-1], ()):
+            together = pivots(order, kinds)
+            for kind in PivotMethod:
+                assert np.array_equal(together[kind], alone[kind]), (order, kinds, kind)
+
+
+def test_draw_counts_per_request_set(monkeypatch):
+    from lnmean import generalized
+
+    drawn = dict.fromkeys(("chi_square", "std_normal", "generator", "sample_pivots"), 0)
+    for name in ("chi_square", "std_normal"):
+        def counted(*args, original=getattr(generalized, name), name=name, **kwargs):
+            out = original(*args, **kwargs)
+            drawn[name] += out.size
+            return out
+
+        monkeypatch.setattr(generalized, name, counted)
+
+    def counted_generator(self, *lanes, original=StreamKey.generator):
+        drawn["generator"] += 1
+        return original(self, *lanes)
+
+    def counted_pivots(*args, original=generalized.sample_pivots):
+        drawn["sample_pivots"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(StreamKey, "generator", counted_generator)
+    monkeypatch.setattr(generalized, "sample_pivots", counted_pivots)
+    ds = _dataset(np.random.default_rng(82), 3)
+    k, reps = ds.k, 2000
+    umvue, weighted = PivotMethod.UMVUE, PivotMethod.WEIGHTED
+    both = (umvue, weighted)
+    # (kinds told, kinds asked for, chi-square draws, normal draws, row
+    # generators, passes); umvue reads k + 1 rows, weighted all 3k
+    for kinds, requests, chi2, normals, generators, passes in (
+            ((umvue,), (umvue,), k * reps, reps, k + 1, 1),
+            ((weighted,), (weighted,), 2 * k * reps, k * reps, 3 * k, 1),
+            (both, (umvue, weighted), 2 * k * reps, k * reps, 3 * k, 1),
+            (both, (weighted, umvue), 2 * k * reps, k * reps, 3 * k, 1),
+            ((umvue,), (umvue, weighted), 3 * k * reps, (k + 1) * reps, 4 * k + 1, 2)):
+        drawn.update(dict.fromkeys(drawn, 0))
+        work = SharedWork(ds, reps, StreamKey(5), kinds=kinds)
+        for kind in requests:
+            work.pivots(kind)
+        assert tuple(drawn.values()) == (chi2, normals, generators, passes), (kinds, requests)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +457,7 @@ def test_gp_value_alternative_identity_and_ties():
     spec_kw = dict(mu0=float(ds.means().mean()))
     p_greater = gp_value(ds, TestSpec(alternative=Alternative.GREATER, **spec_kw), cfg)
     p_less = gp_value(ds, TestSpec(alternative=Alternative.LESS, **spec_kw), cfg)
-    pivots = sample_pivots(PivotDraws(ds, cfg.reps, StreamKey(cfg.seed).generator()), cfg.method)
+    pivots = sample_pivots(PivotDraws(ds, cfg.reps, StreamKey(cfg.seed)), [cfg.method])[0]
     ties = np.count_nonzero(pivots == spec_kw["mu0"]) / cfg.reps
     assert p_greater.p_value + p_less.p_value == pytest.approx(1.0 + ties, abs=1e-12)
 
@@ -431,7 +508,7 @@ def test_gp_value_is_pure_function_of_inputs():
     assert gci(ds, 0.9, cfg) == gci(ds, 0.9, cfg)
     # the method table's entries, reading one shared draw, give the same
     # outcomes as drawing inside gp_value and gci
-    work = SharedWork(ds, cfg.reps, StreamKey(cfg.seed).generator)
+    work = SharedWork(ds, cfg.reps, StreamKey(cfg.seed), kinds=tuple(PivotMethod))
     for name, kind in (("gv-weighted", PivotMethod.WEIGHTED), ("gv-umvue", PivotMethod.UMVUE)):
         same_draw = MCConfig(reps=cfg.reps, seed=cfg.seed, method=kind)
         assert METHODS[name].test(work, spec, math.exp(spec.mu0)) == gp_value(ds, spec, same_draw)
@@ -484,7 +561,7 @@ def test_gci_rejects_unresolvable_tail():
 
 def test_summarizers_check_the_draws_they_read():
     ds = Dataset(groups=(SampleSummary(5, 0.0, 1.0),))
-    pivots = sample_pivots(PivotDraws(ds, 1000, StreamKey(0).generator()), PivotMethod.UMVUE)
+    pivots = sample_pivots(PivotDraws(ds, 1000, StreamKey(0)), [PivotMethod.UMVUE])[0]
     # 1000 draws leave 0.5 in each tail of a 99.9% interval
     with pytest.raises(ValueError, match="too small"):
         interval_from_pivots(pivots, 0.999)
@@ -500,7 +577,7 @@ def test_gci_duality_with_two_sided_test():
     rng = np.random.default_rng(73)
     ds = _dataset(rng, 2)
     reps, level = 20_000, 0.95
-    pivots = sample_pivots(PivotDraws(ds, reps, StreamKey(42).generator()), PivotMethod.WEIGHTED)
+    pivots = sample_pivots(PivotDraws(ds, reps, StreamKey(42)), [PivotMethod.WEIGHTED])[0]
     interval = interval_from_pivots(pivots, level)
     grid = np.linspace(pivots.min(), pivots.max(), 400)
     mismatches = []

@@ -97,6 +97,25 @@ def test_chi_square_df_validation():
         chi_square(np.array([4, 0]), rng, (10, 2))
 
 
+@pytest.mark.parametrize("df", [1, 4, 9, 49, 120])
+def test_draws_into_out_are_numpys_own_draws_in_order(df):
+    # chi_square is twice a standard gamma of shape df / 2, numpy's own
+    # chisquare arithmetic; if a numpy release changes that, this fails.  Draws
+    # into consecutive pieces of out are the draws of one whole call.
+    m = 10_007
+    whole_chi2 = StreamKey(seed=df).generator(2).chisquare(df, m)
+    whole_normal = StreamKey(seed=df).generator(3).standard_normal(m)
+    chi2_rng, normal_rng = StreamKey(seed=df).generator(2), StreamKey(seed=df).generator(3)
+    chi2, normal = np.empty(m), np.empty(m)
+    for start in range(0, m, 4096):
+        piece = chi2[start:start + 4096]
+        assert chi_square(df, chi2_rng, out=piece) is piece
+        std_normal(normal_rng, out=normal[start:start + 4096])
+    assert np.array_equal(chi2, whole_chi2)
+    assert np.array_equal(normal, whole_normal)
+    assert np.array_equal(chi_square(df, StreamKey(seed=df).generator(2), m), whole_chi2)
+
+
 def test_chi_square_broadcasts_per_column_df():
     draws = chi_square(np.array([4, 120]), StreamKey(seed=3).generator(), (200_000, 2))
     assert draws.shape == (200_000, 2)
