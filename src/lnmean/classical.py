@@ -10,18 +10,25 @@ takes any number of groups.
 The variances maximize the likelihood in closed form at any fixed mu, so the
 ML fit is a global search over the one-dimensional profile likelihood of mu.
 
-Two builders take the dataset and do the shared work: ``ahmed_components``
-(ahmed and baklizi) and ``gupta_li_mle`` (gupta-li and lrt).  The procedures
-read what a builder made and recompute none of it; the fit carries the group
-terms that the likelihood-ratio test reads for the profile likelihood at its
-null.  The builders refuse a dataset outside the lognormal-mean model, so
-the pieces exist only for that model.
+Each procedure is written once, over arrays whose leading axis runs over the
+datasets of a ``GroupBlock``; a single dataset is a block of one.  Two
+builders do the shared work of a block: ``ahmed_components_block`` (ahmed and
+baklizi) and ``gupta_li_mle_block`` (gupta-li and lrt).  The ``*_block``
+readers turn what they built into one p-value, or one pair of log-scale
+bounds, per dataset, NaN where the procedure cannot answer on it.
+``ahmed_components(ds)`` and ``gupta_li_mle(ds)`` are the builders' views of
+one dataset: its pieces as Python numbers, or a ValueError naming why it has
+none.  The six readers (``ahmed_test``, ``ahmed_ci``, ``baklizi_ci``,
+``gupta_li_test``, ``gupta_li_ci``, ``lr_test``) read those pieces with the
+block readers' formulas.  The builders refuse a dataset outside the
+lognormal-mean model, so the pieces exist only for that model.
 
-k is small, so formulas over the groups run in scalar arithmetic on Python
-floats.  Their sums go left to right, as numpy sums fewer than 8 elements, and
-exp and log come from numpy (``_numpy_exp``, ``_log_likelihood``), so for
-k < 8 the ahmed, baklizi and likelihood figures have the bits that the same
-formulas give on numpy arrays.
+Sums over the groups run column by column, left to right, as numpy sums
+fewer than 8 elements, so for k < 8 the figures have the bits that the same
+formulas give on numpy arrays.  exp and log are numpy's; x ** -0.5 and the log
+of an original-scale bound are Python's, as when these formulas ran on Python
+floats (where numpy has SIMD versions, the two differ in the last bit for some
+arguments).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
 
 from .model import Dataset
 from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
@@ -42,8 +49,16 @@ _SIGMA2_FLOOR = 1e-12
 # the largest x whose exp is finite
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _AHMED_RANGE = "ahmed delta-method variances overflow or underflow the float range"
-# absolute tolerance of the Brent search for the ML estimate of mu
+# the Brent search for the ML estimate of mu: an absolute tolerance, and
+# scipy's default relative tolerance and iteration cap for brentq
 _MU_XTOL = 1e-14
+_MU_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+# values of one scan array, groups x datasets x points; a larger block is fitted in halves
+_SCAN_BUDGET = 2 ** 20
+# the arithmetic of every kernel: overflow, 0 * inf and the like are read off
+# the results (inf and NaN) and named, not warned about
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _require_lognormal(ds: Dataset) -> None:
@@ -56,16 +71,71 @@ def _require_mu0(mu0: float) -> None:
         raise ValueError("mu0 must be finite")
 
 
-# The quantiles depend only on the level (and k), and each scipy call costs
-# tens of microseconds, so they are computed once per distinct argument.
+# The quantiles depend only on the level (and k), so they are computed once per
+# distinct argument.  They are what scipy.stats' norm.ppf and chi2.ppf compute,
+# from scipy.special, which imports in a fraction of the time.
 @functools.lru_cache(maxsize=64)
 def _normal_quantile(level: float) -> float:
-    return float(stats.norm.ppf((1.0 + level) / 2.0))
+    return float(special.ndtri((1.0 + level) / 2.0))
 
 
 @functools.lru_cache(maxsize=64)
 def _chi2_quantile(level: float, df: int) -> float:
-    return float(stats.chi2.ppf(level, df=df))
+    return float(2.0 * special.gammaincinv(df / 2.0, level))
+
+
+def _inverse_sqrt(x: np.ndarray) -> np.ndarray:
+    """x ** -0.5 of each (positive) x, by Python's float power."""
+    return np.array([value ** -0.5 for value in x.tolist()])
+
+
+def _log_bounds(lower, upper, failed):
+    """Log-scale bounds of original-scale ones (-inf from a nonpositive bound,
+    as ``interval_from_phi`` takes them), NaN where ``failed``."""
+    logs = [[math.log(x) if x > 0.0 else -math.inf for x in bound.tolist()]
+            for bound in (lower, upper)]
+    return tuple(np.where(failed, np.nan, log) for log in logs)
+
+
+def _group_sum(terms):
+    """The sum over the first (group) axis of ``terms``, left to right."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+@dataclass(frozen=True)
+class GroupBlock:
+    """Group summaries of R datasets that share their k group sizes.
+
+    ``means`` and ``variances`` (n - 1 divisor) are (R, k) arrays and ``ns``
+    the k group sizes.  Every dataset is read under the lognormal-mean model.
+    """
+
+    ns: tuple[int, ...]
+    means: np.ndarray
+    variances: np.ndarray
+
+    @classmethod
+    def of(cls, ds: Dataset) -> "GroupBlock":
+        """``ds`` as a block of one; refused outside the lognormal-mean model."""
+        _require_lognormal(ds)
+        return cls(tuple(g.n for g in ds.groups), np.array([[g.mean for g in ds.groups]]),
+                   np.array([[g.variance for g in ds.groups]]))
+
+    @property
+    def size(self) -> int:
+        return len(self.means)
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per group (n_i, ybar_i, (n_i - 1) s_i^2), a row per group: the sizes
+        as a (k, 1) float array, the others as (k, R) arrays."""
+        with np.errstate(over="ignore"):  # an inf here is named where it is read
+            scaled = (np.array(self.ns)[:, None] - 1) * self.variances.T
+        return (np.array(self.ns, dtype=float)[:, None], np.ascontiguousarray(self.means.T),
+                scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -88,53 +158,107 @@ class AhmedComponents:
     std_error: float
 
 
-def _numpy_exp(xs: list[float]) -> list[float]:
-    """exp of each of ``xs`` from one numpy call; inf past the float range.
+@dataclass(frozen=True)
+class AhmedBlock:
+    """The ``AhmedComponents`` of each dataset of a block: (R, k) and (R,)
+    arrays.  ``failed`` marks the datasets whose delta-method variances leave
+    the float range; their other fields mean nothing."""
 
-    numpy's exp, not ``math.exp``: where numpy has a SIMD exp (AVX-512 builds)
-    the two differ in the last bit for about 5% of arguments.  Arguments past
-    the range never reach numpy, which would warn of the overflow.
-    """
-    exps = np.exp([min(x, _LOG_FLOAT_MAX) for x in xs]).tolist()
-    return [e if x <= _LOG_FLOAT_MAX else math.inf for x, e in zip(xs, exps)]
+    theta_hats: np.ndarray
+    weights: np.ndarray
+    theta_tilde: np.ndarray
+    std_error: np.ndarray
+    failed: np.ndarray
+
+    def lane(self, i: int) -> AhmedComponents:
+        """Dataset ``i``'s components, or the ValueError that it has none."""
+        if self.failed[i]:
+            raise ValueError(_AHMED_RANGE)
+        return AhmedComponents(theta_hats=tuple(self.theta_hats[i].tolist()),
+                               weights=tuple(self.weights[i].tolist()),
+                               theta_tilde=float(self.theta_tilde[i]),
+                               std_error=float(self.std_error[i]))
+
+
+def _numpy_exp(x: np.ndarray) -> np.ndarray:
+    """exp of ``x``, inf past the float range, where numpy would warn."""
+    exps = np.exp(np.minimum(x, _LOG_FLOAT_MAX))
+    exps[~(x <= _LOG_FLOAT_MAX)] = math.inf
+    return exps
+
+
+def ahmed_components_block(groups: GroupBlock) -> AhmedBlock:
+    """Per-group estimates, delta-method weights and their pooled combination
+    for every dataset of ``groups`` (see ``AhmedComponents``)."""
+    n, means = groups.columns[:2]
+    shrink = np.array([(size - 1) / size for size in groups.ns])[:, None]
+    with np.errstate(**_QUIET):
+        sigma2s = shrink * groups.variances.T  # the n-divisor variances
+        thetas = _numpy_exp(means + 0.5 * sigma2s)
+        v_hats = sigma2s * (1.0 + 0.5 * sigma2s) * _numpy_exp(2.0 * means + sigma2s)
+        # an underflowed v weighs n / v = inf; an overflowed theta weighs 0, and 0 * inf is nan
+        failed = (v_hats == 0.0).any(axis=0) | np.isinf(thetas).any(axis=0)
+        weights = n / v_hats
+        total, pooled = _group_sum(weights), _group_sum(weights * thetas)
+        failed |= ~(np.isfinite(total) & (total > 0.0))
+        theta_tilde = pooled / total
+    return AhmedBlock(theta_hats=thetas.T, weights=weights.T, theta_tilde=theta_tilde,
+                      std_error=_inverse_sqrt(np.where(failed, 1.0, total)), failed=failed)
 
 
 def ahmed_components(ds: Dataset) -> AhmedComponents:
-    _require_lognormal(ds)
-    sigma2s = [(g.n - 1) / g.n * g.variance for g in ds.groups]
-    exps = _numpy_exp([g.mean + 0.5 * s for g, s in zip(ds.groups, sigma2s)]
-                      + [2.0 * g.mean + s for g, s in zip(ds.groups, sigma2s)])
-    thetas = exps[:ds.k]
-    v_hats = [s * (1.0 + 0.5 * s) * e for s, e in zip(sigma2s, exps[ds.k:])]
-    # an underflowed v weighs n / v = inf; an overflowed theta weighs 0, and 0 * inf is nan
-    if 0.0 in v_hats or math.inf in thetas:
-        raise ValueError(_AHMED_RANGE)
-    weights = [g.n / v for g, v in zip(ds.groups, v_hats)]
-    total = pooled = 0.0
-    for weight, theta in zip(weights, thetas):
-        total += weight
-        pooled += weight * theta
-    if not (math.isfinite(total) and total > 0.0):
-        raise ValueError(_AHMED_RANGE)
-    return AhmedComponents(theta_hats=tuple(thetas), weights=tuple(weights),
-                           theta_tilde=pooled / total, std_error=total ** -0.5)
+    """``ahmed_components_block`` of ``ds`` alone."""
+    return ahmed_components_block(GroupBlock.of(ds)).lane(0)
+
+
+def _ahmed_bounds(theta_tilde, std_error, level: float):
+    z = _normal_quantile(level)
+    return theta_tilde - z * std_error, theta_tilde + z * std_error
 
 
 def ahmed_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
     """Wald interval theta_tilde +/- z * SE on the original scale."""
-    z = _normal_quantile(level)
-    return interval_from_phi(comp.theta_tilde - z * comp.std_error,
-                             comp.theta_tilde + z * comp.std_error,
-                             level, estimate=comp.theta_tilde)
+    lower, upper = _ahmed_bounds(comp.theta_tilde, comp.std_error, level)
+    return interval_from_phi(lower, upper, level, estimate=comp.theta_tilde)
+
+
+def ahmed_ci_block(comp: AhmedBlock, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-scale bounds of each dataset's ``ahmed_ci``, NaN where it has none."""
+    with np.errstate(**_QUIET):
+        lower, upper = _ahmed_bounds(comp.theta_tilde, comp.std_error, level)
+    return _log_bounds(lower, upper, comp.failed)
+
+
+def _ahmed_statistic(theta_tilde, std_error, phi0: float):
+    log_phi0(phi0)  # checks phi0
+    return (theta_tilde - phi0) / std_error
 
 
 def ahmed_test(comp: AhmedComponents, phi0: float,
                alternative: Alternative = Alternative.TWO_SIDED) -> TestOutcome:
     """Wald test of the pooled estimate against phi0 on the original scale."""
-    log_phi0(phi0)  # checks phi0
-    z = (comp.theta_tilde - phi0) / comp.std_error
-    p = _wald_pvalue(z, alternative)
-    return TestOutcome(p_value=p, mc_std_error=0.0, reps_used=0, statistic=z)
+    z = _ahmed_statistic(comp.theta_tilde, comp.std_error, phi0)
+    return TestOutcome(p_value=float(_wald_pvalue(z, alternative)), mc_std_error=0.0,
+                       reps_used=0, statistic=z)
+
+
+def ahmed_test_block(comp: AhmedBlock, phi0: float,
+                     alternative: Alternative = Alternative.TWO_SIDED) -> np.ndarray:
+    """Each dataset's ``ahmed_test`` p-value, NaN where it has none."""
+    with np.errstate(**_QUIET):
+        z = _ahmed_statistic(comp.theta_tilde, comp.std_error, phi0)
+    return np.where(comp.failed, np.nan, _wald_pvalue(z, alternative))
+
+
+def _baklizi_bounds(theta_hats, weights, theta_tilde, std_error, level: float):
+    """The acceptance set's q, the spread Q of the group estimates about the
+    pooled one, and the bounds theta_tilde -/+ se sqrt(q - Q) (NaN where Q > q);
+    ``theta_hats`` and ``weights`` have the groups on their last axis."""
+    q = _chi2_quantile(level, theta_hats.shape[-1])
+    d = theta_hats.T - theta_tilde
+    spread = _group_sum(weights.T * (d * d))
+    half = std_error * np.sqrt(q - spread)
+    return q, spread, theta_tilde - half, theta_tilde + half
 
 
 def baklizi_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
@@ -147,17 +271,24 @@ def baklizi_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
     When Q > q (group estimates too far apart for any common value) the set
     is empty, a ValueError.
     """
-    q = _chi2_quantile(level, len(comp.weights))
-    spread = 0.0
-    for weight, theta in zip(comp.weights, comp.theta_hats):
-        d = theta - comp.theta_tilde
-        spread += weight * (d * d)  # not d ** 2, which raises where this gives inf
+    with np.errstate(**_QUIET):
+        q, spread, lower, upper = _baklizi_bounds(np.array(comp.theta_hats),
+                                                  np.array(comp.weights),
+                                                  comp.theta_tilde, comp.std_error, level)
     if math.isnan(spread):  # an overflowed v_hat's weight 0 times an overflowed d * d
         raise ValueError(_AHMED_RANGE)
     if spread > q:
         raise ValueError(f"empty acceptance set: no common mean is accepted at level {level:g}")
-    centre, half = comp.theta_tilde, comp.std_error * math.sqrt(q - spread)
-    return interval_from_phi(centre - half, centre + half, level, estimate=centre)
+    return interval_from_phi(float(lower), float(upper), level, estimate=comp.theta_tilde)
+
+
+def baklizi_ci_block(comp: AhmedBlock, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-scale bounds of each dataset's ``baklizi_ci``, NaN where it has none."""
+    with np.errstate(**_QUIET):
+        q, spread, lower, upper = _baklizi_bounds(comp.theta_hats, comp.weights,
+                                                  comp.theta_tilde, comp.std_error, level)
+        failed = comp.failed | np.isnan(spread) | (spread > q)
+    return _log_bounds(lower, upper, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -186,87 +317,297 @@ class MleResult:
     groups: tuple[tuple[float, float, float], ...]
 
 
-def log_likelihood(ds: Dataset, mu: float, sigma2s) -> float:
-    """Joint log-likelihood of the log-scale data at (mu, sigma^2), from summaries.
+@dataclass(frozen=True)
+class MleBlock:
+    """The ``MleResult`` of each dataset of a block: (R,) arrays, (R, k) for
+    ``sigma2_hats``.  ``failures`` maps each dataset without a fit to the
+    reason, and ``failed`` marks them; their other fields mean nothing."""
 
-    Group i contributes a normal likelihood with mean mu - sigma_i^2 / 2,
-    rewritten in terms of (n_i, ybar_i, s_i^2).
+    mu_hat: np.ndarray
+    sigma2_hats: np.ndarray
+    log_likelihood: np.ndarray
+    std_error: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    failed: np.ndarray
+    failures: dict[int, str]
+    groups: GroupBlock
+
+    def lane(self, i: int) -> MleResult:
+        """Dataset ``i``'s fit, or the ValueError that it has none."""
+        if self.failed[i]:
+            raise ValueError(self.failures[i])
+        _, ybar, scaled = self.groups.columns
+        return MleResult(mu_hat=float(self.mu_hat[i]),
+                         sigma2_hats=tuple(self.sigma2_hats[i].tolist()),
+                         log_likelihood=float(self.log_likelihood[i]),
+                         std_error=float(self.std_error[i]),
+                         iterations=int(self.iterations[i]),
+                         converged=bool(self.converged[i]),
+                         groups=tuple(zip(map(float, self.groups.ns), ybar[:, i].tolist(),
+                                          scaled[:, i].tolist())))
+
+
+def _overflow_message(mu: float) -> str:
+    return f"the profile variance at mu = {mu:.6g} overflows the float range"
+
+
+def _profile_variances(n, ybar, scaled, mu) -> np.ndarray:
+    """Each group's variance maximizer at mu; inf or NaN where it overflows.
+
+    The score equation in sigma_i^2 reduces to the quadratic
+    v^2 + 4v - 4 Q_i / n_i = 0 with Q_i = (n_i-1) s_i^2 + n_i (ybar_i - mu)^2,
+    whose unique positive root 2 (sqrt(1 + x) - 1), x = Q_i / n_i, is taken
+    as 2x / (sqrt(1 + x) + 1): no cancellation at small x.  ``n``, ``ybar``
+    and ``scaled`` have the groups on their first axis and broadcast against
+    ``mu``.
+
+    A finite variance gives a finite score term and a finite or -inf
+    log-likelihood term, and an overflowed one a NaN in both, so the profile
+    score and l_p are NaN exactly where a variance overflows.
     """
+    d = ybar - mu
+    x = (scaled + n * (d * d)) / n
+    return np.maximum(2.0 * x / (np.sqrt(1.0 + x) + 1.0), _SIGMA2_FLOOR)
+
+
+def _profile_score(n, ybar, scaled, mu):
+    # d/dmu of the profile log-likelihood: at the conditional maximizers only
+    # the partial derivative in mu remains, sum_i n_i (ybar_i - mu + v_i/2) / v_i
+    v = _profile_variances(n, ybar, scaled, mu)
+    return _group_sum(n * (ybar - mu + 0.5 * v) / v)
+
+
+def _log_likelihood(n, ybar, scaled, mu, sigma2s):
+    # group i is normal with mean mu - sigma_i^2 / 2, written in terms of (n_i, ybar_i, s_i^2)
+    d = ybar - mu + sigma2s / 2.0
+    return _group_sum(-0.5 * n * np.log(2.0 * math.pi * sigma2s)
+                      - (scaled + n * (d * d)) / (2.0 * sigma2s))
+
+
+def _terms(ds: Dataset) -> np.ndarray:
+    """(n_i, ybar_i, (n_i - 1) s_i^2) of ``ds`` as three (k,) arrays."""
     _require_lognormal(ds)
+    return np.array(ds.group_terms()).T
+
+
+def log_likelihood(ds: Dataset, mu: float, sigma2s) -> float:
+    """Joint log-likelihood of the log-scale data at (mu, sigma^2), from summaries."""
+    n, ybar, scaled = _terms(ds)
     v = np.asarray(sigma2s, dtype=float)
     if v.shape != (ds.k,):
         raise ValueError(f"need exactly {ds.k} variances")
     if np.any(v <= 0.0):
         raise ValueError("variances must be strictly positive")
-    return _log_likelihood(ds.group_terms(), mu, v.tolist())
-
-
-def _log_likelihood(groups, mu: float, sigma2s: list[float]) -> float:
-    # numpy's log, for the reason _numpy_exp gives
-    logs = np.log([2.0 * math.pi * v for v in sigma2s]).tolist()
-    total = 0.0
-    for (n, ybar, scaled), v, log_v in zip(groups, sigma2s, logs):
-        d = ybar - mu + v / 2.0
-        total += -0.5 * n * log_v - (scaled + n * (d * d)) / (2.0 * v)
-    return total
-
-
-def _sigma2_at(n: float, ybar: float, scaled: float, mu: float) -> float:
-    # 2 (sqrt(1 + x) - 1) written as 2x / (sqrt(1 + x) + 1): no cancellation at small x
-    d = ybar - mu
-    x = (scaled + n * (d * d)) / n
-    v = 2.0 * x / (math.sqrt(1.0 + x) + 1.0)
-    if not v < math.inf:  # also catches nan, from x = inf
-        raise ValueError(f"the profile variance at mu = {mu:.6g} overflows the float range")
-    return max(v, _SIGMA2_FLOOR)
+    with np.errstate(**_QUIET):
+        return float(_log_likelihood(n, ybar, scaled, mu, v))
 
 
 def constrained_sigma2(ds: Dataset, mu: float) -> np.ndarray:
-    """Per-group variance maximizers at fixed mu.
-
-    The score equation in sigma_i^2 reduces to the quadratic
-    v^2 + 4v - 4 Q_i / n_i = 0 with Q_i = (n_i-1) s_i^2 + n_i (ybar_i - mu)^2,
-    whose unique positive root is the maximizer.
-    """
-    _require_lognormal(ds)
-    return np.array([_sigma2_at(n, ybar, scaled, mu) for n, ybar, scaled in ds.group_terms()])
+    """Per-group variance maximizers at fixed mu (see ``_profile_variances``)."""
+    with np.errstate(**_QUIET):
+        variances = _profile_variances(*_terms(ds), mu)
+    if not (variances < math.inf).all():
+        raise ValueError(_overflow_message(mu))
+    return variances
 
 
-def _profile_score(mu: float, groups) -> float:
-    # d/dmu of the profile log-likelihood: at the conditional maximizers only
-    # the partial derivative in mu remains, sum_i n_i (ybar_i - mu + v_i/2) / v_i
-    total = 0.0
-    for n, ybar, scaled in groups:
-        v = _sigma2_at(n, ybar, scaled, mu)
-        total += n * (ybar - mu + 0.5 * v) / v
-    return total
-
-
-def _profile_log_likelihood(groups, mu: float) -> float:
-    return _log_likelihood(groups, mu, [_sigma2_at(n, ybar, scaled, mu)
-                                        for n, ybar, scaled in groups])
-
-
-def _scan_points(groups) -> list[float]:
-    """Sorted points of the bracket of group modes at which the score is read.
+def _scan_points(modes, lo, hi, base, steps):
+    """Sorted, distinct scan points of each lane, NaN-padded to a common length.
 
     Group i's score changes sign at its mode m_i = ybar_i + c_i / 2, with
     c_i = (n_i - 1) s_i^2 / n_i, and varies on the scale of c_i next to it, so
     a group with a small c_i beside one with a large c_i gives the profile a
     narrow peak that an evenly spaced scan steps over.  Offsets c_i * 2^j,
     j >= -2, on both sides of every mode resolve each group at every scale up
-    to the width of the bracket.
+    to the width hi - lo of the bracket [lo, hi] of modes; ``base`` is c_i / 4
+    (at least the variance floor / 4) and the (k, R) ``modes`` have ``steps``
+    offsets each.
     """
-    scales = [scaled / n for n, _, scaled in groups]
-    modes = [ybar + c / 2.0 for (_, ybar, _), c in zip(groups, scales)]
-    lo, hi = min(modes), max(modes)
-    points = {lo, hi}
-    for mode, c in zip(modes, scales):
-        step = max(c, _SIGMA2_FLOOR) / 4.0
-        while step < hi - lo:
-            points.update((mode - step, mode + step))
-            step *= 2.0
-    return sorted(p for p in points if lo <= p <= hi)
+    lanes, lo, hi = modes.shape[1], lo[:, None], hi[:, None]
+    offsets = np.ldexp(base[..., None], np.arange(steps))  # exact doublings
+    offsets = np.where(offsets < hi - lo, offsets, np.nan).transpose(1, 0, 2).reshape(lanes, -1)
+    centres = np.repeat(modes.T, steps, axis=1)
+    points = np.concatenate([lo, hi, centres - offsets, centres + offsets], axis=1)
+    points = np.where((lo <= points) & (points <= hi), points, np.nan)
+    points.sort(axis=1)
+    points[:, 1:][points[:, 1:] == points[:, :-1]] = np.nan
+    points.sort(axis=1)
+    return points[:, :max(1, int((~np.isnan(points)).sum(axis=1).max()))]
+
+
+def _brent_orient(state):
+    """The loop body of scipy's ``brentq`` (its Zeros/brentq.c) up to its stop
+    check, on arrays of lanes.
+
+    ``state`` is (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur).  Where the
+    last two iterates straddle the root they become the bracket, and xcur
+    becomes the end with the smaller |f|.  Returns the state, the tolerance
+    delta and the bisection step sbis; the search stops where fcur == 0 or
+    |sbis| < delta.  fpre is never 0 here, so that the C loop's check of it
+    is left out, and fpre < 0 is its signbit.
+    """
+    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+    flip = (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+    step = xcur - xpre
+    xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+    spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+    swap = abs(fblk) < abs(fcur)
+    xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                        np.where(swap, xcur, xblk))
+    fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                        np.where(swap, fcur, fblk))
+    delta = (_MU_XTOL + _MU_RTOL * abs(xcur)) / 2.0
+    return (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur), delta, (xblk - xcur) / 2.0
+
+
+def _brent_advance(state, delta, sbis):
+    """The rest of the loop body: the step from xcur, interpolated (secant),
+    extrapolated (inverse quadratic) or, where that step is long, bisecting.
+    Returns the state with xpre, fpre = xcur, fcur and the next iterate in
+    xcur, whose f is still to be read."""
+    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+    secant = -fcur * (xcur - xpre) / (fcur - fpre)
+    dpre = (fpre - fcur) / (xpre - xcur)
+    dblk = (fblk - fcur) / (xblk - xcur)
+    quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+    stry = np.where(xpre == xblk, secant, quadratic)
+    size_pre, limit = abs(spre), 3.0 * abs(sbis) - delta
+    short = ((size_pre > delta) & (abs(fcur) < abs(fpre))
+             & (2.0 * abs(stry) < np.where(size_pre < limit, size_pre, limit)))
+    spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+    step = np.where(abs(scur) > delta, scur, np.where(sbis > 0.0, delta, -delta))
+    return xcur, xcur + step, xblk, fcur, fcur, fblk, spre, scur
+
+
+def _brentq(n, ybar, scaled, xa, xb, fa, fb):
+    """scipy's ``brentq`` (its Zeros/brentq.c) on the profile score, one
+    bracket [xa, xb] per lane, every lane at once.
+
+    ``fa > 0 >= fb`` are the scores at the ends, and ``ybar``, ``scaled`` the
+    (k, lanes) group terms of each lane.  Each lane takes the C loop's
+    iterates, at xtol ``_MU_XTOL`` and scipy's default rtol and iteration
+    cap.  Returns the roots, the score evaluations (scipy's
+    ``function_calls``, which count both ends), whether each search
+    converged, and the iterate at which a profile variance overflowed (NaN
+    where none did; that lane's root is NaN).
+    """
+    root, calls = xb.copy(), np.full(xa.size, 2)
+    converged, overflow_at = fb == 0.0, np.full(xa.size, np.nan)
+    live = np.flatnonzero(~converged)
+    zeros = np.zeros(live.size)
+    state = (xa[live], xb[live], zeros, fa[live], fb[live], zeros, zeros, zeros)
+    ybar, scaled = ybar[:, live], scaled[:, live]
+    for evaluations in range(2, _BRENT_MAXITER + 2):
+        if not live.size:
+            break
+        state, delta, sbis = _brent_orient(state)
+        done = (state[4] == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            stopped = live[done]
+            root[stopped], calls[stopped], converged[stopped] = state[1][done], evaluations, True
+            go = ~done
+            live, ybar, scaled = live[go], ybar[:, go], scaled[:, go]
+            delta, sbis = delta[go], sbis[go]
+            state = tuple(a[go] for a in state)
+            if not live.size:
+                break
+        state = _brent_advance(state, delta, sbis)
+        fcur = _profile_score(n, ybar, scaled, state[1])
+        state = (*state[:4], fcur, *state[5:])
+        overflow = np.isnan(fcur)
+        if overflow.any():
+            overflow_at[live[overflow]], calls[live[overflow]] = state[1][overflow], evaluations + 1
+            root[live[overflow]] = np.nan
+            go = ~overflow
+            live, ybar, scaled = live[go], ybar[:, go], scaled[:, go]
+            state = tuple(a[go] for a in state)
+    calls[live] = _BRENT_MAXITER + 2
+    root[live] = state[1]  # past the iteration cap: the last iterate, not converged
+    return root, calls, converged, overflow_at
+
+
+def _fit(n, ybar, scaled):
+    """mu_hat, the (k, R) variances there, l_p(mu_hat), score evaluations,
+    convergence and the mu at which a profile variance overflowed (NaN where
+    none did), per lane of the (k, R) group terms."""
+    lanes = ybar.shape[1]
+    c = scaled / n
+    modes = ybar + c / 2.0
+    lo, hi = modes.min(axis=0), modes.max(axis=0)
+    width = hi - lo
+    base = np.maximum(c, _SIGMA2_FLOOR) / 4.0
+    steps, step = 0, base
+    while (step < width).any():
+        steps, step = steps + 1, step * 2.0
+    if lanes > 1 and lanes * len(n) * (2 + 2 * len(n) * steps) > _SCAN_BUDGET:
+        half = lanes // 2
+        parts = [_fit(n, ybar[:, part], scaled[:, part])
+                 for part in (slice(None, half), slice(half, None))]
+        return tuple(np.concatenate(pieces, axis=-1) for pieces in zip(*parts))
+    points = _scan_points(modes, lo, hi, base, steps)
+    scores = _profile_score(n[..., None], ybar[..., None], scaled[..., None], points)
+    rows, counts = np.arange(lanes), (~np.isnan(points)).sum(axis=1)
+    first, last = points[:, 0], points[rows, counts - 1]
+    # the scan stops at its first point whose profile variance overflows; the
+    # score is NaN there, and at the padding past the last point
+    failed_at = np.full(lanes, np.nan)
+    bad = np.isnan(scores)
+    bad[:, 1:] &= ~np.isnan(points[:, 1:])
+    broken = bad.any(axis=1)
+    if broken.any():
+        failed_at[broken] = points[broken, bad[broken].argmax(axis=1)]
+    # the score falls from positive to non-positive once in each bracket of a peak
+    lane, col = np.nonzero((scores[:, :-1] > 0.0) & (scores[:, 1:] <= 0.0) & ~broken[:, None])
+    roots, calls, converged, overflow_at = _brentq(
+        n, ybar[:, lane], scaled[:, lane], points[lane, col], points[lane, col + 1],
+        scores[lane, col], scores[lane, col + 1])
+    hit = ~np.isnan(overflow_at)
+    if hit.any():  # the first bracket to overflow stops the fit
+        reps, where = np.unique(lane[hit], return_index=True)
+        failed_at[reps] = overflow_at[hit][where]
+    iterations = counts + np.bincount(lane, weights=calls, minlength=lanes).astype(np.int64)
+    all_converged = np.bincount(lane, weights=~converged, minlength=lanes) == 0
+    # candidates: the ends of the scan where the score points outward, and every root
+    ok = np.isnan(failed_at)
+    first_end, last_end = ok & (scores[:, 0] <= 0.0), ok & (scores[rows, counts - 1] > 0.0)
+    keep = ok[lane]
+    cand_lane = np.concatenate([rows[first_end], rows[last_end], lane[keep]])
+    cand_mu = np.concatenate([first[first_end], last[last_end], roots[keep]])
+    mu_hat, ll = np.full(lanes, np.nan), np.full(lanes, np.nan)
+    sigma2_hats = np.full((len(n), lanes), np.nan)
+    if cand_lane.size:
+        cand_ybar, cand_scaled = ybar[:, cand_lane], scaled[:, cand_lane]
+        variances = _profile_variances(n, cand_ybar, cand_scaled, cand_mu)
+        cand_ll = _log_likelihood(n, cand_ybar, cand_scaled, cand_mu, variances)
+        # the highest l_p in each lane, the larger mu on a tie: max((ll, mu), ...)
+        order = np.lexsort((cand_mu, cand_ll, cand_lane))
+        best = order[np.append(np.diff(cand_lane[order]) != 0, True)]
+        fitted = cand_lane[best]
+        mu_hat[fitted], ll[fitted] = cand_mu[best], cand_ll[best]
+        sigma2_hats[:, fitted] = variances[:, best]
+    return mu_hat, sigma2_hats, ll, iterations, all_converged, failed_at
+
+
+def gupta_li_mle_block(groups: GroupBlock) -> MleBlock:
+    """The global ML fit of every dataset of ``groups`` (see ``gupta_li_mle``)."""
+    n, ybar, scaled = groups.columns
+    with np.errstate(**_QUIET):
+        mu_hat, sigma2_hats, ll, iterations, converged, failed_at = _fit(n, ybar, scaled)
+        information = _group_sum(2.0 * n / (sigma2_hats * (2.0 + sigma2_hats)))
+    failures = {int(i): _overflow_message(failed_at[i])
+                for i in np.flatnonzero(~np.isnan(failed_at))}
+    # a fit whose profile variances all pass ~1e154 would have no standard
+    # error; the scan's own overflow check comes first, but no lane may raise
+    for i in np.flatnonzero(information == 0.0):
+        failures[int(i)] = (f"the information for mu at mu_hat = {mu_hat[i]:.6g} underflows "
+                            "to 0: no standard error")
+    failed = np.zeros(groups.size, dtype=bool)
+    failed[list(failures)] = True
+    return MleBlock(mu_hat=mu_hat, sigma2_hats=sigma2_hats.T, log_likelihood=ll,
+                    std_error=_inverse_sqrt(np.where(failed, 1.0, information)),
+                    iterations=iterations, converged=converged, failed=failed,
+                    failures=failures, groups=groups)
 
 
 def gupta_li_mle(ds: Dataset) -> MleResult:
@@ -280,47 +621,56 @@ def gupta_li_mle(ds: Dataset) -> MleResult:
     read at the points of ``_scan_points``; a Brent search finds the root in
     each interval where it falls from positive to non-positive, and the root
     with the highest l_p is the estimate.  The sum of unimodal profiles can
-    have several peaks, so no single local search is trusted.
+    have several peaks, so no single local search is trusted.  This is
+    ``gupta_li_mle_block`` of ``ds`` alone.
     """
-    _require_lognormal(ds)
-    groups = ds.group_terms()
-    points = _scan_points(groups)
-    scores = [_profile_score(mu, groups) for mu in points]
-    evaluations = len(points)
-    converged = True
-    candidates = []
-    if scores[0] <= 0.0:
-        candidates.append(points[0])
-    if scores[-1] > 0.0:
-        candidates.append(points[-1])
-    for a, b, score_a, score_b in zip(points, points[1:], scores, scores[1:]):
-        if score_a > 0.0 >= score_b:
-            root, info = optimize.brentq(_profile_score, a, b, args=(groups,),
-                                         xtol=_MU_XTOL, full_output=True, disp=False)
-            evaluations += info.function_calls
-            converged = converged and info.converged
-            candidates.append(root)
-    ll, mu_hat = max((_profile_log_likelihood(groups, mu), mu) for mu in candidates)
-    sigma2_hats = tuple(_sigma2_at(n, ybar, scaled, mu_hat) for n, ybar, scaled in groups)
-    information = sum(2.0 * n / (v * (2.0 + v)) for (n, _, _), v in zip(groups, sigma2_hats))
-    return MleResult(mu_hat=mu_hat, sigma2_hats=sigma2_hats, log_likelihood=ll,
-                     std_error=information ** -0.5, iterations=evaluations,
-                     converged=converged, groups=tuple(groups))
+    return gupta_li_mle_block(GroupBlock.of(ds)).lane(0)
+
+
+def _gupta_li_bounds(mu_hat, std_error, level: float):
+    z = _normal_quantile(level)
+    return mu_hat - z * std_error, mu_hat + z * std_error
 
 
 def gupta_li_ci(fit: MleResult, level: float = 0.95) -> IntervalOutcome:
     """Wald interval exp(mu_hat +/- z * SD(mu_hat))."""
-    z = _normal_quantile(level)
-    return interval_from_log(fit.mu_hat - z * fit.std_error, fit.mu_hat + z * fit.std_error,
-                             level, estimate=exp_or_inf(fit.mu_hat))
+    lower, upper = _gupta_li_bounds(fit.mu_hat, fit.std_error, level)
+    return interval_from_log(lower, upper, level, estimate=exp_or_inf(fit.mu_hat))
+
+
+def gupta_li_ci_block(fit: MleBlock, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-scale bounds of each dataset's ``gupta_li_ci``, NaN where it has none."""
+    with np.errstate(**_QUIET):
+        bounds = _gupta_li_bounds(fit.mu_hat, fit.std_error, level)
+    return tuple(np.where(fit.failed, np.nan, bound) for bound in bounds)
+
+
+def _gupta_li_statistic(mu_hat, std_error, mu0: float):
+    _require_mu0(mu0)
+    return (mu_hat - mu0) / std_error
 
 
 def gupta_li_test(fit: MleResult, *, mu0: float) -> TestOutcome:
     """Two-sided Wald test of mu = mu0 on the log scale."""
-    _require_mu0(mu0)
-    z = (fit.mu_hat - mu0) / fit.std_error
-    return TestOutcome(p_value=_wald_pvalue(z, Alternative.TWO_SIDED), mc_std_error=0.0,
+    z = _gupta_li_statistic(fit.mu_hat, fit.std_error, mu0)
+    return TestOutcome(p_value=float(_wald_pvalue(z, Alternative.TWO_SIDED)), mc_std_error=0.0,
                        reps_used=0, statistic=z)
+
+
+def gupta_li_test_block(fit: MleBlock, *, mu0: float) -> np.ndarray:
+    """Each dataset's ``gupta_li_test`` p-value, NaN where it has none."""
+    with np.errstate(**_QUIET):
+        z = _gupta_li_statistic(fit.mu_hat, fit.std_error, mu0)
+    return np.where(fit.failed, np.nan, _wald_pvalue(z, Alternative.TWO_SIDED))
+
+
+def _lr_statistic(log_likelihood, n, ybar, scaled, mu0: float):
+    """2 (l_p(mu_hat) - l_p(mu0)), and where the profile variance at mu0 overflows."""
+    _require_mu0(mu0)
+    with np.errstate(**_QUIET):
+        null = _log_likelihood(n, ybar, scaled, mu0, _profile_variances(n, ybar, scaled, mu0))
+        # the clamp only removes rounding residue when mu0 is within ulps of mu_hat
+        return np.maximum(2.0 * (log_likelihood - null), 0.0), np.isnan(null)
 
 
 def lr_test(fit: MleResult, *, mu0: float) -> TestOutcome:
@@ -330,17 +680,23 @@ def lr_test(fit: MleResult, *, mu0: float) -> TestOutcome:
     log-likelihood of the fitted groups, nonnegative because mu_hat is its
     global maximizer.
     """
-    _require_mu0(mu0)
-    # the clamp only removes rounding residue when mu0 is within ulps of mu_hat
-    lam = max(2.0 * (fit.log_likelihood - _profile_log_likelihood(fit.groups, mu0)), 0.0)
+    lam, overflow = _lr_statistic(fit.log_likelihood, *np.array(fit.groups).T, mu0)
+    if overflow:
+        raise ValueError(_overflow_message(mu0))
     return TestOutcome(p_value=float(special.chdtrc(1, lam)), mc_std_error=0.0,
-                       reps_used=0, statistic=lam)
+                       reps_used=0, statistic=float(lam))
 
 
-def _wald_pvalue(z: float, alternative) -> float:
+def lr_test_block(fit: MleBlock, *, mu0: float) -> np.ndarray:
+    """Each dataset's ``lr_test`` p-value, NaN where it has none."""
+    lam, overflow = _lr_statistic(fit.log_likelihood, *fit.groups.columns, mu0)
+    return np.where(fit.failed | overflow, np.nan, special.chdtrc(1, lam))
+
+
+def _wald_pvalue(z, alternative):
     alternative = Alternative.coerce(alternative)
     if alternative is Alternative.GREATER:
-        return float(special.ndtr(-z))
+        return special.ndtr(-z)
     if alternative is Alternative.LESS:
-        return float(special.ndtr(z))
-    return float(min(2.0 * special.ndtr(-abs(z)), 1.0))
+        return special.ndtr(z)
+    return np.minimum(2.0 * special.ndtr(-np.abs(z)), 1.0)

@@ -1,7 +1,10 @@
 """The method table: the one place that knows the methods.
 
 The command line and the simulation harness both choose methods with
-``select`` and run each entry on a ``SharedWork``.  Entries reach
+``select``.  The command line runs each entry on a ``SharedWork``, the work
+of one dataset.  The simulation decides the classical entries for a whole
+block of replicates at once, on a ``BlockWork``, and runs the generalized
+ones replicate by replicate on a ``SharedWork`` each.  Entries reach
 ``classical`` and ``generalized`` through the module when they run, so a
 function replaced on its module is the one called.
 """
@@ -16,16 +19,28 @@ import numpy as np
 from . import classical, generalized
 from .generalized import PivotMethod, TestSpec
 from .model import Dataset, ModelSpec
-from .outcomes import Alternative, IntervalOutcome, TestOutcome
+from .outcomes import Alternative, IntervalOutcome, TestOutcome, is_ordered, is_p_value
 from .samplers import StreamKey
 
 # what a procedure raises when it cannot answer on the data; any other exception is a bug
 FAILURES = (ValueError, ArithmeticError)
 
 
-class SharedWork:
-    """Work several methods need on one dataset, each piece done on first use;
-    a call that raises is not kept, so the next method to need it tries again.
+class _FirstUse:
+    """Pieces of work, each done on first use; a call that raises is not
+    kept, so the next method to need the piece tries again."""
+
+    def __init__(self):
+        self._done: dict = {}  # cheaper to make than cache wrappers, once per replicate
+
+    def _once(self, key, compute):
+        if key not in self._done:
+            self._done[key] = compute()
+        return self._done[key]
+
+
+class SharedWork(_FirstUse):
+    """Work several methods need on one dataset (see ``_FirstUse``).
 
     The pivots read the draw rows of ``PivotDraws(ds, reps, key, *lanes)``.
     ``kinds`` are the pivot kinds the caller's methods read: the first of
@@ -35,15 +50,10 @@ class SharedWork:
 
     def __init__(self, ds: Dataset, reps: int, key: StreamKey, *lanes: int,
                  kinds: tuple[PivotMethod, ...]):
+        super().__init__()
         self.ds = ds
         self._draws = generalized.PivotDraws(ds, reps, key, *lanes)
         self._kinds = kinds
-        self._done: dict = {}  # cheaper to make than cache wrappers, once per replicate
-
-    def _once(self, key, compute):
-        if key not in self._done:
-            self._done[key] = compute()
-        return self._done[key]
 
     def fit(self) -> classical.MleResult:
         return self._once("fit", lambda: classical.gupta_li_mle(self.ds))
@@ -59,6 +69,23 @@ class SharedWork:
         return self._done[kind]
 
 
+class BlockWork(_FirstUse):
+    """Work the classical methods share over a block of datasets: one ML fit
+    and one set of pooled components for the whole block (see
+    ``_FirstUse``).  A dataset without one is a failure of the procedures
+    that read it, marked in the block, not raised."""
+
+    def __init__(self, groups: classical.GroupBlock):
+        super().__init__()
+        self.groups = groups
+
+    def fit(self) -> classical.MleBlock:
+        return self._once("fit", lambda: classical.gupta_li_mle_block(self.groups))
+
+    def components(self) -> classical.AhmedBlock:
+        return self._once("components", lambda: classical.ahmed_components_block(self.groups))
+
+
 @dataclass(frozen=True)
 class Method:
     """One method's procedures and what they support.
@@ -69,6 +96,11 @@ class Method:
     Either is None where the method has no such procedure.  A procedure that
     cannot answer on the data raises one of ``FAILURES``.  ``pivot`` is the
     Monte Carlo pivot kind that a generalized method reads.
+
+    A classical method also has the same procedures over a ``BlockWork``:
+    ``test_block`` gives each dataset's p-value and ``interval_block`` its
+    log-scale bounds, NaN where the procedure cannot answer, and
+    ``decide_block`` reads them.
     """
 
     name: str
@@ -77,6 +109,45 @@ class Method:
     lognormal_only: bool = True
     two_sided_only: bool = False
     pivot: PivotMethod | None = None
+    test_block: Callable[[BlockWork, TestSpec, float], np.ndarray] | None = None
+    interval_block: Callable[[BlockWork, float], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def decide(self, work: SharedWork, spec: TestSpec, phi0: float, alpha: float,
+               mu: float) -> list[int]:
+        """(rejected, test failed, covered, interval failed) of this method on
+        one dataset: the test at ``alpha`` and the level 1 - ``alpha``
+        interval against the true ``mu``.  A procedure that raises one of
+        ``FAILURES`` counts as failed, and the other procedure still runs;
+        any other exception is a bug and propagates."""
+        flags = [0, 0, 0, 0]
+        if self.test is not None:
+            try:
+                flags[0] = int(self.test(work, spec, phi0).p_value < alpha)
+            except FAILURES:
+                flags[1] = 1
+        if self.interval is not None:
+            try:
+                interval = self.interval(work, 1.0 - alpha)
+                flags[2] = int(interval.lower <= mu <= interval.upper)
+            except FAILURES:
+                flags[3] = 1
+        return flags
+
+    def decide_block(self, work: BlockWork, spec: TestSpec, phi0: float, alpha: float,
+                     mu: float) -> np.ndarray:
+        """``decide`` of each dataset of the block, a (4, R) bool array read off
+        the block procedures, which mark a dataset they cannot answer on with
+        what its ``TestOutcome`` or ``IntervalOutcome`` would refuse."""
+        flags = np.zeros((4, work.groups.size), dtype=bool)
+        if self.test_block is not None:
+            p = self.test_block(work, spec, phi0)
+            flags[0] = p < alpha
+            flags[1] = ~is_p_value(p)
+        if self.interval_block is not None:
+            lower, upper = self.interval_block(work, 1.0 - alpha)
+            flags[3] = ~is_ordered(lower, upper)
+            flags[2] = ~flags[3] & (lower <= mu) & (mu <= upper)
+        return flags
 
     def unsupported(self, model: ModelSpec, kind: str | None,
                     alternative: Alternative) -> str | None:
@@ -105,18 +176,29 @@ def _generalized(name: str, kind: PivotMethod) -> Method:
 METHODS = {entry.name: entry for entry in (
     Method("lrt",
            test=lambda work, spec, phi0: classical.lr_test(work.fit(), mu0=spec.mu0),
-           interval=None, two_sided_only=True),
+           interval=None, two_sided_only=True,
+           test_block=lambda work, spec, phi0: classical.lr_test_block(
+               work.fit(), mu0=spec.mu0)),
     Method("ahmed",
            test=lambda work, spec, phi0: classical.ahmed_test(
                work.components(), phi0, spec.alternative),
-           interval=lambda work, level: classical.ahmed_ci(work.components(), level)),
+           interval=lambda work, level: classical.ahmed_ci(work.components(), level),
+           test_block=lambda work, spec, phi0: classical.ahmed_test_block(
+               work.components(), phi0, spec.alternative),
+           interval_block=lambda work, level: classical.ahmed_ci_block(
+               work.components(), level)),
     Method("gupta-li",
            test=lambda work, spec, phi0: classical.gupta_li_test(work.fit(), mu0=spec.mu0),
            interval=lambda work, level: classical.gupta_li_ci(work.fit(), level),
-           two_sided_only=True),
+           two_sided_only=True,
+           test_block=lambda work, spec, phi0: classical.gupta_li_test_block(
+               work.fit(), mu0=spec.mu0),
+           interval_block=lambda work, level: classical.gupta_li_ci_block(work.fit(), level)),
     Method("baklizi",
            test=None,
-           interval=lambda work, level: classical.baklizi_ci(work.components(), level)),
+           interval=lambda work, level: classical.baklizi_ci(work.components(), level),
+           interval_block=lambda work, level: classical.baklizi_ci_block(
+               work.components(), level)),
     _generalized("gv-weighted", PivotMethod.WEIGHTED),
     _generalized("gv-umvue", PivotMethod.UMVUE),
 )}

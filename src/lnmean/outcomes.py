@@ -25,6 +25,16 @@ class Alternative(Enum):
         raise ValueError(f"unknown alternative {value!r}; use greater, less or two-sided")
 
 
+def is_p_value(p):
+    """Whether ``p`` lies in [0, 1], elementwise on an array; NaN does not."""
+    return (0.0 <= p) & (p <= 1.0)
+
+
+def is_ordered(lower, upper):
+    """Whether ``lower < upper`` bound an interval, elementwise on arrays; NaN does not."""
+    return lower < upper
+
+
 @dataclass(frozen=True)
 class TestOutcome:
     """A p-value with its Monte Carlo precision, if any.
@@ -43,7 +53,7 @@ class TestOutcome:
     statistic: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
+        if not is_p_value(self.p_value):
             raise ValueError(f"p_value {self.p_value} outside [0, 1]")
         if self.mc_std_error < 0.0:
             raise ValueError("mc_std_error must be nonnegative")
@@ -74,7 +84,7 @@ class IntervalOutcome:
     def __post_init__(self):
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        if not self.lower < self.upper:
+        if not is_ordered(self.lower, self.upper):
             raise ValueError(f"empty interval: [{self.lower}, {self.upper}]")
 
     @property

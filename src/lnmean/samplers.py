@@ -39,6 +39,26 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64_MAX = 2 ** 64
+_WORD = 2 ** 32
+
+
+def _address_words(address) -> np.ndarray:
+    """The 32-bit words a seed sequence reads from the integers of ``address``.
+
+    Each integer is one word, or several, low word first, from 2**32 on:
+    the words that ``SeedSequence`` splits a tuple of Python ints into, as
+    one uint32 array, which it hashes without converting word by word.
+    """
+    if max(address) < _WORD:
+        return np.array(address, dtype=np.uint32)
+    words = []
+    for value in address:
+        value = int(value)
+        words.append(value % _WORD)
+        while value >= _WORD:
+            value //= _WORD
+            words.append(value % _WORD)
+    return np.array(words, dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -57,7 +77,7 @@ class StreamKey:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
 
     def seed_sequence(self, *lanes: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence((self.seed, self.stream_index, *lanes))
+        return np.random.SeedSequence(_address_words((self.seed, self.stream_index, *lanes)))
 
     def generator(self, *lanes: int) -> np.random.Generator:
         """Fresh generator for this stream, optionally on a numbered sub-lane."""
@@ -81,13 +101,17 @@ def chi_square(df, rng: np.random.Generator, size=None, out=None):
     arithmetic, so the numbers are those of ``rng.chisquare(df, size)``, in
     the order it draws them.
     """
-    df_arr = np.asarray(df)
-    if df_arr.size == 0:
-        raise ValueError("df must be nonempty")
-    # one combined check: each np.any costs more than a small draw
-    if not ((df_arr >= 1) & (df_arr == np.floor(df_arr)) & np.isfinite(df_arr)).all():
-        raise ValueError("df must be a finite integer >= 1")
-    gamma = rng.standard_gamma(df_arr / 2.0, size, out=out)
+    if type(df) is int:  # what sample_pivots passes: one comparison, not an array check
+        if df < 1:
+            raise ValueError("df must be a finite integer >= 1")
+    else:
+        df = np.asarray(df)
+        if df.size == 0:
+            raise ValueError("df must be nonempty")
+        # one combined check: each np.any costs more than a small draw
+        if not ((df >= 1) & (df == np.floor(df)) & np.isfinite(df)).all():
+            raise ValueError("df must be a finite integer >= 1")
+    gamma = rng.standard_gamma(df / 2.0, size, out=out)
     if out is None:
         return 2.0 * gamma
     out *= 2.0

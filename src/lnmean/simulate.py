@@ -5,7 +5,9 @@ each of the cell's groups, then every requested method tests phi = phi0
 (two-sided, at ``alpha``) and/or builds a level 1 - alpha interval, which
 covers when its log-scale bounds hold the true mu.  Replicate r of cell c
 uses the substream (seed, c * outer_reps + r), so results are reproducible
-and independent of how replicates are scheduled across workers.
+and independent of how replicates are scheduled across workers.  Replicates
+run in blocks: a block's data are drawn into one array, and the classical
+methods decide all of its replicates in one pass over arrays.
 
 Grid configs are flat TOML or JSON files with arrays ``mu``, ``sigma2_2`` and
 ``n_pairs``, scalars ``sigma2_1``, ``alpha``, ``outer_reps``, ``inner_reps``,
@@ -31,14 +33,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .generalized import PivotMethod, TestSpec, require_draws
-from .methods import FAILURES, METHOD_ORDER, METHODS, SharedWork, pivot_kinds, select
+from .classical import GroupBlock
+from .generalized import TestSpec, require_draws
+from .methods import METHOD_ORDER, METHODS, BlockWork, SharedWork, pivot_kinds, select
 from .model import LOGNORMAL_MEAN, Dataset, SampleSummary
 from .outcomes import log_phi0
 from .samplers import StreamKey, std_normal
 
 CSV_COLUMNS = ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
                "estimate", "std_error", "failures")
+# replicates drawn and decided at a time, fewer where their draws would pass
+# BLOCK_DRAWS values; neither changes a number, they bound the block's arrays
+REPLICATE_BLOCK = 1024
+BLOCK_DRAWS = 2 ** 21
+# contiguous replicate ranges that a pool of workers splits a cell into, per worker
+RANGES_PER_WORKER = 4
 
 
 class ConfigError(ValueError):
@@ -137,93 +146,109 @@ def _rate(successes: int, failures: int, reps: int) -> RateEstimate:
                         failures=failures, reps=reps)
 
 
-def _simulate_dataset(cell: SimulationCell, rng: np.random.Generator) -> Dataset:
-    # one draw split by group is the same stream as one draw per group in turn;
-    # the mean and variance are numpy's, in numpy's order of operations
-    z = std_normal(rng, sum(cell.ns))
-    groups = []
-    start = 0
-    for sigma2, n in zip(cell.sigma2s, cell.ns):
-        values = cell.mu - 0.5 * sigma2 + math.sqrt(sigma2) * z[start:start + n]
-        start += n
-        mean = np.add.reduce(values) / n
-        d = values - mean
-        groups.append(SampleSummary(n=n, mean=float(mean),
-                                    variance=float(np.add.reduce(d * d) / (n - 1))))
-    return Dataset(groups=tuple(groups), model=LOGNORMAL_MEAN)
+def draw_block(cell: SimulationCell, first: int, count: int) -> tuple[GroupBlock, np.ndarray]:
+    """The data of replicates ``first`` .. ``first + count - 1`` of ``cell``: their
+    group summaries, and which of them ``SampleSummary`` takes.
 
-
-def _run_replicate(cell: SimulationCell, kinds: tuple[PivotMethod, ...],
-                   replicate: int) -> dict[str, tuple[int, int, int, int]]:
-    """Per-method (rejected, test_failed, covered, ci_failed) flags for one replicate.
-
-    ``kinds`` are the pivot kinds of the cell's methods.  A test or interval that raises one of ``FAILURES`` on this replicate's
-    data counts as failed, and the method's other procedure still runs; any
-    other exception is a bug and propagates.
+    Replicate r draws its sum(ns) standard normals from lane 0 of its
+    substream, one row of the block, split by group in order.  Each group's
+    mean and variance are numpy's sums along that row, the same pairwise sums
+    as of the row alone.  A draw past the float range gives a non-finite
+    summary, and its replicate is refused here, not warned about.
     """
-    base = StreamKey(cell.seed, cell.cell_index * cell.outer_reps + replicate)
-    counts: dict[str, tuple[int, int, int, int]] = {}
-    try:
-        ds = _simulate_dataset(cell, base.generator(0))
-    except ValueError:
-        return {name: (0, 1, 0, 1) for name in cell.methods}
+    z = np.empty((count, sum(cell.ns)))
+    index = cell.cell_index * cell.outer_reps + first
+    for r in range(count):
+        std_normal(StreamKey(cell.seed, index + r).generator(0), out=z[r])
+    means, variances = np.empty((count, len(cell.ns))), np.empty((count, len(cell.ns)))
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (sigma2, n) in enumerate(zip(cell.sigma2s, cell.ns)):
+            values = cell.mu - 0.5 * sigma2 + math.sqrt(sigma2) * z[:, start:start + n]
+            start += n
+            means[:, i] = np.add.reduce(values, axis=1) / n
+            d = values - means[:, i, None]
+            variances[:, i] = np.add.reduce(d * d, axis=1) / (n - 1)
+    valid = (np.isfinite(means) & np.isfinite(variances) & (variances > 0.0)).all(axis=1)
+    return GroupBlock(cell.ns, means, variances), valid
+
+
+def _run_block(cell: SimulationCell, first: int, count: int) -> np.ndarray:
+    """Per-method (rejected, test failed, covered, interval failed) counts over
+    replicates ``first`` .. ``first + count - 1``, a (methods, 4) int array.
+
+    A refused data draw fails every procedure of its replicate.  The
+    classical methods decide every other replicate of the block at once; the
+    generalized ones run replicate by replicate, on one ``SharedWork`` that
+    both share.
+    """
+    groups, valid = draw_block(cell, first, count)
+    entries = [METHODS[name] for name in cell.methods]
     spec = TestSpec(log_phi0(cell.phi0))
-    level = 1.0 - cell.alpha
-    # lane 0 drew the data; the draw rows both generalized methods read are
-    # the substreams of lane 1
-    work = SharedWork(ds, cell.inner_reps, base, 1, kinds=kinds)
-    for name in cell.methods:
-        entry = METHODS[name]
-        rejected = covered = test_failed = ci_failed = 0
-        if entry.test is not None:
-            try:
-                rejected = int(entry.test(work, spec, cell.phi0).p_value < cell.alpha)
-            except FAILURES:
-                test_failed = 1
-        if entry.interval is not None:
-            try:
-                interval = entry.interval(work, level)
-                covered = int(interval.lower <= cell.mu <= interval.upper)
-            except FAILURES:
-                ci_failed = 1
-        counts[name] = (rejected, test_failed, covered, ci_failed)
+    counts = np.zeros((len(entries), 4), dtype=np.int64)
+    counts[:, 1] = counts[:, 3] = count - np.count_nonzero(valid)
+    rows = np.flatnonzero(valid)
+    work = BlockWork(GroupBlock(cell.ns, groups.means[rows], groups.variances[rows]))
+    for counted, entry in zip(counts, entries):
+        if entry.pivot is None and rows.size:
+            counted += entry.decide_block(work, spec, cell.phi0, cell.alpha,
+                                          cell.mu).sum(axis=1)
+    kinds = pivot_kinds(entries)
+    if not kinds:
+        return counts
+    index = cell.cell_index * cell.outer_reps + first
+    for r, means, variances in zip(rows.tolist(), work.groups.means.tolist(),
+                                   work.groups.variances.tolist()):
+        ds = Dataset(groups=tuple(SampleSummary(n=n, mean=mean, variance=variance)
+                                  for n, mean, variance in zip(cell.ns, means, variances)),
+                     model=LOGNORMAL_MEAN)
+        # lane 0 drew the data; the draw rows both generalized methods read
+        # are the substreams of lane 1
+        shared = SharedWork(ds, cell.inner_reps, StreamKey(cell.seed, index + r), 1, kinds=kinds)
+        for counted, entry in zip(counts, entries):
+            if entry.pivot is not None:
+                counted += entry.decide(shared, spec, cell.phi0, cell.alpha, cell.mu)
     return counts
+
+
+def _run_range(cell: SimulationCell, bounds: tuple[int, int]) -> np.ndarray:
+    """``_run_block`` counts summed over replicates ``bounds[0]`` .. ``bounds[1] - 1``.
+
+    The blocks hold ``REPLICATE_BLOCK`` replicates, fewer where their draws
+    would pass ``BLOCK_DRAWS``; no number depends on the block length.
+    """
+    start, stop = bounds
+    rows = max(1, min(REPLICATE_BLOCK, BLOCK_DRAWS // sum(cell.ns)))
+    totals = np.zeros((len(cell.methods), 4), dtype=np.int64)
+    for first in range(start, stop, rows):
+        totals += _run_block(cell, first, min(rows, stop - first))
+    return totals
 
 
 def run_cell(cell: SimulationCell, workers: int = 1) -> SimulationResult:
     """Run every replicate of one cell and aggregate per-method rates.
 
     ``workers`` is capped at the CPU count: a process pool starts all of its
-    workers at once, and the results do not depend on how many there are.
+    workers at once.  The pool runs ``RANGES_PER_WORKER`` contiguous ranges of
+    replicates per worker, and their counts add, so the results do not
+    depend on how many workers there are.
     """
     workers = min(workers, os.cpu_count() or 1)
-    kinds = pivot_kinds(METHODS[name] for name in cell.methods)
-    replicate = functools.partial(_run_replicate, cell, kinds)
+    run = functools.partial(_run_range, cell)
     if workers <= 1:
-        totals = _tally(cell, map(replicate, range(cell.outer_reps)))
+        totals = run((0, cell.outer_reps))
     else:
-        chunk = max(1, cell.outer_reps // (workers * 16))
+        cuts = np.linspace(0, cell.outer_reps, workers * RANGES_PER_WORKER + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            totals = _tally(cell, pool.map(replicate, range(cell.outer_reps), chunksize=chunk))
+            totals = sum(pool.map(run, zip(cuts[:-1].tolist(), cuts[1:].tolist())))
     rejection = {}
     coverage = {}
-    for name in cell.methods:
-        rej, rej_fail, cov, cov_fail = totals[name]
+    for name, (rej, rej_fail, cov, cov_fail) in zip(cell.methods, totals.tolist()):
         if METHODS[name].test is not None:
             rejection[name] = _rate(rej, rej_fail, cell.outer_reps)
         if METHODS[name].interval is not None:
             coverage[name] = _rate(cov, cov_fail, cell.outer_reps)
     return SimulationResult(cell=cell, rejection=rejection, coverage=coverage)
-
-
-def _tally(cell, per_rep) -> dict[str, list[int]]:
-    totals = {name: [0, 0, 0, 0] for name in cell.methods}
-    for counts in per_rep:
-        for name, flags in counts.items():
-            slot = totals[name]
-            for i in range(4):
-                slot[i] += flags[i]
-    return totals
 
 
 def run_grid(cells, workers: int = 1) -> list[SimulationResult]:

@@ -5,7 +5,7 @@ import pytest
 from scipy import optimize, stats
 
 from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Dataset, SampleSummary,
-                    ahmed_ci, ahmed_components, ahmed_test, baklizi_ci,
+                    ahmed_ci, classical, ahmed_components, ahmed_test, baklizi_ci,
                     constrained_sigma2, gupta_li_ci, gupta_li_mle, gupta_li_test,
                     log_likelihood, lr_test, rmrs_dataset)
 
@@ -22,6 +22,15 @@ def _dataset(rng, k, n_range=(4, 40)):
 
 def _rel_close(value, target, rel):
     assert abs(value - target) <= rel * abs(target), f"{value} vs {target}"
+
+
+def test_quantiles_are_scipy_stats_own():
+    # the quantiles come from scipy.special, which imports far faster than
+    # scipy.stats; these are the functions scipy.stats evaluates
+    for level in np.linspace(0.5, 0.999, 60).tolist() + [0.8, 0.9, 0.95, 0.99]:
+        assert classical._normal_quantile(level) == float(stats.norm.ppf((1.0 + level) / 2.0))
+        for df in (1, 2, 3, 5, 8, 13, 50, 120):
+            assert classical._chi2_quantile(level, df) == float(stats.chi2.ppf(level, df=df))
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,20 @@ def test_nonpositive_raw_data_under_lognormal_model(capsys, tmp_path):
     assert "positive" in err
 
 
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    # the quantiles come from scipy.special and the ML fit searches on its
+    # own, so neither slow import is paid at startup
+    import lnmean
+
+    env = dict(os.environ, PYTHONPATH=str(Path(lnmean.__file__).parent.parent))
+    code = ("import sys, lnmean, lnmean.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_large_log_variances_report_without_traceback(tmp_path):
     # exp of the log-scale bounds overflows a float; the original-scale
     # bounds are reported as inf instead of raising

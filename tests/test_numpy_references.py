@@ -15,7 +15,7 @@ import pytest
 from lnmean import classical
 from lnmean.model import LOGNORMAL_MEAN, Dataset, SampleSummary
 from lnmean.samplers import StreamKey, std_normal
-from lnmean.simulate import SimulationCell, _simulate_dataset
+from lnmean.simulate import SimulationCell, draw_block
 
 
 def _ahmed_reference(ds):
@@ -167,8 +167,12 @@ def test_one_draw_split_by_group_is_the_per_group_stream():
         cell = SimulationCell(mu=float(rng.uniform(-500, 500)),
                               sigma2s=tuple(float(10 ** rng.uniform(-8, 3)) for _ in range(k)),
                               ns=ns, methods=("ahmed",), outer_reps=100, seed=k)
-        key = StreamKey(k, 3)
-        ds = _simulate_dataset(cell, key.generator(0))
-        reference = _simulate_reference(cell, key.generator(0))
-        assert [(g.n, g.mean.hex(), g.variance.hex()) for g in ds.groups] == \
-            [(n, mean.hex(), variance.hex()) for n, mean, variance in reference]
+        # replicates 3, 4 and 5 of the cell, drawn as one block
+        groups, valid = draw_block(cell, 3, 3)
+        assert valid.all()
+        for row, replicate in enumerate((3, 4, 5)):
+            reference = _simulate_reference(cell, StreamKey(k, replicate).generator(0))
+            assert groups.ns == ns
+            assert [(mean.hex(), variance.hex()) for mean, variance in
+                    zip(groups.means[row].tolist(), groups.variances[row].tolist())] == \
+                [(mean.hex(), variance.hex()) for _, mean, variance in reference]

@@ -47,6 +47,31 @@ def test_trailing_zero_lanes_alias_the_shorter_address():
     assert std_normal(key.generator(1), 1) == std_normal(key.generator(1, 0), 1)
 
 
+@pytest.mark.parametrize("seed, index", [(0, 0), (5, 7), (2 ** 32, 3), (1, 2 ** 32),
+                                         (2 ** 64 - 1, 2 ** 63 + 12345), (2 ** 32 - 1, 2 ** 40)])
+@pytest.mark.parametrize("lanes", [(), (0,), (1,), (1, 5), (2 ** 32 + 1, 0)])
+def test_the_address_words_are_the_tuple_the_seed_sequence_splits(seed, index, lanes):
+    # the generator hashes the address as a uint32 array of its words, the
+    # words SeedSequence splits a tuple of ints into, low word first
+    key = StreamKey(seed, index)
+    by_tuple = np.random.SeedSequence((seed, index, *lanes))
+    assert np.array_equal(key.seed_sequence(*lanes).generate_state(8),
+                          by_tuple.generate_state(8))
+    assert np.array_equal(key.generator(*lanes).random(5),
+                          np.random.Generator(np.random.SFC64(by_tuple)).random(5))
+
+
+def test_chi_square_takes_any_integer_df_alike():
+    # a Python int df skips the array check; numpy integers and arrays take it
+    for df in (1, 4, 49):
+        draws = [chi_square(form, StreamKey(seed=df).generator(), 100)
+                 for form in (df, np.int64(df), np.array(df), float(df))]
+        for other in draws[1:]:
+            assert np.array_equal(draws[0], other)
+    with pytest.raises(ValueError, match="finite integer >= 1"):
+        chi_square(0, StreamKey(seed=0).generator(), 3)
+
+
 def test_simulation_lanes_are_pairwise_distinct():
     # the data lane 0 and the Monte Carlo lane 1 of every replicate of two
     # adjacent cells; the command line's StreamKey(seed) is not one of them

@@ -2,13 +2,15 @@ import importlib.resources
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import stats
 
-from lnmean import (SimulationCell, StreamKey, classical, rmrs_dataset, run_cell, run_grid,
-                    simulate, write_csv)
+from lnmean import (Dataset, SampleSummary, SimulationCell, classical, generalized, rmrs_dataset,
+                    run_cell, run_grid, simulate, write_csv)
 from lnmean.methods import METHOD_ORDER, normalize_method
 from lnmean.simulate import (ConfigError, cells_from_config, load_grid_config,
                              parse_grid_config, result_rows)
@@ -150,9 +152,11 @@ def test_run_cell_rates_and_se_formula():
     # happens in a few replicates of this cell; nothing else may fail here
     q = stats.chi2.ppf(0.95, len(cell.ns))
     empty = 0
-    for replicate in range(cell.outer_reps):
-        key = StreamKey(cell.seed, cell.cell_index * cell.outer_reps + replicate)
-        ds = simulate._simulate_dataset(cell, key.generator(0))
+    groups, valid = simulate.draw_block(cell, 0, cell.outer_reps)
+    assert valid.all()
+    for means, variances in zip(groups.means.tolist(), groups.variances.tolist()):
+        ds = Dataset(groups=tuple(SampleSummary(n, mean, variance)
+                                  for n, mean, variance in zip(cell.ns, means, variances)))
         comp = classical.ahmed_components(ds)
         spread = sum(w * (theta - comp.theta_tilde) ** 2
                      for w, theta in zip(comp.weights, comp.theta_hats))
@@ -214,11 +218,14 @@ def test_power_saturates_for_distant_alternative():
         assert rate.estimate >= 0.99, name
 
 
-def test_method_failures_are_counted_not_fatal(monkeypatch):
-    def broken(fit, *, mu0):
-        raise ValueError("forced failure")
+def _no_answer(fit, *args, **kwargs):
+    """A block reader that answers on no dataset: a NaN for every one."""
+    return np.full(fit.groups.size, np.nan)
 
-    monkeypatch.setattr(classical, "lr_test", broken)
+
+def test_method_failures_are_counted_not_fatal(monkeypatch):
+    # the simulation reads the block procedures, where a NaN is a failure
+    monkeypatch.setattr(classical, "lr_test_block", _no_answer)
     cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5),
                           methods=("lrt", "ahmed"), **FAST)
     result = run_cell(cell)
@@ -227,13 +234,30 @@ def test_method_failures_are_counted_not_fatal(monkeypatch):
     assert result.rejection["ahmed"].failures == 0
 
 
+def test_a_block_answer_that_an_outcome_refuses_is_a_failure(monkeypatch):
+    # a block answer is judged by the rules of TestOutcome and IntervalOutcome:
+    # a p-value outside [0, 1] and an empty interval fail, and the interval
+    # [0, 0] does not cover mu = 0
+    def size(comp):
+        return comp.theta_tilde.size
+
+    monkeypatch.setattr(classical, "ahmed_test_block",
+                        lambda comp, phi0, alternative: np.full(size(comp), 1.5))
+    monkeypatch.setattr(classical, "ahmed_ci_block",
+                        lambda comp, level: (np.zeros(size(comp)), np.zeros(size(comp))))
+    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5), methods=("ahmed",), **FAST)
+    result = run_cell(cell)
+    assert (result.rejection["ahmed"].estimate, result.rejection["ahmed"].failures) == (0.0, 100)
+    assert (result.coverage["ahmed"].estimate, result.coverage["ahmed"].failures) == (0.0, 100)
+
+
 def test_a_failure_counts_against_the_procedure_that_raised_it(monkeypatch):
     def broken(fit, level):
-        raise ValueError("forced failure")
+        return _no_answer(fit), _no_answer(fit)
 
     # every gupta-li interval fails; its test at phi0 = e^700 still answers,
     # and rejects as lrt does
-    monkeypatch.setattr(classical, "gupta_li_ci", broken)
+    monkeypatch.setattr(classical, "gupta_li_ci_block", broken)
     names = ("lrt", "gupta-li", "gv-weighted")
     cell = SimulationCell(mu=720.0, sigma2s=(1.0, 0.5), ns=(5, 10), phi0=math.exp(700),
                           methods=names, outer_reps=100, inner_reps=1000, seed=3)
@@ -258,47 +282,106 @@ def test_intervals_past_the_float_range_cover_as_at_mu_zero():
 
 
 def test_a_failed_data_draw_counts_against_every_procedure():
-    # a variance of 1e308 overflows the data draw's sums, so _simulate_dataset
-    # refuses the replicate's data; every test and interval fails, and the cell runs on.
-    # numpy warns of the overflow
+    # a variance of 1e308 overflows the data draw's sums, so draw_block
+    # refuses the replicate's data; every test and interval fails, and the
+    # cell runs on.  The refusal is counted, not warned about
     names = ("lrt", "ahmed", "baklizi", "gv-umvue")
     cell = SimulationCell(mu=0.0, sigma2s=(1e308, 1.0), ns=(5, 10), methods=names,
                           outer_reps=100, inner_reps=1000)
-    with pytest.raises(ValueError), pytest.warns(RuntimeWarning, match="overflow"):
-        simulate._simulate_dataset(cell, StreamKey(cell.seed, 0).generator(0))
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        groups, valid = simulate.draw_block(cell, 0, 3)
         result = run_cell(cell)
+    assert not valid.any()
+    assert not np.isfinite(groups.means[:, 0]).any()
     assert set(result.rejection) == {"lrt", "ahmed", "gv-umvue"}
     assert set(result.coverage) == {"ahmed", "baklizi", "gv-umvue"}
     for rate in (*result.rejection.values(), *result.coverage.values()):
         assert (rate.estimate, rate.failures) == (0.0, 100)
 
 
-def test_method_bugs_propagate(monkeypatch):
-    def buggy(comp, phi0, alternative):
-        raise TypeError("a bug, not a method failure")
+def _raising(error):
+    def procedure(*args, **kwargs):
+        raise error("forced")
+    return procedure
 
-    monkeypatch.setattr(classical, "ahmed_test", buggy)
+
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+@pytest.mark.parametrize("broken, failed, answered", [
+    ("pvalue_from_pivots", "rejection", "coverage"),
+    ("interval_from_pivots", "coverage", "rejection")])
+def test_a_generalized_failure_counts_against_the_procedure_that_raised_it(
+        monkeypatch, error, broken, failed, answered):
+    # the generalized methods run replicate by replicate: a procedure that
+    # raises one of the method failures counts as failed, and the method's
+    # other procedure, read off the same pivots, answers as before
+    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(5, 10),
+                          methods=("lrt", "gv-weighted", "gv-umvue"), **FAST)
+    intact = run_cell(cell)
+    monkeypatch.setattr(generalized, broken, _raising(error))
+    result = run_cell(cell)
+    for name in ("gv-weighted", "gv-umvue"):
+        rate = getattr(result, failed)[name]
+        assert (rate.estimate, rate.failures) == (0.0, cell.outer_reps)
+        assert getattr(result, answered)[name] == getattr(intact, answered)[name]
+        assert getattr(intact, failed)[name].failures == 0
+    assert result.rejection["lrt"] == intact.rejection["lrt"]
+
+
+def test_method_bugs_propagate(monkeypatch):
+    # a block procedure marks its failures in its answer; whatever it raises stops the run
+    monkeypatch.setattr(classical, "ahmed_test_block", _raising(TypeError))
     cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5),
                           methods=("lrt", "ahmed"), **FAST)
-    with pytest.raises(TypeError, match="a bug"):
+    with pytest.raises(TypeError, match="forced"):
+        run_cell(cell)
+
+
+@pytest.mark.parametrize("name", ["pvalue_from_pivots", "interval_from_pivots"])
+def test_generalized_method_bugs_propagate(monkeypatch, name):
+    # a generalized procedure that raises anything but a method failure stops the run
+    monkeypatch.setattr(generalized, name, _raising(TypeError))
+    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5),
+                          methods=("lrt", "gv-weighted"), **FAST)
+    with pytest.raises(TypeError, match="forced"):
         run_cell(cell)
 
 
 def test_classical_shared_work_runs_once_per_replicate(monkeypatch):
-    calls = {"gupta_li_mle": 0, "ahmed_components": 0}
+    # one fit and one set of components per block, for both methods that read
+    # each; every replicate is in one block, and no dataset is fitted alone
+    calls = {"gupta_li_mle_block": [], "ahmed_components_block": [],
+             "gupta_li_mle": [], "ahmed_components": []}
     for name in calls:
         original = getattr(classical, name)
 
-        def counted(ds, original=original, name=name):
-            calls[name] += 1
-            return original(ds)
+        def counted(data, original=original, name=name):
+            calls[name].append(getattr(data, "size", 1))
+            return original(data)
 
         monkeypatch.setattr(classical, name, counted)
+    monkeypatch.setattr(simulate, "REPLICATE_BLOCK", 30)
     cell = SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(6, 8),
                           methods=("lrt", "ahmed", "gupta-li", "baklizi"), **FAST)
     run_cell(cell)
-    assert calls == {"gupta_li_mle": cell.outer_reps, "ahmed_components": cell.outer_reps}
+    assert calls == {"gupta_li_mle_block": [30, 30, 30, 10],
+                     "ahmed_components_block": [30, 30, 30, 10],
+                     "gupta_li_mle": [], "ahmed_components": []}
+
+
+@pytest.mark.parametrize("block, draws", [(1, 2 ** 21), (7, 2 ** 21), (1024, 40)])
+def test_the_block_length_changes_no_number(monkeypatch, block, draws):
+    # every method; and at mu = 1e16, where the draws are whole multiples of
+    # 2, a cell in which two replicates in three draw a constant group, a
+    # data failure, between replicates that answer
+    cells = [SimulationCell(mu=0.3, sigma2s=(1.0, 0.1, 2.5), ns=(5, 10, 7), **FAST),
+             SimulationCell(mu=1e16, sigma2s=(1.0, 1.0), ns=(2, 3),
+                            methods=("ahmed", "lrt", "gv-umvue"), **FAST)]
+    expected = [run_cell(cell) for cell in cells]
+    assert 0 < expected[1].rejection["lrt"].failures < FAST["outer_reps"]
+    monkeypatch.setattr(simulate, "REPLICATE_BLOCK", block)
+    monkeypatch.setattr(simulate, "BLOCK_DRAWS", draws)
+    assert [run_cell(cell) for cell in cells] == expected
 
 
 TOML_CONFIG = """
