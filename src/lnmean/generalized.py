@@ -25,7 +25,7 @@ import numpy as np
 from .model import Dataset
 from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
                        interval_from_log)
-from .samplers import StreamKey, chi_square, std_normal
+from .samplers import StreamKey, chi_square, std_normal, stream_generator, stream_words
 
 
 class PivotMethod(Enum):
@@ -176,17 +176,27 @@ class PivotDraws:
     generators of the rows it reads and draws them in order, so each pivot
     reads the same numbers whichever other pivots are evaluated with it, and
     the first m of ``reps`` pivots are the pivots of m draws.
+
+    The rows' starting words are hashed as one block on first use, or given
+    as ``words``, a (3k, 3) slice of a larger block that the caller hashed
+    at once (``samplers.stream_words(key.seed, key.stream_index, *lanes,
+    np.arange(3 * k))``, the simulation's replicates).
     """
 
-    def __init__(self, ds: Dataset, reps: int, key: StreamKey, *lanes: int):
+    def __init__(self, ds: Dataset, reps: int, key: StreamKey, *lanes: int,
+                 words: np.ndarray | None = None):
         self.ds = ds
         self.reps = reps
         self.key = key
         self.lanes = lanes
+        self._words = words
 
-    def row_generator(self, row: int) -> np.random.Generator:
-        """A fresh generator at the start of draw row ``row``."""
-        return self.key.generator(*self.lanes, row)
+    def row_words(self) -> np.ndarray:
+        """The (3k, 3) starting words of the draw rows, row j in row j."""
+        if self._words is None:
+            self._words = stream_words(self.key.seed, self.key.stream_index, *self.lanes,
+                                       np.arange(3 * self.ds.k))
+        return self._words
 
 
 # draws per row taken at a time: the draw arrays and the formulas'
@@ -206,9 +216,10 @@ def sample_pivots(draws: PivotDraws, kinds) -> np.ndarray:
     ds, k, reps = draws.ds, draws.ds.k, draws.reps
     weighted = PivotMethod.WEIGHTED in kinds
     dfs = [g.n - 1 for g in ds.groups]
-    u_rows = [draws.row_generator(i) for i in range(k)]
-    z_rows = [draws.row_generator(k + i) for i in range(k if weighted else 1)]
-    v_rows = [draws.row_generator(2 * k + i) for i in range(k)] if weighted else []
+    words = draws.row_words()
+    u_rows = [stream_generator(words[i]) for i in range(k)]
+    z_rows = [stream_generator(words[k + i]) for i in range(k if weighted else 1)]
+    v_rows = [stream_generator(words[2 * k + i]) for i in range(k)] if weighted else []
     width = min(PIVOT_BLOCK, reps)
     u, z, v = (np.empty((len(rows), width)) for rows in (u_rows, z_rows, v_rows))
     out = np.empty((len(kinds), reps))

@@ -42,17 +42,18 @@ class _FirstUse:
 class SharedWork(_FirstUse):
     """Work several methods need on one dataset (see ``_FirstUse``).
 
-    The pivots read the draw rows of ``PivotDraws(ds, reps, key, *lanes)``.
+    The pivots read the draw rows of ``PivotDraws(ds, reps, key, *lanes,
+    words=words)``.
     ``kinds`` are the pivot kinds the caller's methods read: the first of
     them asked for evaluates them all in one pass.  A kind outside them is
     evaluated alone, from the same rows, to the same numbers.
     """
 
     def __init__(self, ds: Dataset, reps: int, key: StreamKey, *lanes: int,
-                 kinds: tuple[PivotMethod, ...]):
+                 kinds: tuple[PivotMethod, ...], words: np.ndarray | None = None):
         super().__init__()
         self.ds = ds
-        self._draws = generalized.PivotDraws(ds, reps, key, *lanes)
+        self._draws = generalized.PivotDraws(ds, reps, key, *lanes, words=words)
         self._kinds = kinds
 
     def fit(self) -> classical.MleResult:

@@ -38,7 +38,7 @@ from .generalized import TestSpec, require_draws
 from .methods import METHOD_ORDER, METHODS, BlockWork, SharedWork, pivot_kinds, select
 from .model import LOGNORMAL_MEAN, Dataset, SampleSummary
 from .outcomes import log_phi0
-from .samplers import StreamKey, std_normal
+from .samplers import StreamKey, std_normal, stream_generator, stream_words
 
 CSV_COLUMNS = ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
                "estimate", "std_error", "failures")
@@ -54,7 +54,7 @@ class ConfigError(ValueError):
     """Malformed simulation grid configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationCell:
     """One (mu, variances, sizes, methods) configuration of the study."""
 
@@ -133,11 +133,30 @@ class RateEstimate:
     reps: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationResult:
+    """The counts of one cell: per method of ``cell.methods``, (rejected, test
+    failed, covered, interval failed) over its ``outer_reps`` replicates.
+
+    ``rejection`` and ``coverage`` read them as rates, each time they are
+    asked for.  A grid run keeps only the counts, a few hundred bytes a cell.
+    """
+
     cell: SimulationCell
-    rejection: dict[str, RateEstimate]
-    coverage: dict[str, RateEstimate]
+    counts: tuple[tuple[int, int, int, int], ...]
+
+    def _rates(self, procedure: str, slot: int) -> dict[str, RateEstimate]:
+        return {name: _rate(counted[slot], counted[slot + 1], self.cell.outer_reps)
+                for name, counted in zip(self.cell.methods, self.counts)
+                if getattr(METHODS[name], procedure) is not None}
+
+    @property
+    def rejection(self) -> dict[str, RateEstimate]:
+        return self._rates("test", 0)
+
+    @property
+    def coverage(self) -> dict[str, RateEstimate]:
+        return self._rates("interval", 2)
 
 
 def _rate(successes: int, failures: int, reps: int) -> RateEstimate:
@@ -151,15 +170,17 @@ def draw_block(cell: SimulationCell, first: int, count: int) -> tuple[GroupBlock
     group summaries, and which of them ``SampleSummary`` takes.
 
     Replicate r draws its sum(ns) standard normals from lane 0 of its
-    substream, one row of the block, split by group in order.  Each group's
-    mean and variance are numpy's sums along that row, the same pairwise sums
-    as of the row alone.  A draw past the float range gives a non-finite
-    summary, and its replicate is refused here, not warned about.
+    substream, one row of the block, split by group in order; the block's
+    lane-0 addresses are hashed in one ``stream_words`` call.  Each group's
+    mean and variance are numpy's sums along that row, the same pairwise
+    sums as of the row alone.  A draw past the float range gives a
+    non-finite summary, and its replicate is refused here, not warned about.
     """
     z = np.empty((count, sum(cell.ns)))
     index = cell.cell_index * cell.outer_reps + first
+    words = stream_words(cell.seed, np.arange(index, index + count), 0)
     for r in range(count):
-        std_normal(StreamKey(cell.seed, index + r).generator(0), out=z[r])
+        std_normal(stream_generator(words[r]), out=z[r])
     means, variances = np.empty((count, len(cell.ns))), np.empty((count, len(cell.ns)))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,7 +201,7 @@ def _run_block(cell: SimulationCell, first: int, count: int) -> np.ndarray:
     A refused data draw fails every procedure of its replicate.  The
     classical methods decide every other replicate of the block at once; the
     generalized ones run replicate by replicate, on one ``SharedWork`` that
-    both share.
+    both share, whose draw rows are hashed with the whole block's.
     """
     groups, valid = draw_block(cell, first, count)
     entries = [METHODS[name] for name in cell.methods]
@@ -196,15 +217,17 @@ def _run_block(cell: SimulationCell, first: int, count: int) -> np.ndarray:
     kinds = pivot_kinds(entries)
     if not kinds:
         return counts
-    index = cell.cell_index * cell.outer_reps + first
-    for r, means, variances in zip(rows.tolist(), work.groups.means.tolist(),
-                                   work.groups.variances.tolist()):
+    # lane 0 drew the data; the draw rows both generalized methods read are
+    # the substreams of lane 1, (seed, index, 1, j) for the 3k rows j
+    indices = cell.cell_index * cell.outer_reps + first + rows
+    words = stream_words(cell.seed, indices[:, None], 1, np.arange(3 * len(cell.ns)))
+    for index, row_words, means, variances in zip(
+            indices.tolist(), words, work.groups.means.tolist(), work.groups.variances.tolist()):
         ds = Dataset(groups=tuple(SampleSummary(n=n, mean=mean, variance=variance)
                                   for n, mean, variance in zip(cell.ns, means, variances)),
                      model=LOGNORMAL_MEAN)
-        # lane 0 drew the data; the draw rows both generalized methods read
-        # are the substreams of lane 1
-        shared = SharedWork(ds, cell.inner_reps, StreamKey(cell.seed, index + r), 1, kinds=kinds)
+        shared = SharedWork(ds, cell.inner_reps, StreamKey(cell.seed, index), 1, kinds=kinds,
+                            words=row_words)
         for counted, entry in zip(counts, entries):
             if entry.pivot is not None:
                 counted += entry.decide(shared, spec, cell.phi0, cell.alpha, cell.mu)
@@ -226,7 +249,7 @@ def _run_range(cell: SimulationCell, bounds: tuple[int, int]) -> np.ndarray:
 
 
 def run_cell(cell: SimulationCell, workers: int = 1) -> SimulationResult:
-    """Run every replicate of one cell and aggregate per-method rates.
+    """Run every replicate of one cell and count each method's outcomes.
 
     ``workers`` is capped at the CPU count: a process pool starts all of its
     workers at once.  The pool runs ``RANGES_PER_WORKER`` contiguous ranges of
@@ -241,14 +264,7 @@ def run_cell(cell: SimulationCell, workers: int = 1) -> SimulationResult:
         cuts = np.linspace(0, cell.outer_reps, workers * RANGES_PER_WORKER + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             totals = sum(pool.map(run, zip(cuts[:-1].tolist(), cuts[1:].tolist())))
-    rejection = {}
-    coverage = {}
-    for name, (rej, rej_fail, cov, cov_fail) in zip(cell.methods, totals.tolist()):
-        if METHODS[name].test is not None:
-            rejection[name] = _rate(rej, rej_fail, cell.outer_reps)
-        if METHODS[name].interval is not None:
-            coverage[name] = _rate(cov, cov_fail, cell.outer_reps)
-    return SimulationResult(cell=cell, rejection=rejection, coverage=coverage)
+    return SimulationResult(cell=cell, counts=tuple(map(tuple, totals.tolist())))
 
 
 def run_grid(cells, workers: int = 1) -> list[SimulationResult]:
@@ -267,8 +283,9 @@ def result_rows(results) -> list[dict]:
             "sigma2s": ";".join(f"{v:g}" for v in cell.sigma2s),
             "ns": ";".join(str(n) for n in cell.ns),
         }
+        tables = (("rejection", result.rejection), ("coverage", result.coverage))
         for name in cell.methods:
-            for metric, table in (("rejection", result.rejection), ("coverage", result.coverage)):
+            for metric, table in tables:
                 if name not in table:
                     continue
                 rate = table[name]

@@ -254,14 +254,17 @@ def _whole_rows(draws):
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_draws_follow_the_fixed_order(k, monkeypatch):
     # the rows a kind reads, in row order: u_1..u_k, then z_1 (umvue), or
-    # u, z and v (weighted); no generator is made for a row nobody reads
+    # u, z and v (weighted), each from the starting words numpy's seed
+    # sequence gives its address; no generator is made for a row nobody reads
+    from lnmean import generalized
+
     made = []
 
-    def recorded(self, *lanes, original=StreamKey.generator):
-        made.append((self, lanes))
-        return original(self, *lanes)
+    def recorded(words, original=generalized.stream_generator):
+        made.append(words.tolist())
+        return original(words)
 
-    monkeypatch.setattr(StreamKey, "generator", recorded)
+    monkeypatch.setattr(generalized, "stream_generator", recorded)
     ds = _dataset(np.random.default_rng(80 + k), k)
     key = StreamKey(k, 3)
     for lanes in ((), (1,)):
@@ -270,7 +273,8 @@ def test_draws_follow_the_fixed_order(k, monkeypatch):
                             (list(PivotMethod), range(3 * k))):
             made.clear()
             sample_pivots(PivotDraws(ds, 1000, key, *lanes), kinds)
-            assert made == [(key, (*lanes, row)) for row in rows], (lanes, kinds)
+            assert made == [key.seed_sequence(*lanes, row).generate_state(3, np.uint64).tolist()
+                            for row in rows], (lanes, kinds)
 
 
 @pytest.mark.parametrize("reps", [3 * PIVOT_BLOCK + 17, 1000])
@@ -342,7 +346,7 @@ def test_pivots_do_not_depend_on_the_other_method():
 def test_draw_counts_per_request_set(monkeypatch):
     from lnmean import generalized
 
-    drawn = dict.fromkeys(("chi_square", "std_normal", "generator", "sample_pivots"), 0)
+    drawn = dict.fromkeys(("chi_square", "std_normal", "generator", "hashed", "sample_pivots"), 0)
     for name in ("chi_square", "std_normal"):
         def counted(*args, original=getattr(generalized, name), name=name, **kwargs):
             out = original(*args, **kwargs)
@@ -351,22 +355,28 @@ def test_draw_counts_per_request_set(monkeypatch):
 
         monkeypatch.setattr(generalized, name, counted)
 
-    def counted_generator(self, *lanes, original=StreamKey.generator):
+    def counted_generator(words, original=generalized.stream_generator):
         drawn["generator"] += 1
-        return original(self, *lanes)
+        return original(words)
+
+    def counted_hash(*address, original=generalized.stream_words):
+        drawn["hashed"] += 1
+        return original(*address)
 
     def counted_pivots(*args, original=generalized.sample_pivots):
         drawn["sample_pivots"] += 1
         return original(*args)
 
-    monkeypatch.setattr(StreamKey, "generator", counted_generator)
+    monkeypatch.setattr(generalized, "stream_generator", counted_generator)
+    monkeypatch.setattr(generalized, "stream_words", counted_hash)
     monkeypatch.setattr(generalized, "sample_pivots", counted_pivots)
     ds = _dataset(np.random.default_rng(82), 3)
     k, reps = ds.k, 2000
     umvue, weighted = PivotMethod.UMVUE, PivotMethod.WEIGHTED
     both = (umvue, weighted)
     # (kinds told, kinds asked for, chi-square draws, normal draws, row
-    # generators, passes); umvue reads k + 1 rows, weighted all 3k
+    # generators, passes); umvue reads k + 1 rows, weighted all 3k, and the
+    # 3k rows' starting words are hashed once, as one block
     for kinds, requests, chi2, normals, generators, passes in (
             ((umvue,), (umvue,), k * reps, reps, k + 1, 1),
             ((weighted,), (weighted,), 2 * k * reps, k * reps, 3 * k, 1),
@@ -377,7 +387,7 @@ def test_draw_counts_per_request_set(monkeypatch):
         work = SharedWork(ds, reps, StreamKey(5), kinds=kinds)
         for kind in requests:
             work.pivots(kind)
-        assert tuple(drawn.values()) == (chi2, normals, generators, passes), (kinds, requests)
+        assert tuple(drawn.values()) == (chi2, normals, generators, 1, passes), (kinds, requests)
 
 
 # ---------------------------------------------------------------------------

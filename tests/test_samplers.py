@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lnmean import StreamKey, chi_square, std_normal
+from lnmean.samplers import stream_generator, stream_words
 
 
 def test_stream_key_validation():
@@ -169,3 +170,138 @@ def test_squared_normals_match_chi_square_df1_distribution():
     quantiles = np.linspace(0.05, 0.95, 19)
     assert np.allclose(np.quantile(z, quantiles), np.quantile(c, quantiles),
                        rtol=0.0, atol=0.03)
+
+
+# ---------------------------------------------------------------------------
+# block hashing: numpy's seed sequence over arrays
+
+
+def _numpy_words(*address):
+    """Starting words of ``address`` by numpy's own seed sequence and SFC64 path."""
+    return np.random.SeedSequence(list(address)).generate_state(3, np.uint64)
+
+
+def _numpy_generator(*address):
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(list(address))))
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_stream_words_are_the_seed_sequence_words(length):
+    # 1-3 words pad the 4-word pool, 4 fill it, 5-7 are mixed in past it
+    rng = np.random.default_rng(length)
+    special = [0, 1, 2 ** 32 - 1]
+    addresses = [[0] * length, [2 ** 32 - 1] * length]
+    addresses += [[special[i] if i < len(special) else int(w) for i, w in enumerate(row)]
+                  for row in rng.integers(0, 2 ** 32, size=(20, length))]
+    addresses += [rng.permutation(row).tolist() for row in addresses[2:8]]
+    for address in addresses:
+        words = stream_words(*address)
+        assert words.shape == (3,) and words.dtype == np.uint64
+        assert np.array_equal(words, _numpy_words(*address)), address
+        assert np.array_equal(stream_generator(words).random(4),
+                              _numpy_generator(*address).random(4)), address
+    # the same addresses as one block, one array entry per word
+    block = np.array(addresses)
+    assert np.array_equal(stream_words(*block.T),
+                          np.array([_numpy_words(*a) for a in addresses]))
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (2 ** 32 - 1, 2 ** 32 - 1), (2 ** 40 + 3, 7),
+                                         (5, 2 ** 40 + 9), (2 ** 64 - 1, 2 ** 63 + 1)])
+def test_a_block_hashes_each_address_as_the_seed_sequence_does(seed, index):
+    # two-word seeds and indices are scalar entries; the array entries are
+    # one word each, and broadcast into a (4, 6) block
+    replicates = np.array([0, 1, 2 ** 31, 2 ** 32 - 1])[:, None]
+    rows = np.arange(6)
+    words = stream_words(seed, index, replicates, 1, rows)
+    assert words.shape == (4, 6, 3)
+    for r, replicate in enumerate(replicates[:, 0].tolist()):
+        for j in rows.tolist():
+            assert np.array_equal(words[r, j], _numpy_words(seed, index, replicate, 1, j))
+    assert np.array_equal(stream_words(seed, np.arange(3), 0),
+                          np.array([_numpy_words(seed, i, 0) for i in range(3)]))
+    assert stream_words(seed, np.arange(0), 0).shape == (0, 3)
+
+
+def test_stream_key_generator_is_numpys_stream():
+    for seed, index, lanes in ((0, 0, ()), (1, 2, (0,)), (2 ** 40, 2 ** 33, (1, 5)),
+                               (7, 8, (2 ** 32 + 1, 0, 3, 4))):
+        key = StreamKey(seed, index)
+        assert np.array_equal(key.generator(*lanes).random(6),
+                              np.random.Generator(np.random.SFC64(key.seed_sequence(*lanes)))
+                              .random(6))
+
+
+@pytest.mark.parametrize("lane", [1.5, True, False, -1, 2 ** 64, "1", None, np.float64(1.0)])
+def test_a_lane_that_is_no_64_bit_integer_is_refused(lane):
+    # 1.5 and True used to give lane 1, and -1 an OverflowError, which the
+    # method table would have counted as a method failure
+    for key in (StreamKey(1, 2), StreamKey(2 ** 40, 0)):
+        for make in (key.generator, key.seed_sequence,
+                     lambda lane: stream_words(key.seed, key.stream_index, lane)):
+            with pytest.raises(ValueError, match="address entry must .*integer"):
+                make(lane)
+
+
+@pytest.mark.parametrize("column", [np.array([0, 2 ** 32]), np.array([-1, 3]),
+                                    np.array([2 ** 63], dtype=np.uint64),
+                                    np.array([0.0, 1.0]), np.array([True, False]),
+                                    np.array([2 ** 70, 1], dtype=object)])
+def test_an_array_entry_is_one_32_bit_word_or_refused(column):
+    # an index of 2**32 needs a second word: cast into uint32 it would wrap
+    # onto index 0, another replicate's stream
+    with pytest.raises(ValueError, match="address column"):
+        stream_words(1, column, 0)
+
+
+def test_draw_block_rows_are_the_replicates_own_streams():
+    from lnmean.simulate import SimulationCell, draw_block
+
+    for seed, cell_index in ((3, 2), (2 ** 40 + 11, 1), (2 ** 64 - 1, 0)):
+        cell = SimulationCell(mu=0.5, sigma2s=(1.0, 2.5), ns=(5, 10), outer_reps=100,
+                              seed=seed, cell_index=cell_index, methods=("ahmed",))
+        groups, valid = draw_block(cell, 17, 5)
+        assert valid.all()
+        for row in range(5):
+            index = cell_index * cell.outer_reps + 17 + row
+            z = _numpy_generator(seed, index, 0).standard_normal(sum(cell.ns))
+            reference = std_normal(StreamKey(seed, index).generator(0), sum(cell.ns))
+            assert np.array_equal(z, reference)
+            values = cell.mu - 0.5 * 2.5 + math.sqrt(2.5) * z[5:]
+            assert groups.means[row, 1] == np.add.reduce(values) / 10
+
+
+def test_simulation_pivot_rows_are_lane_1_of_each_replicate(monkeypatch):
+    # _run_block hashes every replicate's 3k pivot rows in one block and
+    # hands each replicate's SharedWork its (3k, 3) rows
+    from lnmean import simulate
+
+    seen = []
+
+    class Recorded(simulate.SharedWork):
+        def __init__(self, ds, reps, key, *lanes, kinds, words):
+            seen.append((key, lanes, words))
+            super().__init__(ds, reps, key, *lanes, kinds=kinds, words=words)
+
+    monkeypatch.setattr(simulate, "SharedWork", Recorded)
+    seed = 2 ** 33 + 5
+    cell = simulate.SimulationCell(mu=0.0, sigma2s=(1.0, 2.5, 0.5), ns=(5, 10, 4),
+                                   outer_reps=100, inner_reps=1000, seed=seed, cell_index=3,
+                                   methods=("gv-umvue",))
+    simulate._run_block(cell, 40, 6)
+    assert [key for key, _, _ in seen] == [StreamKey(seed, 340 + r) for r in range(6)]
+    for key, lanes, words in seen:
+        assert lanes == (1,) and words.shape == (9, 3)
+        assert np.array_equal(words, [_numpy_words(seed, key.stream_index, 1, j)
+                                      for j in range(9)])
+
+
+@pytest.mark.parametrize("words", [np.zeros(2, dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64),
+                                   np.zeros(4, dtype=np.uint64)])
+def test_a_generator_takes_exactly_three_starting_words(words):
+    with pytest.raises(ValueError, match="starting words"):
+        stream_generator(words)
+    # a row that is not contiguous is copied, not read past
+    rows = stream_words(1, np.arange(4), 0)
+    assert np.array_equal(stream_generator(rows.T.copy().T[2]).random(3),
+                          stream_generator(rows[2]).random(3))
