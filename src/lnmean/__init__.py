@@ -11,8 +11,7 @@ from .classical import (AhmedComponents, MleResult, ahmed_ci, ahmed_components,
                         gupta_li_mle, gupta_li_test, log_likelihood, lr_test)
 from .generalized import (MCConfig, PivotDraws, PivotMethod, TestSpec, gci, gp_value,
                           interval_from_pivots, pivot_draw_umvue,
-                          pivot_draw_weighted, pivot_weights, pvalue_from_pivots,
-                          sample_pivots)
+                          pivot_draw_weighted, pvalue_from_pivots, sample_pivots)
 from .model import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Dataset, KnownVarianceSpec,
                     ModelSpec, SampleSummary, summarize, umvue_known_variance,
                     umvue_lognormal_mean)
@@ -37,7 +36,7 @@ __all__ = [
     "gp_value", "gupta_li_ci", "gupta_li_mle",
     "gupta_li_test", "interval_from_log", "interval_from_phi",
     "interval_from_pivots", "load_grid_config", "log_likelihood", "lr_test",
-    "pivot_draw_umvue", "pivot_draw_weighted", "pivot_weights",
+    "pivot_draw_umvue", "pivot_draw_weighted",
     "pvalue_from_pivots", "rmrs_dataset", "run_cell", "run_grid",
     "sample_pivots", "std_normal", "summarize", "umvue_known_variance",
     "umvue_lognormal_mean", "write_csv",

@@ -14,14 +14,12 @@ Each procedure is written once, over arrays whose leading axis runs over the
 datasets of a ``GroupBlock``; a single dataset is a block of one.  Two
 builders do the shared work of a block: ``ahmed_components_block`` (ahmed and
 baklizi) and ``gupta_li_mle_block`` (gupta-li and lrt).  The ``*_block``
-readers turn what they built into one p-value, or one pair of log-scale
-bounds, per dataset, NaN where the procedure cannot answer on it.
-``ahmed_components(ds)`` and ``gupta_li_mle(ds)`` are the builders' views of
-one dataset: its pieces as Python numbers, or a ValueError naming why it has
-none.  The six readers (``ahmed_test``, ``ahmed_ci``, ``baklizi_ci``,
-``gupta_li_test``, ``gupta_li_ci``, ``lr_test``) read those pieces with the
-block readers' formulas.  The builders refuse a dataset outside the
-lognormal-mean model, so the pieces exist only for that model.
+readers give each dataset what its outcome needs, a ``TestBlock`` or an
+``IntervalBlock``, whose ``lane(i)`` is dataset i's outcome or raises its
+failure reason, written once next to its formula and built only when read.
+``ahmed_components(ds)``, ``gupta_li_mle(ds)`` and the six per-dataset
+readers are views of a block of one.  The builders refuse a dataset outside
+the lognormal-mean model.
 
 Sums over the groups run column by column, left to right, as numpy sums
 fewer than 8 elements, so for k < 8 the figures have the bits that the same
@@ -37,6 +35,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -59,11 +58,6 @@ _SCAN_BUDGET = 2 ** 20
 # the arithmetic of every kernel: overflow, 0 * inf and the like are read off
 # the results (inf and NaN) and named, not warned about
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
-
-
-def _require_lognormal(ds: Dataset) -> None:
-    if not ds.model.is_lognormal_mean:
-        raise ValueError("defined for the lognormal-mean model (a=1, b=-0.5) only")
 
 
 def _require_mu0(mu0: float) -> None:
@@ -89,14 +83,6 @@ def _inverse_sqrt(x: np.ndarray) -> np.ndarray:
     return np.array([value ** -0.5 for value in x.tolist()])
 
 
-def _log_bounds(lower, upper, failed):
-    """Log-scale bounds of original-scale ones (-inf from a nonpositive bound,
-    as ``interval_from_phi`` takes them), NaN where ``failed``."""
-    logs = [[math.log(x) if x > 0.0 else -math.inf for x in bound.tolist()]
-            for bound in (lower, upper)]
-    return tuple(np.where(failed, np.nan, log) for log in logs)
-
-
 def _group_sum(terms):
     """The sum over the first (group) axis of ``terms``, left to right."""
     total = 0.0
@@ -120,9 +106,9 @@ class GroupBlock:
     @classmethod
     def of(cls, ds: Dataset) -> "GroupBlock":
         """``ds`` as a block of one; refused outside the lognormal-mean model."""
-        _require_lognormal(ds)
-        return cls(tuple(g.n for g in ds.groups), np.array([[g.mean for g in ds.groups]]),
-                   np.array([[g.variance for g in ds.groups]]))
+        if not ds.model.is_lognormal_mean:
+            raise ValueError("defined for the lognormal-mean model (a=1, b=-0.5) only")
+        return cls(tuple(ds.counts().tolist()), ds.means()[None], ds.variances()[None])
 
     @property
     def size(self) -> int:
@@ -138,31 +124,83 @@ class GroupBlock:
                 scaled)
 
 
+def _lane_field(name: str) -> property:
+    """A field of a lane view: its lane of field ``name`` of its block, as Python numbers."""
+    def read(view):
+        value = getattr(view.block, name)[view.lane].tolist()
+        return tuple(value) if isinstance(value, list) else value
+    return property(read)
+
+
+@dataclass(frozen=True)
+class TestBlock:
+    """A test's (R,) p-values, NaN where it cannot answer, and statistics on a
+    block.  ``check(i)`` raises the ValueError naming why dataset i has no
+    answer, if it has none; no reason is built until then."""
+
+    __test__ = False  # not a pytest class, despite the name
+
+    p_value: np.ndarray
+    statistic: np.ndarray
+    check: Callable[[int], None]
+
+    def lane(self, i: int) -> TestOutcome:
+        """Dataset ``i``'s outcome, or the ValueError that it has none."""
+        self.check(i)
+        return TestOutcome(p_value=float(self.p_value[i]), mc_std_error=0.0, reps_used=0,
+                           statistic=float(self.statistic[i]))
+
+
+@dataclass(frozen=True)
+class IntervalBlock:
+    """An interval's (R,) bounds and estimates at ``level`` on a block, on the
+    method's native scale: the log scale of mu where ``log_scale``, else that
+    of exp(mu), where a lower bound may be 0 or negative.  ``failed`` marks
+    the datasets it cannot answer on, and ``check`` is as in ``TestBlock``."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    estimate: np.ndarray
+    level: float
+    log_scale: bool
+    failed: np.ndarray
+    check: Callable[[int], None]
+
+    def log_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each dataset's log-scale bounds as its ``IntervalOutcome`` has them
+        (-inf from a nonpositive bound), NaN where it has none."""
+        if self.log_scale:
+            bounds = self.lower, self.upper
+        else:
+            bounds = [[math.log(x) if x > 0.0 else -math.inf for x in bound.tolist()]
+                      for bound in (self.lower, self.upper)]
+        return tuple(np.where(self.failed, np.nan, bound) for bound in bounds)
+
+    def lane(self, i: int) -> IntervalOutcome:
+        """Dataset ``i``'s outcome, or the ValueError that it has none."""
+        self.check(i)
+        lower, upper, estimate = (float(a[i]) for a in (self.lower, self.upper, self.estimate))
+        if self.log_scale:
+            return interval_from_log(lower, upper, self.level, estimate=exp_or_inf(estimate))
+        return interval_from_phi(lower, upper, self.level, estimate=estimate)
+
+
 # ---------------------------------------------------------------------------
 # pooled Wald estimator and acceptance-set interval
 
 
 @dataclass(frozen=True)
-class AhmedComponents:
-    """Per-group lognormal-mean estimates and their pooled combination.
-
-    ``theta_hats`` are the per-group mean estimates exp(mean + sigma2/2) with
-    the n-divisor group variances sigma2, ``weights`` the inverse variances
-    n_i / v_hat_i of their delta-method variances v_hat_i, and ``theta_tilde``
-    the inverse-variance pooled estimate with standard error ``std_error``.
-    """
-
-    theta_hats: tuple[float, ...]
-    weights: tuple[float, ...]
-    theta_tilde: float
-    std_error: float
-
-
-@dataclass(frozen=True)
 class AhmedBlock:
-    """The ``AhmedComponents`` of each dataset of a block: (R, k) and (R,)
-    arrays.  ``failed`` marks the datasets whose delta-method variances leave
-    the float range; their other fields mean nothing."""
+    """Per-group lognormal-mean estimates of each dataset of a block and their
+    pooled combination.
+
+    ``theta_hats`` are the (R, k) per-group mean estimates exp(mean + sigma2/2)
+    with the n-divisor group variances sigma2, ``weights`` the inverse
+    variances n_i / v_hat_i of their delta-method variances v_hat_i, and
+    ``theta_tilde`` the (R,) inverse-variance pooled estimates with standard
+    errors ``std_error``.  ``failed`` marks the datasets whose delta-method
+    variances leave the float range; their other fields mean nothing.
+    """
 
     theta_hats: np.ndarray
     weights: np.ndarray
@@ -174,10 +212,20 @@ class AhmedBlock:
         """Dataset ``i``'s components, or the ValueError that it has none."""
         if self.failed[i]:
             raise ValueError(_AHMED_RANGE)
-        return AhmedComponents(theta_hats=tuple(self.theta_hats[i].tolist()),
-                               weights=tuple(self.weights[i].tolist()),
-                               theta_tilde=float(self.theta_tilde[i]),
-                               std_error=float(self.std_error[i]))
+        return AhmedComponents(self, i)
+
+
+@dataclass(frozen=True, eq=False)
+class AhmedComponents:
+    """Dataset ``lane`` of an ``AhmedBlock`` (of one, from ``ahmed_components``),
+    which the per-dataset readers read; its fields are Python numbers."""
+
+    block: AhmedBlock
+    lane: int
+    theta_hats = _lane_field("theta_hats")
+    weights = _lane_field("weights")
+    theta_tilde = _lane_field("theta_tilde")
+    std_error = _lane_field("std_error")
 
 
 def _numpy_exp(x: np.ndarray) -> np.ndarray:
@@ -189,7 +237,7 @@ def _numpy_exp(x: np.ndarray) -> np.ndarray:
 
 def ahmed_components_block(groups: GroupBlock) -> AhmedBlock:
     """Per-group estimates, delta-method weights and their pooled combination
-    for every dataset of ``groups`` (see ``AhmedComponents``)."""
+    for every dataset of ``groups`` (see ``AhmedBlock``)."""
     n, means = groups.columns[:2]
     shrink = np.array([(size - 1) / size for size in groups.ns])[:, None]
     with np.errstate(**_QUIET):
@@ -211,84 +259,75 @@ def ahmed_components(ds: Dataset) -> AhmedComponents:
     return ahmed_components_block(GroupBlock.of(ds)).lane(0)
 
 
-def _ahmed_bounds(theta_tilde, std_error, level: float):
+def ahmed_ci_block(comp: AhmedBlock, level: float) -> IntervalBlock:
+    """Wald interval theta_tilde +/- z * SE of each dataset on the original scale."""
     z = _normal_quantile(level)
-    return theta_tilde - z * std_error, theta_tilde + z * std_error
+    with np.errstate(**_QUIET):
+        lower, upper = comp.theta_tilde - z * comp.std_error, comp.theta_tilde + z * comp.std_error
+    return IntervalBlock(lower, upper, comp.theta_tilde, level, log_scale=False,
+                         failed=comp.failed, check=comp.lane)
 
 
 def ahmed_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
-    """Wald interval theta_tilde +/- z * SE on the original scale."""
-    lower, upper = _ahmed_bounds(comp.theta_tilde, comp.std_error, level)
-    return interval_from_phi(lower, upper, level, estimate=comp.theta_tilde)
+    """``ahmed_ci_block`` of the dataset of ``comp``."""
+    return ahmed_ci_block(comp.block, level).lane(comp.lane)
 
 
-def ahmed_ci_block(comp: AhmedBlock, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log-scale bounds of each dataset's ``ahmed_ci``, NaN where it has none."""
+def ahmed_test_block(comp: AhmedBlock, phi0: float,
+                     alternative: Alternative = Alternative.TWO_SIDED) -> TestBlock:
+    """Wald test of each dataset's pooled estimate against phi0 on the original
+    scale; a phi0 that is not positive and finite fails every dataset."""
     with np.errstate(**_QUIET):
-        lower, upper = _ahmed_bounds(comp.theta_tilde, comp.std_error, level)
-    return _log_bounds(lower, upper, comp.failed)
+        z = (comp.theta_tilde - phi0) / comp.std_error
+    failed = comp.failed | (not 0.0 < phi0 < math.inf)
 
+    def check(i):
+        comp.lane(i)  # raises the reason of a dataset without components
+        log_phi0(phi0)  # names a bad null
 
-def _ahmed_statistic(theta_tilde, std_error, phi0: float):
-    log_phi0(phi0)  # checks phi0
-    return (theta_tilde - phi0) / std_error
+    return TestBlock(np.where(failed, np.nan, _wald_pvalue(z, alternative)), z, check)
 
 
 def ahmed_test(comp: AhmedComponents, phi0: float,
                alternative: Alternative = Alternative.TWO_SIDED) -> TestOutcome:
-    """Wald test of the pooled estimate against phi0 on the original scale."""
-    z = _ahmed_statistic(comp.theta_tilde, comp.std_error, phi0)
-    return TestOutcome(p_value=float(_wald_pvalue(z, alternative)), mc_std_error=0.0,
-                       reps_used=0, statistic=z)
+    """``ahmed_test_block`` of the dataset of ``comp``."""
+    return ahmed_test_block(comp.block, phi0, alternative).lane(comp.lane)
 
 
-def ahmed_test_block(comp: AhmedBlock, phi0: float,
-                     alternative: Alternative = Alternative.TWO_SIDED) -> np.ndarray:
-    """Each dataset's ``ahmed_test`` p-value, NaN where it has none."""
-    with np.errstate(**_QUIET):
-        z = _ahmed_statistic(comp.theta_tilde, comp.std_error, phi0)
-    return np.where(comp.failed, np.nan, _wald_pvalue(z, alternative))
-
-
-def _baklizi_bounds(theta_hats, weights, theta_tilde, std_error, level: float):
-    """The acceptance set's q, the spread Q of the group estimates about the
-    pooled one, and the bounds theta_tilde -/+ se sqrt(q - Q) (NaN where Q > q);
-    ``theta_hats`` and ``weights`` have the groups on their last axis."""
-    q = _chi2_quantile(level, theta_hats.shape[-1])
-    d = theta_hats.T - theta_tilde
-    spread = _group_sum(weights.T * (d * d))
-    half = std_error * np.sqrt(q - spread)
-    return q, spread, theta_tilde - half, theta_tilde + half
-
-
-def baklizi_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
-    """Interval of all theta accepted by the pooled quadratic criterion.
+def baklizi_ci_block(comp: AhmedBlock, level: float) -> IntervalBlock:
+    """Interval of all theta accepted by the pooled quadratic criterion, per dataset.
 
     The acceptance set sum_i n_i (theta_hat_i - theta)^2 / v_hat_i <= q, with q
     the level quantile of chi-square(k), is Q + (theta - theta_tilde)^2 / se^2
     <= q about ahmed's pooled estimate theta_tilde and its standard error se,
     where Q is the same sum at theta_tilde: theta_tilde +/- se sqrt(q - Q).
     When Q > q (group estimates too far apart for any common value) the set
-    is empty, a ValueError.
+    is empty, a failure.
     """
+    q = _chi2_quantile(level, comp.theta_hats.shape[-1])
     with np.errstate(**_QUIET):
-        q, spread, lower, upper = _baklizi_bounds(np.array(comp.theta_hats),
-                                                  np.array(comp.weights),
-                                                  comp.theta_tilde, comp.std_error, level)
-    if math.isnan(spread):  # an overflowed v_hat's weight 0 times an overflowed d * d
-        raise ValueError(_AHMED_RANGE)
-    if spread > q:
-        raise ValueError(f"empty acceptance set: no common mean is accepted at level {level:g}")
-    return interval_from_phi(float(lower), float(upper), level, estimate=comp.theta_tilde)
+        d = comp.theta_hats.T - comp.theta_tilde
+        spread = _group_sum(comp.weights.T * (d * d))
+        half = comp.std_error * np.sqrt(q - spread)
+        lower, upper = comp.theta_tilde - half, comp.theta_tilde + half
+        empty = spread > q
+    undefined = np.isnan(spread)  # an overflowed v_hat's weight 0 times an overflowed d * d
+
+    def check(i):
+        comp.lane(i)
+        if undefined[i]:
+            raise ValueError(_AHMED_RANGE)
+        if empty[i]:
+            raise ValueError("empty acceptance set: no common mean is accepted at level "
+                             f"{level:g}")
+
+    return IntervalBlock(lower, upper, comp.theta_tilde, level, log_scale=False,
+                         failed=comp.failed | undefined | empty, check=check)
 
 
-def baklizi_ci_block(comp: AhmedBlock, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log-scale bounds of each dataset's ``baklizi_ci``, NaN where it has none."""
-    with np.errstate(**_QUIET):
-        q, spread, lower, upper = _baklizi_bounds(comp.theta_hats, comp.weights,
-                                                  comp.theta_tilde, comp.std_error, level)
-        failed = comp.failed | np.isnan(spread) | (spread > q)
-    return _log_bounds(lower, upper, failed)
+def baklizi_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
+    """``baklizi_ci_block`` of the dataset of ``comp``."""
+    return baklizi_ci_block(comp.block, level).lane(comp.lane)
 
 
 # ---------------------------------------------------------------------------
@@ -296,32 +335,20 @@ def baklizi_ci_block(comp: AhmedBlock, level: float) -> tuple[np.ndarray, np.nda
 
 
 @dataclass(frozen=True)
-class MleResult:
-    """Maximum-likelihood fit of (mu, sigma^2_1..k).
+class MleBlock:
+    """Maximum-likelihood fit of (mu, sigma^2_1..k) of each dataset of a
+    block: (R,) arrays, (R, k) for ``sigma2_hats``.
 
     ``std_error`` is the asymptotic SD of mu_hat, the efficient information
     for mu to the power -1/2: group i is N(mu - v_i/2, v_i), and once v_i is
     profiled out it carries information 2 n_i / (v_i (2 + v_i)) about mu, and
     the groups add.  ``iterations`` counts evaluations of the profile score
     of mu, and ``converged`` is False only if a Brent search stopped short of
-    its tolerance.  ``groups`` are the (n_i, ybar_i, (n_i - 1) s_i^2) of the
-    fitted dataset, which the likelihood-ratio test reads at its null.
+    its tolerance.  ``failed`` marks the datasets without a fit, whose other
+    fields mean nothing; ``failed_at`` is the mu at which a profile variance
+    overflowed, NaN where none did.  ``groups`` are the fitted datasets, which
+    the likelihood-ratio test reads at its null.
     """
-
-    mu_hat: float
-    sigma2_hats: tuple[float, ...]
-    log_likelihood: float
-    std_error: float
-    iterations: int
-    converged: bool
-    groups: tuple[tuple[float, float, float], ...]
-
-
-@dataclass(frozen=True)
-class MleBlock:
-    """The ``MleResult`` of each dataset of a block: (R,) arrays, (R, k) for
-    ``sigma2_hats``.  ``failures`` maps each dataset without a fit to the
-    reason, and ``failed`` marks them; their other fields mean nothing."""
 
     mu_hat: np.ndarray
     sigma2_hats: np.ndarray
@@ -330,22 +357,34 @@ class MleBlock:
     iterations: np.ndarray
     converged: np.ndarray
     failed: np.ndarray
-    failures: dict[int, str]
+    failed_at: np.ndarray
     groups: GroupBlock
 
     def lane(self, i: int) -> MleResult:
-        """Dataset ``i``'s fit, or the ValueError that it has none."""
-        if self.failed[i]:
-            raise ValueError(self.failures[i])
-        _, ybar, scaled = self.groups.columns
-        return MleResult(mu_hat=float(self.mu_hat[i]),
-                         sigma2_hats=tuple(self.sigma2_hats[i].tolist()),
-                         log_likelihood=float(self.log_likelihood[i]),
-                         std_error=float(self.std_error[i]),
-                         iterations=int(self.iterations[i]),
-                         converged=bool(self.converged[i]),
-                         groups=tuple(zip(map(float, self.groups.ns), ybar[:, i].tolist(),
-                                          scaled[:, i].tolist())))
+        """Dataset ``i``'s fit, or the ValueError naming why it has none."""
+        if not self.failed[i]:
+            return MleResult(self, i)
+        if not math.isnan(self.failed_at[i]):
+            raise ValueError(_overflow_message(self.failed_at[i]))
+        # a fit whose profile variances all pass ~1e154 would have no standard
+        # error; the scan's own overflow check comes first, but no lane may raise
+        raise ValueError(f"the information for mu at mu_hat = {self.mu_hat[i]:.6g} underflows "
+                         "to 0: no standard error")
+
+
+@dataclass(frozen=True, eq=False)
+class MleResult:
+    """Dataset ``lane`` of an ``MleBlock`` (of one, from ``gupta_li_mle``),
+    which the per-dataset readers read; its fields are Python numbers."""
+
+    block: MleBlock
+    lane: int
+    mu_hat = _lane_field("mu_hat")
+    sigma2_hats = _lane_field("sigma2_hats")
+    log_likelihood = _lane_field("log_likelihood")
+    std_error = _lane_field("std_error")
+    iterations = _lane_field("iterations")
+    converged = _lane_field("converged")
 
 
 def _overflow_message(mu: float) -> str:
@@ -385,28 +424,22 @@ def _log_likelihood(n, ybar, scaled, mu, sigma2s):
                       - (scaled + n * (d * d)) / (2.0 * sigma2s))
 
 
-def _terms(ds: Dataset) -> np.ndarray:
-    """(n_i, ybar_i, (n_i - 1) s_i^2) of ``ds`` as three (k,) arrays."""
-    _require_lognormal(ds)
-    return np.array(ds.group_terms()).T
-
-
 def log_likelihood(ds: Dataset, mu: float, sigma2s) -> float:
     """Joint log-likelihood of the log-scale data at (mu, sigma^2), from summaries."""
-    n, ybar, scaled = _terms(ds)
+    n, ybar, scaled = GroupBlock.of(ds).columns
     v = np.asarray(sigma2s, dtype=float)
     if v.shape != (ds.k,):
         raise ValueError(f"need exactly {ds.k} variances")
     if np.any(v <= 0.0):
         raise ValueError("variances must be strictly positive")
     with np.errstate(**_QUIET):
-        return float(_log_likelihood(n, ybar, scaled, mu, v))
+        return float(_log_likelihood(n, ybar, scaled, mu, v[:, None])[0])
 
 
 def constrained_sigma2(ds: Dataset, mu: float) -> np.ndarray:
     """Per-group variance maximizers at fixed mu (see ``_profile_variances``)."""
     with np.errstate(**_QUIET):
-        variances = _profile_variances(*_terms(ds), mu)
+        variances = _profile_variances(*GroupBlock.of(ds).columns, mu)[:, 0]
     if not (variances < math.inf).all():
         raise ValueError(_overflow_message(mu))
     return variances
@@ -595,19 +628,11 @@ def gupta_li_mle_block(groups: GroupBlock) -> MleBlock:
     with np.errstate(**_QUIET):
         mu_hat, sigma2_hats, ll, iterations, converged, failed_at = _fit(n, ybar, scaled)
         information = _group_sum(2.0 * n / (sigma2_hats * (2.0 + sigma2_hats)))
-    failures = {int(i): _overflow_message(failed_at[i])
-                for i in np.flatnonzero(~np.isnan(failed_at))}
-    # a fit whose profile variances all pass ~1e154 would have no standard
-    # error; the scan's own overflow check comes first, but no lane may raise
-    for i in np.flatnonzero(information == 0.0):
-        failures[int(i)] = (f"the information for mu at mu_hat = {mu_hat[i]:.6g} underflows "
-                            "to 0: no standard error")
-    failed = np.zeros(groups.size, dtype=bool)
-    failed[list(failures)] = True
+    failed = ~np.isnan(failed_at) | (information == 0.0)
     return MleBlock(mu_hat=mu_hat, sigma2_hats=sigma2_hats.T, log_likelihood=ll,
                     std_error=_inverse_sqrt(np.where(failed, 1.0, information)),
                     iterations=iterations, converged=converged, failed=failed,
-                    failures=failures, groups=groups)
+                    failed_at=failed_at, groups=groups)
 
 
 def gupta_li_mle(ds: Dataset) -> MleResult:
@@ -627,70 +652,62 @@ def gupta_li_mle(ds: Dataset) -> MleResult:
     return gupta_li_mle_block(GroupBlock.of(ds)).lane(0)
 
 
-def _gupta_li_bounds(mu_hat, std_error, level: float):
+def gupta_li_ci_block(fit: MleBlock, level: float) -> IntervalBlock:
+    """Wald interval exp(mu_hat +/- z * SD(mu_hat)) of each dataset."""
     z = _normal_quantile(level)
-    return mu_hat - z * std_error, mu_hat + z * std_error
+    with np.errstate(**_QUIET):
+        lower, upper = fit.mu_hat - z * fit.std_error, fit.mu_hat + z * fit.std_error
+    return IntervalBlock(lower, upper, fit.mu_hat, level, log_scale=True, failed=fit.failed,
+                         check=fit.lane)
 
 
 def gupta_li_ci(fit: MleResult, level: float = 0.95) -> IntervalOutcome:
-    """Wald interval exp(mu_hat +/- z * SD(mu_hat))."""
-    lower, upper = _gupta_li_bounds(fit.mu_hat, fit.std_error, level)
-    return interval_from_log(lower, upper, level, estimate=exp_or_inf(fit.mu_hat))
+    """``gupta_li_ci_block`` of the dataset of ``fit``."""
+    return gupta_li_ci_block(fit.block, level).lane(fit.lane)
 
 
-def gupta_li_ci_block(fit: MleBlock, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log-scale bounds of each dataset's ``gupta_li_ci``, NaN where it has none."""
-    with np.errstate(**_QUIET):
-        bounds = _gupta_li_bounds(fit.mu_hat, fit.std_error, level)
-    return tuple(np.where(fit.failed, np.nan, bound) for bound in bounds)
-
-
-def _gupta_li_statistic(mu_hat, std_error, mu0: float):
+def gupta_li_test_block(fit: MleBlock, *, mu0: float) -> TestBlock:
+    """Two-sided Wald test of mu = mu0 on the log scale, for each dataset."""
     _require_mu0(mu0)
-    return (mu_hat - mu0) / std_error
+    with np.errstate(**_QUIET):
+        z = (fit.mu_hat - mu0) / fit.std_error
+    return TestBlock(np.where(fit.failed, np.nan, _wald_pvalue(z, Alternative.TWO_SIDED)), z,
+                     fit.lane)
 
 
 def gupta_li_test(fit: MleResult, *, mu0: float) -> TestOutcome:
-    """Two-sided Wald test of mu = mu0 on the log scale."""
-    z = _gupta_li_statistic(fit.mu_hat, fit.std_error, mu0)
-    return TestOutcome(p_value=float(_wald_pvalue(z, Alternative.TWO_SIDED)), mc_std_error=0.0,
-                       reps_used=0, statistic=z)
+    """``gupta_li_test_block`` of the dataset of ``fit``."""
+    return gupta_li_test_block(fit.block, mu0=mu0).lane(fit.lane)
 
 
-def gupta_li_test_block(fit: MleBlock, *, mu0: float) -> np.ndarray:
-    """Each dataset's ``gupta_li_test`` p-value, NaN where it has none."""
-    with np.errstate(**_QUIET):
-        z = _gupta_li_statistic(fit.mu_hat, fit.std_error, mu0)
-    return np.where(fit.failed, np.nan, _wald_pvalue(z, Alternative.TWO_SIDED))
-
-
-def _lr_statistic(log_likelihood, n, ybar, scaled, mu0: float):
-    """2 (l_p(mu_hat) - l_p(mu0)), and where the profile variance at mu0 overflows."""
-    _require_mu0(mu0)
-    with np.errstate(**_QUIET):
-        null = _log_likelihood(n, ybar, scaled, mu0, _profile_variances(n, ybar, scaled, mu0))
-        # the clamp only removes rounding residue when mu0 is within ulps of mu_hat
-        return np.maximum(2.0 * (log_likelihood - null), 0.0), np.isnan(null)
-
-
-def lr_test(fit: MleResult, *, mu0: float) -> TestOutcome:
-    """Profile likelihood-ratio test of mu = mu0 (log scale), chi-square(1) calibrated.
+def lr_test_block(fit: MleBlock, *, mu0: float) -> TestBlock:
+    """Profile likelihood-ratio test of mu = mu0 (log scale), chi-square(1)
+    calibrated, for each dataset.
 
     The statistic is 2 (l_p(mu_hat) - l_p(mu0)) with l_p the profile
     log-likelihood of the fitted groups, nonnegative because mu_hat is its
-    global maximizer.
+    global maximizer.  A dataset whose profile variance overflows at mu0
+    fails.
     """
-    lam, overflow = _lr_statistic(fit.log_likelihood, *np.array(fit.groups).T, mu0)
-    if overflow:
-        raise ValueError(_overflow_message(mu0))
-    return TestOutcome(p_value=float(special.chdtrc(1, lam)), mc_std_error=0.0,
-                       reps_used=0, statistic=float(lam))
+    _require_mu0(mu0)
+    n, ybar, scaled = fit.groups.columns
+    with np.errstate(**_QUIET):
+        null = _log_likelihood(n, ybar, scaled, mu0, _profile_variances(n, ybar, scaled, mu0))
+        # the clamp only removes rounding residue when mu0 is within ulps of mu_hat
+        lam = np.maximum(2.0 * (fit.log_likelihood - null), 0.0)
+    overflow = np.isnan(null)
+
+    def check(i):
+        fit.lane(i)
+        if overflow[i]:
+            raise ValueError(_overflow_message(mu0))
+
+    return TestBlock(np.where(fit.failed | overflow, np.nan, special.chdtrc(1, lam)), lam, check)
 
 
-def lr_test_block(fit: MleBlock, *, mu0: float) -> np.ndarray:
-    """Each dataset's ``lr_test`` p-value, NaN where it has none."""
-    lam, overflow = _lr_statistic(fit.log_likelihood, *fit.groups.columns, mu0)
-    return np.where(fit.failed | overflow, np.nan, special.chdtrc(1, lam))
+def lr_test(fit: MleResult, *, mu0: float) -> TestOutcome:
+    """``lr_test_block`` of the dataset of ``fit``."""
+    return lr_test_block(fit.block, mu0=mu0).lane(fit.lane)
 
 
 def _wald_pvalue(z, alternative):

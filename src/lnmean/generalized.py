@@ -102,17 +102,6 @@ def _weight_columns(ds: Dataset, v: np.ndarray) -> list:
     return [col / total for col in raw]
 
 
-def pivot_weights(ds: Dataset, v) -> np.ndarray:
-    """Normalized weights n_i * v_i / ((n_i - 1) s_i^2) for chi-square draws v.
-
-    ``v`` has shape (..., k); the weights sum to one along the last axis.
-    """
-    v = np.asarray(v, dtype=float)
-    _check_group_axis(ds, v, "v")
-    _check_positive(v, "weight")
-    return np.stack(_weight_columns(ds, v), axis=-1)
-
-
 def pivot_draw_weighted(ds: Dataset, z, u, v):
     """Weighted-combination pivot value(s) from explicit random draws.
 
@@ -122,7 +111,7 @@ def pivot_draw_weighted(ds: Dataset, z, u, v):
         t_i = (ybar_i - b (n_i-1) s_i^2 / u_i
                       - z_i sqrt((n_i-1) s_i^2 / (n_i u_i))) / a
 
-    and the pivot is sum_i w_i t_i with weights from ``pivot_weights``.  All
+    and the pivot is sum_i w_i t_i with weights from ``_weight_columns``.  All
     of ``z``, ``u``, ``v`` have shape (..., k); leading axes are draw axes.
     """
     z = np.asarray(z, dtype=float)
@@ -231,12 +220,13 @@ def sample_pivots(draws: PivotDraws, kinds) -> np.ndarray:
             std_normal(rng, out=z[i, :m])
         for i, rng in enumerate(v_rows):
             chi_square(dfs[i], rng, out=v[i, :m])
-        for row, kind in zip(out, kinds):
-            if kind is PivotMethod.WEIGHTED:
-                row[start:start + m] = pivot_draw_weighted(ds, z[:, :m].T, u[:, :m].T,
-                                                           v[:, :m].T)
-            else:
-                row[start:start + m] = pivot_draw_umvue(ds, u[:, :m].T, z[0, :m])
+        with np.errstate(all="ignore"):  # a NaN pivot is named where it is read
+            for row, kind in zip(out, kinds):
+                if kind is PivotMethod.WEIGHTED:
+                    row[start:start + m] = pivot_draw_weighted(ds, z[:, :m].T, u[:, :m].T,
+                                                               v[:, :m].T)
+                else:
+                    row[start:start + m] = pivot_draw_umvue(ds, u[:, :m].T, z[0, :m])
     return out
 
 
@@ -247,10 +237,13 @@ def pvalue_from_pivots(pivots: np.ndarray, spec: TestSpec) -> TestOutcome:
     the two-sided p doubles the smaller strict tail (clipped to 1).  The
     standard error is that of the underlying tail proportion; a tail of no
     draws or of all m draws is resolved only to 1/m, so its error is taken at
-    one draw in or out of the tail rather than reported as zero.
+    one draw in or out of the tail rather than reported as zero.  A NaN pivot
+    lies in neither tail, so pivots with one are refused.
     """
     m = pivots.size
     require_draws(m)
+    if np.isnan(pivots).any():
+        raise ValueError("NaN pivots: no tail frequency can be read off them")
     if spec.alternative is Alternative.GREATER:
         count = np.count_nonzero(pivots <= spec.mu0)
         p = count / m

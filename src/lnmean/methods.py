@@ -2,15 +2,17 @@
 
 The command line and the simulation harness both choose methods with
 ``select``.  The command line runs each entry on a ``SharedWork``, the work
-of one dataset.  The simulation decides the classical entries for a whole
-block of replicates at once, on a ``BlockWork``, and runs the generalized
-ones replicate by replicate on a ``SharedWork`` each.  Entries reach
-``classical`` and ``generalized`` through the module when they run, so a
-function replaced on its module is the one called.
+of one dataset, where a classical entry reads lane 0 of its block procedures.
+The simulation decides the classical entries for a whole block of replicates
+at once, on a ``BlockWork``, and runs the generalized ones replicate by
+replicate on a ``SharedWork`` each.  Entries reach ``classical`` and
+``generalized`` through the module when they run, so a function replaced on
+its module is the one called.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,24 +28,29 @@ from .samplers import StreamKey
 FAILURES = (ValueError, ArithmeticError)
 
 
-class _FirstUse:
-    """Pieces of work, each done on first use; a call that raises is not
-    kept, so the next method to need the piece tries again."""
+class BlockWork:
+    """Work the classical methods share over a block of datasets: one ML fit
+    and one set of pooled components for the whole block, each built on
+    first use.  A dataset without one is a failure of the procedures that
+    read it, marked in the block, not raised."""
 
-    def __init__(self):
-        self._done: dict = {}  # cheaper to make than cache wrappers, once per replicate
+    def __init__(self, groups: classical.GroupBlock):
+        self.groups = groups
 
-    def _once(self, key, compute):
-        if key not in self._done:
-            self._done[key] = compute()
-        return self._done[key]
+    @functools.cached_property
+    def fit(self) -> classical.MleBlock:
+        return classical.gupta_li_mle_block(self.groups)
+
+    @functools.cached_property
+    def components(self) -> classical.AhmedBlock:
+        return classical.ahmed_components_block(self.groups)
 
 
-class SharedWork(_FirstUse):
-    """Work several methods need on one dataset (see ``_FirstUse``).
-
-    The pivots read the draw rows of ``PivotDraws(ds, reps, key, *lanes,
-    words=words)``.
+class SharedWork(BlockWork):
+    """The work of one dataset: a ``BlockWork`` of one, built on first use (the
+    generalized methods also run outside the lognormal-mean model, where
+    ``GroupBlock.of`` refuses the dataset), and the pivots, which read the
+    draw rows of ``PivotDraws(ds, reps, key, *lanes, words=words)``.
     ``kinds`` are the pivot kinds the caller's methods read: the first of
     them asked for evaluates them all in one pass.  A kind outside them is
     evaluated alone, from the same rows, to the same numbers.
@@ -51,40 +58,21 @@ class SharedWork(_FirstUse):
 
     def __init__(self, ds: Dataset, reps: int, key: StreamKey, *lanes: int,
                  kinds: tuple[PivotMethod, ...], words: np.ndarray | None = None):
-        super().__init__()
         self.ds = ds
         self._draws = generalized.PivotDraws(ds, reps, key, *lanes, words=words)
         self._kinds = kinds
+        self._pivots: dict = {}
 
-    def fit(self) -> classical.MleResult:
-        return self._once("fit", lambda: classical.gupta_li_mle(self.ds))
-
-    def components(self) -> classical.AhmedComponents:
-        return self._once("components", lambda: classical.ahmed_components(self.ds))
+    @functools.cached_property
+    def groups(self) -> classical.GroupBlock:
+        return classical.GroupBlock.of(self.ds)
 
     def pivots(self, kind: PivotMethod) -> np.ndarray:
         """``reps`` pivots of ``kind`` from the shared draw rows."""
-        if kind not in self._done:
+        if kind not in self._pivots:
             batch = self._kinds if kind in self._kinds else (kind,)
-            self._done.update(zip(batch, generalized.sample_pivots(self._draws, batch)))
-        return self._done[kind]
-
-
-class BlockWork(_FirstUse):
-    """Work the classical methods share over a block of datasets: one ML fit
-    and one set of pooled components for the whole block (see
-    ``_FirstUse``).  A dataset without one is a failure of the procedures
-    that read it, marked in the block, not raised."""
-
-    def __init__(self, groups: classical.GroupBlock):
-        super().__init__()
-        self.groups = groups
-
-    def fit(self) -> classical.MleBlock:
-        return self._once("fit", lambda: classical.gupta_li_mle_block(self.groups))
-
-    def components(self) -> classical.AhmedBlock:
-        return self._once("components", lambda: classical.ahmed_components_block(self.groups))
+            self._pivots.update(zip(batch, generalized.sample_pivots(self._draws, batch)))
+        return self._pivots[kind]
 
 
 @dataclass(frozen=True)
@@ -98,10 +86,10 @@ class Method:
     cannot answer on the data raises one of ``FAILURES``.  ``pivot`` is the
     Monte Carlo pivot kind that a generalized method reads.
 
-    A classical method also has the same procedures over a ``BlockWork``:
-    ``test_block`` gives each dataset's p-value and ``interval_block`` its
-    log-scale bounds, NaN where the procedure cannot answer, and
-    ``decide_block`` reads them.
+    A classical method's procedures are ``test_block``, a
+    ``classical.TestBlock`` of every dataset of a ``BlockWork``, and
+    ``interval_block``, a ``classical.IntervalBlock``; ``decide_block``
+    reads them, and ``test`` and ``interval`` are their lane 0.
     """
 
     name: str
@@ -110,8 +98,8 @@ class Method:
     lognormal_only: bool = True
     two_sided_only: bool = False
     pivot: PivotMethod | None = None
-    test_block: Callable[[BlockWork, TestSpec, float], np.ndarray] | None = None
-    interval_block: Callable[[BlockWork, float], tuple[np.ndarray, np.ndarray]] | None = None
+    test_block: Callable[[BlockWork, TestSpec, float], classical.TestBlock] | None = None
+    interval_block: Callable[[BlockWork, float], classical.IntervalBlock] | None = None
 
     def decide(self, work: SharedWork, spec: TestSpec, phi0: float, alpha: float,
                mu: float) -> list[int]:
@@ -141,11 +129,11 @@ class Method:
         what its ``TestOutcome`` or ``IntervalOutcome`` would refuse."""
         flags = np.zeros((4, work.groups.size), dtype=bool)
         if self.test_block is not None:
-            p = self.test_block(work, spec, phi0)
+            p = self.test_block(work, spec, phi0).p_value
             flags[0] = p < alpha
             flags[1] = ~is_p_value(p)
         if self.interval_block is not None:
-            lower, upper = self.interval_block(work, 1.0 - alpha)
+            lower, upper = self.interval_block(work, 1.0 - alpha).log_bounds()
             flags[3] = ~is_ordered(lower, upper)
             flags[2] = ~flags[3] & (lower <= mu) & (mu <= upper)
         return flags
@@ -174,32 +162,33 @@ def _generalized(name: str, kind: PivotMethod) -> Method:
     return Method(name, test, interval, lognormal_only=False, pivot=kind)
 
 
+def _classical(name: str, test_block=None, interval_block=None, **support) -> Method:
+    def test(work, spec, phi0):
+        return test_block(work, spec, phi0).lane(0)
+
+    def interval(work, level):
+        return interval_block(work, level).lane(0)
+
+    return Method(name, test if test_block else None, interval if interval_block else None,
+                  test_block=test_block, interval_block=interval_block, **support)
+
+
 METHODS = {entry.name: entry for entry in (
-    Method("lrt",
-           test=lambda work, spec, phi0: classical.lr_test(work.fit(), mu0=spec.mu0),
-           interval=None, two_sided_only=True,
-           test_block=lambda work, spec, phi0: classical.lr_test_block(
-               work.fit(), mu0=spec.mu0)),
-    Method("ahmed",
-           test=lambda work, spec, phi0: classical.ahmed_test(
-               work.components(), phi0, spec.alternative),
-           interval=lambda work, level: classical.ahmed_ci(work.components(), level),
-           test_block=lambda work, spec, phi0: classical.ahmed_test_block(
-               work.components(), phi0, spec.alternative),
-           interval_block=lambda work, level: classical.ahmed_ci_block(
-               work.components(), level)),
-    Method("gupta-li",
-           test=lambda work, spec, phi0: classical.gupta_li_test(work.fit(), mu0=spec.mu0),
-           interval=lambda work, level: classical.gupta_li_ci(work.fit(), level),
-           two_sided_only=True,
-           test_block=lambda work, spec, phi0: classical.gupta_li_test_block(
-               work.fit(), mu0=spec.mu0),
-           interval_block=lambda work, level: classical.gupta_li_ci_block(work.fit(), level)),
-    Method("baklizi",
-           test=None,
-           interval=lambda work, level: classical.baklizi_ci(work.components(), level),
-           interval_block=lambda work, level: classical.baklizi_ci_block(
-               work.components(), level)),
+    _classical("lrt", two_sided_only=True,
+               test_block=lambda work, spec, phi0: classical.lr_test_block(
+                   work.fit, mu0=spec.mu0)),
+    _classical("ahmed",
+               test_block=lambda work, spec, phi0: classical.ahmed_test_block(
+                   work.components, phi0, spec.alternative),
+               interval_block=lambda work, level: classical.ahmed_ci_block(
+                   work.components, level)),
+    _classical("gupta-li", two_sided_only=True,
+               test_block=lambda work, spec, phi0: classical.gupta_li_test_block(
+                   work.fit, mu0=spec.mu0),
+               interval_block=lambda work, level: classical.gupta_li_ci_block(work.fit, level)),
+    _classical("baklizi",
+               interval_block=lambda work, level: classical.baklizi_ci_block(
+                   work.components, level)),
     _generalized("gv-weighted", PivotMethod.WEIGHTED),
     _generalized("gv-umvue", PivotMethod.UMVUE),
 )}

@@ -16,8 +16,9 @@ from lnmean import (COMMON_NORMAL_MEAN, Alternative, Dataset, MCConfig,
                     TestSpec, ahmed_ci, ahmed_components, ahmed_test, baklizi_ci,
                     chi_square, gci, gp_value, gupta_li_ci, gupta_li_mle, gupta_li_test,
                     lr_test,
-                    pivot_draw_umvue, pivot_draw_weighted, pivot_weights,
+                    pivot_draw_umvue, pivot_draw_weighted,
                     rmrs_dataset, run_cell, write_csv)
+from lnmean.generalized import _weight_columns
 
 RMRS = rmrs_dataset()
 PHI0 = 20000.0
@@ -233,7 +234,8 @@ def test_criterion_7_property_suite():
     groups = tuple(SampleSummary(int(rng.integers(3, 30)), float(rng.normal()),
                                  float(rng.uniform(0.2, 3.0))) for _ in range(3))
     ds3 = Dataset(groups=groups)
-    w = pivot_weights(ds3, rng.chisquare(ds3.counts() - 1, size=(10_000, 3)))
+    w = np.stack(_weight_columns(ds3, rng.chisquare(ds3.counts() - 1, size=(10_000, 3))),
+                 axis=-1)
     if not (np.allclose(w.sum(axis=1), 1.0, atol=1e-12) and np.all((w > 0) & (w < 1))):
         failures.append("weight normalization")
 

@@ -393,12 +393,14 @@ def test_lr_rmrs_pvalue():
 
 
 def test_lr_reads_the_groups_of_its_fit():
-    # the fit carries its dataset's group terms, so a test of one dataset's
-    # null cannot be read off another dataset's fit
+    # the fit carries its dataset as its block of one, so a test of one
+    # dataset's null cannot be read off another dataset's fit
     a = Dataset(groups=(SampleSummary(10, 0.0, 1.0), SampleSummary(12, 0.2, 2.0)))
     b = Dataset(groups=(SampleSummary(10, 0.0, 5.0), SampleSummary(12, 0.2, 6.0)))
     for ds in (a, b):
-        assert gupta_li_mle(ds).groups == tuple(ds.group_terms())
+        n, ybar, scaled = gupta_li_mle(ds).block.groups.columns
+        assert list(zip(n[:, 0].tolist(), ybar[:, 0].tolist(), scaled[:, 0].tolist())) == \
+            ds.group_terms()
     assert lr_test(gupta_li_mle(a), mu0=0.3).p_value == pytest.approx(0.104, abs=5e-4)
 
 

@@ -3,12 +3,13 @@
 ``_reference_mle`` is the scalar ML fit that the block fit replaced: the
 score scan, scipy's ``brentq`` in each bracket and the max over candidates,
 on Python floats.  The block fit must give every lane its bits, its score
-evaluations and its convergence, and every failing lane its reason.  The
-block readers must give each dataset the answer, or the failure, of the
-per-dataset readers, and ``run_cell`` the counts of running them replicate
-by replicate.
+evaluations and its convergence, and every failing lane its reason.  Each
+lane of a block reader must answer, or fail, as its dataset alone does, a
+block of one, and ``run_cell`` must give the counts of running the method
+table's per-dataset procedures replicate by replicate.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -132,7 +133,10 @@ def test_block_fit_matches_the_scalar_fit_lane_by_lane(k):
     assert not fit.failed.any()
     for lane, ds in enumerate(_datasets(groups.ns, groups.means, groups.variances)):
         assert _fields(fit.lane(lane)) == _reference_fields(ds), lane
-        assert fit.lane(lane).groups == tuple(ds.group_terms())
+        view = fit.lane(lane)
+        n, ybar, scaled = view.block.groups.columns
+        assert list(zip(n[:, 0].tolist(), ybar[:, view.lane].tolist(),
+                        scaled[:, view.lane].tolist())) == ds.group_terms()
 
 
 @pytest.mark.parametrize("groups", [
@@ -208,6 +212,13 @@ def _failure(procedure, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _components(comp):
+    """The fields of ahmed's components, or the message that refused them."""
+    if isinstance(comp, str):
+        return comp
+    return comp.theta_hats, comp.weights, comp.theta_tilde, comp.std_error
+
+
 def test_failing_lanes_carry_the_reasons_of_the_scalar_code():
     ns = (10, 12)
     means = np.array([[0.1, 0.3], [1e200, -1e200], [1e200, 1e200], [0.0, 3.0], [-500.0, 0.0],
@@ -225,36 +236,47 @@ def test_failing_lanes_carry_the_reasons_of_the_scalar_code():
         else:
             assert _fields(block) == _reference_fields(ds)
         assert fit.failed[lane] == isinstance(block, str)
-        assert _failure(comp.lane, lane) == _failure(classical.ahmed_components, ds)
+        assert _components(_failure(comp.lane, lane)) == \
+            _components(_failure(classical.ahmed_components, ds))
     assert list(fit.failed) == [False, True, False, False, False, True]
     assert _failure(fit.lane, 1) == ("ValueError: the profile variance at mu = -1e+200 "
                                      "overflows the float range")
     assert list(comp.failed) == [False, True, True, False, True, True]
 
 
-def _per_dataset(ds, mu0, level):
-    """What the per-dataset readers give at mu0 (log scale) and level:
-    p-values and log-scale bounds, or the message that stopped each."""
-    comp, fit = (_failure(builder, ds) for builder in (classical.ahmed_components,
-                                                      classical.gupta_li_mle))
+# each classical procedure over the components and the fit of a block
+READERS = dict(
+    ahmed_test=lambda comp, fit, mu0, level: classical.ahmed_test_block(comp, math.exp(mu0)),
+    ahmed_ci=lambda comp, fit, mu0, level: classical.ahmed_ci_block(comp, level),
+    baklizi_ci=lambda comp, fit, mu0, level: classical.baklizi_ci_block(comp, level),
+    gupta_li_test=lambda comp, fit, mu0, level: classical.gupta_li_test_block(fit, mu0=mu0),
+    gupta_li_ci=lambda comp, fit, mu0, level: classical.gupta_li_ci_block(fit, level),
+    lr_test=lambda comp, fit, mu0, level: classical.lr_test_block(fit, mu0=mu0))
 
-    def read(procedure, piece, *args, **kwargs):
-        if isinstance(piece, str):
-            return piece
-        outcome = _failure(procedure, piece, *args, **kwargs)
-        if isinstance(outcome, str):
-            return outcome
-        return outcome.p_value if hasattr(outcome, "p_value") else (outcome.lower, outcome.upper)
 
-    return dict(ahmed_test=read(classical.ahmed_test, comp, math.exp(mu0)),
-                ahmed_ci=read(classical.ahmed_ci, comp, level),
-                baklizi_ci=read(classical.baklizi_ci, comp, level),
-                gupta_li_test=read(classical.gupta_li_test, fit, mu0=mu0),
-                gupta_li_ci=read(classical.gupta_li_ci, fit, level),
-                lr_test=read(classical.lr_test, fit, mu0=mu0))
+def _outcome(answers, lane):
+    """Every field of dataset ``lane``'s outcome, floats by ``.hex()``, or the
+    message that refused it."""
+    outcome = _failure(answers.lane, lane)
+    if isinstance(outcome, str):
+        return outcome
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in dataclasses.asdict(outcome).items()}
+
+
+def _read_off(answers, lane):
+    """What the simulation reads off dataset ``lane``: its p-value or its
+    log-scale bounds, by ``.hex()``, or None where they mark a failure."""
+    if isinstance(answers, classical.TestBlock):
+        p = answers.p_value[lane]
+        return None if math.isnan(p) else {"p_value": p.hex()}
+    lower, upper = (bound[lane] for bound in answers.log_bounds())
+    return {"lower": lower.hex(), "upper": upper.hex()} if lower < upper else None
 
 
 def test_block_readers_answer_as_the_per_dataset_readers():
+    # lane i of a 300-lane block answers as dataset i alone, a block of one,
+    # does: every field of its outcome, or the message that refuses it
     rng = np.random.default_rng(4711)
     ns = (5, 9, 30)
     lanes = 300
@@ -265,37 +287,32 @@ def test_block_readers_answer_as_the_per_dataset_readers():
     means[1::25, 0] = 800.0
     variances = 10.0 ** rng.uniform(-2, 1, size=(lanes, 3))
     groups = classical.GroupBlock(ns, means, variances)
-    fit = classical.gupta_li_mle_block(groups)
-    comp = classical.ahmed_components_block(groups)
+    block = classical.ahmed_components_block(groups), classical.gupta_li_mle_block(groups)
+    alone = [(classical.ahmed_components_block(one), classical.gupta_li_mle_block(one))
+             for one in map(classical.GroupBlock.of, _datasets(ns, means, variances))]
     seen = set()
     for mu0, level in ((0.0, 0.95), (0.4, 0.9)):
-        block = dict(ahmed_test=classical.ahmed_test_block(comp, math.exp(mu0)),
-                     ahmed_ci=classical.ahmed_ci_block(comp, level),
-                     baklizi_ci=classical.baklizi_ci_block(comp, level),
-                     gupta_li_test=classical.gupta_li_test_block(fit, mu0=mu0),
-                     gupta_li_ci=classical.gupta_li_ci_block(fit, level),
-                     lr_test=classical.lr_test_block(fit, mu0=mu0))
-        for lane, ds in enumerate(_datasets(ns, means, variances)):
-            for name, answer in _per_dataset(ds, mu0, level).items():
-                got = block[name]
-                if isinstance(answer, str):
-                    # the block marks a failure with NaN, and an empty interval by its order
-                    seen.add((name, answer.split(":")[1][:30]))
-                    if isinstance(got, tuple):
-                        assert not got[0][lane] < got[1][lane], (lane, name, answer)
-                    else:
-                        assert math.isnan(got[lane]), (lane, name, answer)
-                elif isinstance(got, tuple):
-                    assert (got[0][lane].hex(), got[1][lane].hex()) == \
-                        (answer[0].hex(), answer[1].hex()), (lane, name)
+        for name, read in READERS.items():
+            answers = read(*block, mu0, level)
+            for lane, one in enumerate(alone):
+                expected = _outcome(read(*one, mu0, level), 0)
+                assert _outcome(answers, lane) == expected, (lane, name)
+                figures = _read_off(answers, lane)
+                if isinstance(expected, str):
+                    seen.add((name, expected.split(": ", 1)[1]))
+                    assert figures is None, (lane, name)
                 else:
-                    assert got[lane].hex() == answer.hex(), (lane, name)
+                    assert figures.items() <= expected.items(), (lane, name)
     assert {name for name, _ in seen} >= {"ahmed_ci", "baklizi_ci", "lr_test", "gupta_li_ci"}
+    for reason in ("ahmed delta-method variances", "empty acceptance set",
+                   "the profile variance at mu"):
+        assert any(message.startswith(reason) for _, message in seen), reason
 
 
 def _reference_counts(cell):
     """Per-method (rejected, test failed, covered, interval failed) counts of
-    the cell, one replicate at a time through the per-dataset procedures."""
+    the cell, one replicate at a time through the per-dataset procedures, on
+    a ``SharedWork`` each."""
     counts = {name: [0, 0, 0, 0] for name in cell.methods}
     spec = TestSpec(math.log(cell.phi0))
     groups, valid = simulate.draw_block(cell, 0, cell.outer_reps)

@@ -415,11 +415,30 @@ def test_empty_acceptance_set_is_an_error_row(capsys, tmp_path):
                                                      "is accepted at level 0.95"}
 
 
+def test_nan_pivots_are_an_error_row(capsys, tmp_path):
+    # (n - 1) s^2 = 99e307 overflows to inf, so every weighted pivot is NaN;
+    # gv-weighted fails by name in both commands, and nothing warns
+    path = tmp_path / "big.csv"
+    path.write_text("group,n,mean_log,var_log\na,100,0.0,1e307\nb,10,0.1,1.0\n")
+    rows = {}
+    for command, *options in (("test", "--mu0", "0"), ("ci",)):
+        report = _run_json(capsys, command, "--summary", str(path), *options, "--reps", "2000",
+                           "--format", "json")
+        rows[command] = {row["method"]: row for row in report["results"]}
+    assert rows["test"]["gv-weighted"] == {
+        "method": "gv-weighted", "error": "NaN pivots: no tail frequency can be read off them"}
+    assert rows["ci"]["gv-weighted"] == {"method": "gv-weighted",
+                                         "error": "empty interval: [nan, nan]"}
+    for command in rows:
+        assert "error" not in rows[command]["gv-umvue"], command
+
+
 def test_example_shares_fit_components_and_pivots(capsys, monkeypatch):
     from lnmean import classical, generalized
 
-    calls = {"gupta_li_mle": 0, "ahmed_components": 0, "sample_pivots": 0}
-    for module, name in ((classical, "gupta_li_mle"), (classical, "ahmed_components"),
+    calls = {"gupta_li_mle_block": 0, "ahmed_components_block": 0, "sample_pivots": 0}
+    for module, name in ((classical, "gupta_li_mle_block"),
+                         (classical, "ahmed_components_block"),
                          (generalized, "sample_pivots")):
         original = getattr(module, name)
 
@@ -430,8 +449,9 @@ def test_example_shares_fit_components_and_pivots(capsys, monkeypatch):
         monkeypatch.setattr(module, name, counted)
     code, _, err = _run(capsys, "example", "--reps", "5000", "--seed", "3")
     assert code == 0, err
-    # both pivot kinds in one pass
-    assert calls == {"gupta_li_mle": 1, "ahmed_components": 1, "sample_pivots": 1}
+    # one fit and one set of components for the methods that read each, as
+    # blocks of one, and both pivot kinds in one pass
+    assert calls == {"gupta_li_mle_block": 1, "ahmed_components_block": 1, "sample_pivots": 1}
 
 
 def test_phi0_and_mu0_are_exclusive(capsys):

@@ -11,11 +11,16 @@ from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Alternative, Dataset,
                     KnownVarianceSpec, MCConfig, ModelSpec, PivotDraws, PivotMethod,
                     SampleSummary, StreamKey, TestSpec, chi_square, gci, gp_value,
                     interval_from_pivots, pivot_draw_umvue, pivot_draw_weighted,
-                    pivot_weights, pvalue_from_pivots, sample_pivots, std_normal,
+                    pvalue_from_pivots, sample_pivots, std_normal,
                     umvue_known_variance)
-from lnmean.generalized import PIVOT_BLOCK, _linear_quantile
+from lnmean.generalized import PIVOT_BLOCK, _linear_quantile, _weight_columns
 from lnmean.methods import METHODS, SharedWork
 from lnmean.outcomes import exp_or_inf
+
+
+def _weights(ds, v):
+    """The weighted pivot's weights of the chi-square draws ``v``, groups on the last axis."""
+    return np.stack(_weight_columns(ds, v), axis=-1)
 
 
 def _dataset(rng, k, model=LOGNORMAL_MEAN, n_range=(5, 40)):
@@ -33,7 +38,7 @@ def test_weighted_single_group_weight_is_one():
     z, u = np.array([0.4]), np.array([5.0])
     for v in (np.array([1.0]), np.array([123.0])):
         assert pivot_draw_weighted(ds, z, u, v) == pivot_draw_weighted(ds, z, u, np.array([2.0]))
-    assert pivot_weights(ds, np.array([9.0])) == pytest.approx([1.0])
+    assert _weights(ds, np.array([9.0])) == pytest.approx([1.0])
 
 
 def test_weighted_zero_noise_is_convex_combination():
@@ -96,15 +101,15 @@ def test_pivot_input_validation():
         pivot_draw_weighted(ds, np.zeros(2), np.array([1.0, 0.0]), np.ones(2))
     with pytest.raises(ValueError, match="positive"):
         pivot_draw_umvue(ds, np.array([1.0, -2.0]), 0.0)
-    with pytest.raises(ValueError, match="positive"):
-        pivot_weights(ds, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="^weight chi-square draws must be strictly positive$"):
+        pivot_draw_weighted(ds, np.zeros(2), np.ones(2), np.array([1.0, 0.0]))
 
 
 def test_weights_normalize_and_lie_in_unit_interval():
     rng = np.random.default_rng(31)
     ds = _dataset(rng, 3)
     v = rng.chisquare(ds.counts() - 1, size=(10_000, 3))
-    w = pivot_weights(ds, v)
+    w = _weights(ds, v)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(w > 0.0) and np.all(w < 1.0)
 
@@ -176,7 +181,7 @@ def test_column_pivots_match_reference_formulas(k, model):
         v = rng.chisquare(dfs, lead + (k,))
         z = rng.standard_normal(lead + (k,))
         z1 = rng.standard_normal(lead)
-        assert same(pivot_weights(ds, v), _reference_weights(ds, v))
+        assert same(_weights(ds, v), _reference_weights(ds, v))
         assert same(pivot_draw_weighted(ds, z, u, v), _reference_weighted(ds, z, u, v))
         assert same(pivot_draw_umvue(ds, u, z1), _reference_umvue(ds, u, z1))
     assert isinstance(pivot_draw_weighted(ds, z, u, v), float)
@@ -230,6 +235,14 @@ def test_a_nan_pivot_empties_the_interval_as_np_quantile_does():
     assert np.isnan(np.quantile(pivots, [0.025, 0.5, 0.975])).all()
     with pytest.raises(ValueError, match=r"empty interval: \[nan, nan\]"):
         interval_from_pivots(pivots, 0.95)
+
+
+def test_a_nan_pivot_has_no_p_value():
+    pivots = np.random.default_rng(9).standard_normal(5000)
+    pivots[1234] = np.nan
+    for alternative in Alternative:
+        with pytest.raises(ValueError, match="^NaN pivots: no tail frequency can be read"):
+            pvalue_from_pivots(pivots, TestSpec(0.0, alternative))
 
 
 # ---------------------------------------------------------------------------

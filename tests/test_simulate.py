@@ -218,13 +218,17 @@ def test_power_saturates_for_distant_alternative():
         assert rate.estimate >= 0.99, name
 
 
-def _no_answer(fit, *args, **kwargs):
-    """A block reader that answers on no dataset: a NaN for every one."""
+def _nans(fit):
     return np.full(fit.groups.size, np.nan)
 
 
+def _no_answer(fit, *args, **kwargs):
+    """A block test that answers on no dataset: a NaN p-value for every one."""
+    return classical.TestBlock(_nans(fit), _nans(fit), check=None)
+
+
 def test_method_failures_are_counted_not_fatal(monkeypatch):
-    # the simulation reads the block procedures, where a NaN is a failure
+    # the simulation reads the block procedures, where a NaN p-value is a failure
     monkeypatch.setattr(classical, "lr_test_block", _no_answer)
     cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5),
                           methods=("lrt", "ahmed"), **FAST)
@@ -241,10 +245,14 @@ def test_a_block_answer_that_an_outcome_refuses_is_a_failure(monkeypatch):
     def size(comp):
         return comp.theta_tilde.size
 
-    monkeypatch.setattr(classical, "ahmed_test_block",
-                        lambda comp, phi0, alternative: np.full(size(comp), 1.5))
-    monkeypatch.setattr(classical, "ahmed_ci_block",
-                        lambda comp, level: (np.zeros(size(comp)), np.zeros(size(comp))))
+    def zeros(comp):
+        return np.zeros(size(comp))
+
+    monkeypatch.setattr(classical, "ahmed_test_block", lambda comp, phi0, alternative:
+                        classical.TestBlock(zeros(comp) + 1.5, zeros(comp), check=None))
+    monkeypatch.setattr(classical, "ahmed_ci_block", lambda comp, level: classical.IntervalBlock(
+        zeros(comp), zeros(comp), zeros(comp), level, log_scale=True,
+        failed=zeros(comp) != 0.0, check=None))
     cell = SimulationCell(mu=0.0, sigma2s=(1.0, 1.0), ns=(5, 5), methods=("ahmed",), **FAST)
     result = run_cell(cell)
     assert (result.rejection["ahmed"].estimate, result.rejection["ahmed"].failures) == (0.0, 100)
@@ -253,7 +261,8 @@ def test_a_block_answer_that_an_outcome_refuses_is_a_failure(monkeypatch):
 
 def test_a_failure_counts_against_the_procedure_that_raised_it(monkeypatch):
     def broken(fit, level):
-        return _no_answer(fit), _no_answer(fit)
+        return classical.IntervalBlock(_nans(fit), _nans(fit), _nans(fit), level, log_scale=True,
+                                       failed=fit.failed, check=None)
 
     # every gupta-li interval fails; its test at phi0 = e^700 still answers,
     # and rejects as lrt does
