@@ -27,6 +27,11 @@ formulas give on numpy arrays.  exp and log are numpy's; x ** -0.5 and the log
 of an original-scale bound are Python's, as when these formulas ran on Python
 floats (where numpy has SIMD versions, the two differ in the last bit for some
 arguments).
+
+The p-values and quantiles need no special-function library: erfc is
+Python's ``math.erfc``, the normal and chi-square(1) tails are erfc, a
+chi-square tail of integer df is erfc and a finite Poisson-type sum, and a
+quantile is its tail bisected down to adjacent floats.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .model import Dataset
 from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
@@ -58,6 +62,10 @@ _SCAN_BUDGET = 2 ** 20
 # the arithmetic of every kernel: overflow, 0 * inf and the like are read off
 # the results (inf and NaN) and named, not warned about
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+_SQRT2 = math.sqrt(2.0)
+_LN2 = math.log(2.0)
+# the binary exponent by which a chi-square tail's sum is scaled down where it would overflow
+_RESCALE_BITS = 900
 
 
 def _require_mu0(mu0: float) -> None:
@@ -65,17 +73,71 @@ def _require_mu0(mu0: float) -> None:
         raise ValueError("mu0 must be finite")
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` of each value of the 1-d ``x``: NaN stays NaN, +-inf give 0 and 2."""
+    return np.fromiter(map(math.erfc, x.tolist()), float, count=x.size)
+
+
+def _normal_tail(x: float) -> float:
+    """P(Z > x) for a standard normal Z."""
+    return 0.5 * math.erfc(x / _SQRT2)
+
+
+def _chi2_tail(x: float, df: int) -> float:
+    """P(X > x) for X ~ chi-square(df), integer df >= 1, in closed form.
+
+    With h = x / 2 the tail is e^-h sum_a h^a / a! over a = 0, 1, .., < df/2
+    for even df, and erfc(sqrt(h)) + e^-h sum_a h^a / Gamma(a + 1) over
+    a = 1/2, 3/2, .., < df/2 for odd df.  Every term is positive, each one a
+    rounding from the last.  From a df in the thousands on the terms pass
+    the float range, so a term past 2^_RESCALE_BITS scales the sum down by
+    that power of two, exactly, and the final exp scales it back.
+    """
+    half = x / 2.0
+    if df % 2:
+        tail, a, term = math.erfc(math.sqrt(half)), 0.5, 2.0 * math.sqrt(half / math.pi)
+    else:
+        tail, a, term = 0.0, 0.0, 1.0
+    total, shift = 0.0, 0
+    while a < df / 2.0:
+        total += term
+        a += 1.0
+        term *= half / a
+        if term > 2.0 ** _RESCALE_BITS:
+            term, total = math.ldexp(term, -_RESCALE_BITS), math.ldexp(total, -_RESCALE_BITS)
+            shift += _RESCALE_BITS
+    return tail + math.exp(shift * _LN2 - half) * total
+
+
+def _tail_quantile(tail: Callable[[float], float], p: float, start: float) -> float:
+    """The x >= 0 at which the decreasing ``tail`` falls to ``p`` in (0, 1),
+    bisected down to adjacent floats (the nearer in tail of the two)."""
+    lo, hi = 0.0, start
+    while tail(hi) > p:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := lo + (hi - lo) / 2.0) < hi:
+        if tail(mid) > p:
+            lo = mid
+        else:
+            hi = mid
+    return lo if tail(lo) - p < p - tail(hi) else hi
+
+
 # The quantiles depend only on the level (and k), so they are computed once per
-# distinct argument.  They are what scipy.stats' norm.ppf and chi2.ppf compute,
-# from scipy.special, which imports in a fraction of the time.
+# distinct argument, from the upper tail 1 - level (exact for level >= 1/2).
+# A level outside (0, 1) has none; the interval it would give is refused.
 @functools.lru_cache(maxsize=64)
 def _normal_quantile(level: float) -> float:
-    return float(special.ndtri((1.0 + level) / 2.0))
+    if not 0.0 < level < 1.0:
+        return math.nan
+    return _tail_quantile(_normal_tail, (1.0 - level) / 2.0, 1.0)
 
 
 @functools.lru_cache(maxsize=64)
 def _chi2_quantile(level: float, df: int) -> float:
-    return float(2.0 * special.gammaincinv(df / 2.0, level))
+    if not 0.0 < level < 1.0:
+        return math.nan
+    return _tail_quantile(functools.partial(_chi2_tail, df=df), 1.0 - level, float(df))
 
 
 def _inverse_sqrt(x: np.ndarray) -> np.ndarray:
@@ -244,8 +306,9 @@ def ahmed_components_block(groups: GroupBlock) -> AhmedBlock:
         sigma2s = shrink * groups.variances.T  # the n-divisor variances
         thetas = _numpy_exp(means + 0.5 * sigma2s)
         v_hats = sigma2s * (1.0 + 0.5 * sigma2s) * _numpy_exp(2.0 * means + sigma2s)
-        # an underflowed v weighs n / v = inf; an overflowed theta weighs 0, and 0 * inf is nan
-        failed = (v_hats == 0.0).any(axis=0) | np.isinf(thetas).any(axis=0)
+        # an underflowed v weighs n / v = inf and an overflowed one 0, which would
+        # leave its group out of the pooled estimate; an overflowed theta overflows v
+        failed = ~((v_hats > 0.0) & (v_hats < math.inf)).all(axis=0)
         weights = n / v_hats
         total, pooled = _group_sum(weights), _group_sum(weights * thetas)
         failed |= ~(np.isfinite(total) & (total > 0.0))
@@ -311,18 +374,15 @@ def baklizi_ci_block(comp: AhmedBlock, level: float) -> IntervalBlock:
         half = comp.std_error * np.sqrt(q - spread)
         lower, upper = comp.theta_tilde - half, comp.theta_tilde + half
         empty = spread > q
-    undefined = np.isnan(spread)  # an overflowed v_hat's weight 0 times an overflowed d * d
 
     def check(i):
         comp.lane(i)
-        if undefined[i]:
-            raise ValueError(_AHMED_RANGE)
         if empty[i]:
             raise ValueError("empty acceptance set: no common mean is accepted at level "
                              f"{level:g}")
 
     return IntervalBlock(lower, upper, comp.theta_tilde, level, log_scale=False,
-                         failed=comp.failed | undefined | empty, check=check)
+                         failed=comp.failed | empty, check=check)
 
 
 def baklizi_ci(comp: AhmedComponents, level: float = 0.95) -> IntervalOutcome:
@@ -702,7 +762,7 @@ def lr_test_block(fit: MleBlock, *, mu0: float) -> TestBlock:
         if overflow[i]:
             raise ValueError(_overflow_message(mu0))
 
-    return TestBlock(np.where(fit.failed | overflow, np.nan, special.chdtrc(1, lam)), lam, check)
+    return TestBlock(np.where(fit.failed | overflow, np.nan, _chi2_1_tail(lam)), lam, check)
 
 
 def lr_test(fit: MleResult, *, mu0: float) -> TestOutcome:
@@ -710,10 +770,15 @@ def lr_test(fit: MleResult, *, mu0: float) -> TestOutcome:
     return lr_test_block(fit.block, mu0=mu0).lane(fit.lane)
 
 
+def _chi2_1_tail(lam: np.ndarray) -> np.ndarray:
+    """P(X > lam) for X ~ chi-square(1), each lam >= 0 or NaN."""
+    return _erfc(np.sqrt(lam / 2.0))
+
+
 def _wald_pvalue(z, alternative):
     alternative = Alternative.coerce(alternative)
     if alternative is Alternative.GREATER:
-        return special.ndtr(-z)
+        return 0.5 * _erfc(z / _SQRT2)
     if alternative is Alternative.LESS:
-        return special.ndtr(z)
-    return np.minimum(2.0 * special.ndtr(-np.abs(z)), 1.0)
+        return 0.5 * _erfc(-z / _SQRT2)
+    return _erfc(np.abs(z) / _SQRT2)

@@ -139,6 +139,8 @@ def pivot_draw_umvue(ds: Dataset, u, z):
         A = sum_i n_i ybar_i u_i / ((n_i-1) s_i^2) - n b
         B = sum_i n_i u_i / ((n_i-1) s_i^2)
         pivot = A / (a B) - z / (|a| sqrt(B))
+
+    The pivot is NaN where some (n_i - 1) s_i^2 overflows.
     """
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -151,6 +153,10 @@ def pivot_draw_umvue(ds: Dataset, u, z):
         - ds.total_n * ds.model.b
     b_sum = _column_sum(rates)
     out = a_sum / (a * b_sum) - z / (abs(a) * np.sqrt(b_sum))
+    if math.isinf(max(scaled for _, _, scaled in groups)):
+        # a group whose (n_i - 1) s_i^2 overflows has rate 0 but still counts in
+        # n b, so the pivot is not defined
+        out = np.full_like(out, math.nan)
     return float(out) if np.ndim(out) == 0 else out
 
 

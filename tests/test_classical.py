@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import mpmath
 import pytest
 from scipy import optimize, stats
 
-from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Dataset, SampleSummary,
+from lnmean import (COMMON_NORMAL_MEAN, LOGNORMAL_MEAN, Alternative, Dataset, SampleSummary,
                     ahmed_ci, classical, ahmed_components, ahmed_test, baklizi_ci,
                     constrained_sigma2, gupta_li_ci, gupta_li_mle, gupta_li_test,
                     log_likelihood, lr_test, rmrs_dataset)
@@ -24,13 +25,82 @@ def _rel_close(value, target, rel):
     assert abs(value - target) <= rel * abs(target), f"{value} vs {target}"
 
 
-def test_quantiles_are_scipy_stats_own():
-    # the quantiles come from scipy.special, which imports far faster than
-    # scipy.stats; these are the functions scipy.stats evaluates
-    for level in np.linspace(0.5, 0.999, 60).tolist() + [0.8, 0.9, 0.95, 0.99]:
-        assert classical._normal_quantile(level) == float(stats.norm.ppf((1.0 + level) / 2.0))
-        for df in (1, 2, 3, 5, 8, 13, 50, 120):
-            assert classical._chi2_quantile(level, df) == float(stats.chi2.ppf(level, df=df))
+LEVELS = np.linspace(0.5, 0.999, 60).tolist() + [0.8, 0.9, 0.95, 0.99]
+DFS = (1, 2, 3, 5, 8, 13, 50, 120)
+
+
+def _ulps_off(value, exact):
+    """|value - exact| in units in the last place of exact rounded to a float."""
+    return float(abs(mpmath.mpf(value) - exact)) / math.ulp(float(exact))
+
+
+def _chi2_quantile_exact(level, df, start):
+    """The root of P(df/2, x/2) = level (regularized lower gamma), by Newton from ``start``."""
+    a, x = mpmath.mpf(df) / 2, mpmath.mpf(start)
+    for _ in range(6):
+        cdf = mpmath.gammainc(a, 0, x / 2, regularized=True)
+        pdf = (x / 2) ** (a - 1) * mpmath.exp(-x / 2) / (2 * mpmath.gamma(a))
+        x -= (cdf - level) / pdf
+    return x
+
+
+def test_quantiles_are_within_4_ulps_of_the_exact_value():
+    # the normal quantile sqrt(2) erfinv(level) and the chi-square quantile at
+    # the exact float level, against mpmath at 160 bits
+    with mpmath.workprec(160):
+        for level in LEVELS:
+            exact = mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(level))
+            assert _ulps_off(classical._normal_quantile(level), exact) <= 4.0, level
+            for df in DFS:
+                q = classical._chi2_quantile(level, df)
+                assert _ulps_off(q, _chi2_quantile_exact(level, df, q)) <= 4.0, (level, df)
+
+
+def test_chi2_quantile_of_a_df_in_the_thousands():
+    # the tail's sum passes the float range from df ~ 1200 on and is carried
+    # in units of 2^-900 there
+    for df in (1000, 3000, 10000):
+        for level in (0.5, 0.95, 0.9999):
+            assert classical._chi2_quantile(level, df) == pytest.approx(
+                stats.chi2.ppf(level, df), rel=1e-12)
+
+
+def test_quantiles_outside_the_unit_interval_are_nan():
+    for level in (0.0, 1.0, 1.5, -0.1, math.nan):
+        assert math.isnan(classical._normal_quantile(level))
+        assert math.isnan(classical._chi2_quantile(level, 3))
+
+
+def test_pvalues_are_within_1e_12_of_the_exact_tails():
+    # Wald: Phi(-z) (greater), Phi(z) (less) and 2 Phi(-|z|); LRT: the
+    # chi-square(1) tail erfc(sqrt(lam / 2)); mpmath at 160 bits on the floats
+    z = np.concatenate([np.linspace(-37.0, 37.0, 1481),
+                        np.random.default_rng(5).uniform(-37.0, 37.0, 500)])
+    lam = np.concatenate([np.linspace(0.0, 1400.0, 1401), [1e-300, 1e-12, 1e-6, 0.1]])
+    tails = {Alternative.GREATER: lambda x: mpmath.erfc(x / mpmath.sqrt(2)) / 2,
+             Alternative.LESS: lambda x: mpmath.erfc(-x / mpmath.sqrt(2)) / 2,
+             Alternative.TWO_SIDED: lambda x: mpmath.erfc(abs(x) / mpmath.sqrt(2))}
+    with mpmath.workprec(160):
+        for alternative, tail in tails.items():
+            for x, p in zip(z.tolist(), classical._wald_pvalue(z, alternative).tolist()):
+                exact = tail(mpmath.mpf(x))
+                assert abs(p - exact) <= 1e-12 * exact, (alternative, x)
+        for x, p in zip(lam.tolist(), classical._chi2_1_tail(lam).tolist()):
+            exact = mpmath.erfc(mpmath.sqrt(mpmath.mpf(x) / 2))
+            assert abs(p - exact) <= 1e-12 * exact, x
+
+
+def test_pvalue_edge_values():
+    z = np.array([math.inf, -math.inf, math.nan, 0.0])
+    pvalues = {alternative: classical._wald_pvalue(z, alternative).tolist()
+               for alternative in Alternative}
+    assert pvalues[Alternative.GREATER][:2] == [0.0, 1.0]
+    assert pvalues[Alternative.LESS][:2] == [1.0, 0.0]
+    assert pvalues[Alternative.TWO_SIDED][:2] == [0.0, 0.0]
+    assert pvalues[Alternative.TWO_SIDED][3] == 1.0
+    assert all(math.isnan(values[2]) for values in pvalues.values())
+    lrt = classical._chi2_1_tail(np.array([0.0, math.inf, math.nan])).tolist()
+    assert lrt[:2] == [1.0, 0.0] and math.isnan(lrt[2])
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +244,19 @@ def test_baklizi_bounds_solve_the_acceptance_criterion():
 
 def test_baklizi_nan_spread_is_the_named_range_error():
     # group a's v_hat overflows, a weight of 0, and its distance from the
-    # pooled estimate squared overflows too: 0 * inf is nan, ahmed's range
-    # error, not an empty interval.  Ahmed itself answers from group b
+    # pooled estimate squared overflows too (0 * inf, a NaN spread).  The
+    # components fail with ahmed's range error, so neither ahmed nor baklizi
+    # answers from group b alone
     groups = (SampleSummary(2, 377.0, 0.01), SampleSummary(20, -159.0, 0.0001))
-    comp = ahmed_components(Dataset(groups=groups, model=LOGNORMAL_MEAN))
-    assert ahmed_ci(comp).lower == pytest.approx(-159.0042, abs=1e-4)
-    with pytest.raises(ValueError, match="^ahmed delta-method variances overflow or underflow "
-                                         "the float range$"):
-        baklizi_ci(comp)
+    block = classical.ahmed_components_block(
+        classical.GroupBlock.of(Dataset(groups=groups, model=LOGNORMAL_MEAN)))
+    assert block.failed.tolist() == [True]
+    for reader in (classical.ahmed_ci_block, classical.baklizi_ci_block):
+        with pytest.raises(ValueError, match="^ahmed delta-method variances overflow or "
+                                             "underflow the float range$"):
+            reader(block, 0.95).lane(0)
+    with pytest.raises(ValueError, match="overflow or underflow the float range"):
+        classical.ahmed_test_block(block, 1.0).lane(0)
 
 
 @pytest.mark.parametrize("means", [(-500.0,), (500.0,), (1e200,), (-500.0, -499.9, -499.8),

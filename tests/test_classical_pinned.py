@@ -2,9 +2,9 @@
 
 ``lnmean test`` and ``lnmean ci`` run lrt, ahmed, gupta-li and baklizi on
 RMRS and on datasets where some of them fail: ahmed's weights overflow, the
-LRT's profile variance overflows at mu0, baklizi's acceptance set is empty
-or its spread is NaN, ahmed's lower bound is negative, and every bound is
-past the float range.  Every float of the JSON report is compared by its
+LRT's profile variance overflows at mu0, baklizi's acceptance set is empty,
+one group's delta-method variance overflows, ahmed's lower bound is
+negative, and every bound is past the float range.  Every float of the JSON report is compared by its
 ``.hex()`` and every error message exactly, against ``classical_pins.json``.
 """
 

@@ -219,14 +219,24 @@ def test_nonpositive_raw_data_under_lognormal_model(capsys, tmp_path):
     assert "positive" in err
 
 
-def test_import_loads_neither_scipy_stats_nor_optimize():
-    # the quantiles come from scipy.special and the ML fit searches on its
-    # own, so neither slow import is paid at startup
+def test_commands_load_no_scipy_module(tmp_path):
+    # the classical p-values and quantiles come from the standard library and
+    # the ML fit searches on its own: neither the example nor a grid of all
+    # six methods imports any part of scipy
     import lnmean
 
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "mu": [0.0], "sigma2_1": 1.0, "sigma2_2": [0.5], "n_pairs": [[5, 8]], "alpha": 0.05,
+        "outer_reps": 100, "inner_reps": 1000, "seed": 4, "methods": ["all"]}))
     env = dict(os.environ, PYTHONPATH=str(Path(lnmean.__file__).parent.parent))
-    code = ("import sys, lnmean, lnmean.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    code = ("import contextlib, io, sys\n"
+            "from lnmean.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    assert main(['example', '--reps', '1000']) == 0\n"
+            f"    assert main(['simulate', '--config', {str(config)!r}]) == 0\n"
+            "assert 'gv-umvue' in out.getvalue()\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -416,8 +426,8 @@ def test_empty_acceptance_set_is_an_error_row(capsys, tmp_path):
 
 
 def test_nan_pivots_are_an_error_row(capsys, tmp_path):
-    # (n - 1) s^2 = 99e307 overflows to inf, so every weighted pivot is NaN;
-    # gv-weighted fails by name in both commands, and nothing warns
+    # (n - 1) s^2 = 99e307 overflows to inf, so every pivot of either kind is
+    # NaN; both gv methods fail by name in both commands, and nothing warns
     path = tmp_path / "big.csv"
     path.write_text("group,n,mean_log,var_log\na,100,0.0,1e307\nb,10,0.1,1.0\n")
     rows = {}
@@ -425,12 +435,10 @@ def test_nan_pivots_are_an_error_row(capsys, tmp_path):
         report = _run_json(capsys, command, "--summary", str(path), *options, "--reps", "2000",
                            "--format", "json")
         rows[command] = {row["method"]: row for row in report["results"]}
-    assert rows["test"]["gv-weighted"] == {
-        "method": "gv-weighted", "error": "NaN pivots: no tail frequency can be read off them"}
-    assert rows["ci"]["gv-weighted"] == {"method": "gv-weighted",
-                                         "error": "empty interval: [nan, nan]"}
-    for command in rows:
-        assert "error" not in rows[command]["gv-umvue"], command
+    for method in ("gv-weighted", "gv-umvue"):
+        assert rows["test"][method] == {
+            "method": method, "error": "NaN pivots: no tail frequency can be read off them"}
+        assert rows["ci"][method] == {"method": method, "error": "empty interval: [nan, nan]"}
 
 
 def test_example_shares_fit_components_and_pivots(capsys, monkeypatch):

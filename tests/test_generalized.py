@@ -93,6 +93,18 @@ def test_umvue_pivot_scale_invariant_when_b_zero():
             pivot_draw_umvue(ds, u, 0.0), rel=1e-12)
 
 
+def test_umvue_pivot_is_nan_where_a_scaled_variance_overflows():
+    # (n - 1) s^2 = 99e307 is inf: the group's rate is 0, but its n would stay
+    # in n b, so no pivot is defined; the weighted pivot is NaN there too
+    ds = Dataset(groups=(SampleSummary(100, 0.0, 1e307), SampleSummary(10, 0.1, 1.0)),
+                 model=LOGNORMAL_MEAN)
+    u = np.array([[99.0, 9.0], [80.0, 12.0]])
+    assert np.isnan(pivot_draw_umvue(ds, u, np.array([0.5, -0.5]))).all()
+    assert math.isnan(pivot_draw_umvue(ds, u[0], 0.5))
+    pivots = sample_pivots(PivotDraws(ds, 1000, StreamKey(3)), ["umvue", "weighted"])
+    assert np.isnan(pivots).all()
+
+
 def test_pivot_input_validation():
     ds = Dataset(groups=(SampleSummary(5, 0.0, 1.0), SampleSummary(6, 1.0, 2.0)))
     with pytest.raises(ValueError, match="trailing axis"):

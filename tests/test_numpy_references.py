@@ -24,9 +24,9 @@ def _ahmed_reference(ds):
     sigma2 = (n - 1) / n * ds.variances()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         theta = np.exp(mu_hat + 0.5 * sigma2)
-        if np.isinf(theta).any():  # its weight 0 would make the pooled sum 0 * inf = nan
-            return None
         v = sigma2 * (1.0 + 0.5 * sigma2) * np.exp(2.0 * mu_hat + sigma2)
+        if not np.isfinite(v).all():  # its weight 0 would leave its group out
+            return None
         weights = n / v
         total = float(np.sum(weights))
         if not (math.isfinite(total) and total > 0.0):
