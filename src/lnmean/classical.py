@@ -261,7 +261,8 @@ class AhmedBlock:
     variances n_i / v_hat_i of their delta-method variances v_hat_i, and
     ``theta_tilde`` the (R,) inverse-variance pooled estimates with standard
     errors ``std_error``.  ``failed`` marks the datasets whose delta-method
-    variances leave the float range; their other fields mean nothing.
+    variances, or pooled estimate, leave the float range; their other fields
+    mean nothing.
     """
 
     theta_hats: np.ndarray
@@ -313,6 +314,9 @@ def ahmed_components_block(groups: GroupBlock) -> AhmedBlock:
         total, pooled = _group_sum(weights), _group_sum(weights * thetas)
         failed |= ~(np.isfinite(total) & (total > 0.0))
         theta_tilde = pooled / total
+        # a subnormal variance weighs its group ~1e307, whose product with
+        # theta can overflow the pooled sum although every weight is finite
+        failed |= ~np.isfinite(theta_tilde)
     return AhmedBlock(theta_hats=thetas.T, weights=weights.T, theta_tilde=theta_tilde,
                       std_error=_inverse_sqrt(np.where(failed, 1.0, total)), failed=failed)
 

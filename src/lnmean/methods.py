@@ -4,8 +4,10 @@ The command line and the simulation harness both choose methods with
 ``select``.  The command line runs each entry on a ``SharedWork``, the work
 of one dataset, where a classical entry reads lane 0 of its block procedures.
 The simulation decides the classical entries for a whole block of replicates
-at once, on a ``BlockWork``, and runs the generalized ones replicate by
-replicate on a ``SharedWork`` each.  Entries reach ``classical`` and
+at once, on a ``BlockWork``; a block may span the cells of a grid that share
+their group sizes, methods, phi0 and alpha, each replicate with its own true
+mu.  It runs the generalized entries replicate by replicate on a
+``SharedWork`` each.  Entries reach ``classical`` and
 ``generalized`` through the module when they run, so a function replaced on
 its module is the one called.
 """
@@ -123,10 +125,12 @@ class Method:
         return flags
 
     def decide_block(self, work: BlockWork, spec: TestSpec, phi0: float, alpha: float,
-                     mu: float) -> np.ndarray:
-        """``decide`` of each dataset of the block, a (4, R) bool array read off
-        the block procedures, which mark a dataset they cannot answer on with
-        what its ``TestOutcome`` or ``IntervalOutcome`` would refuse."""
+                     mu: np.ndarray) -> np.ndarray:
+        """``decide`` of each dataset of the block against its own true ``mu``,
+        an (R,) array (the datasets of a block may come from several cells), a
+        (4, R) bool array read off the block procedures, which mark a dataset
+        they cannot answer on with what its ``TestOutcome`` or
+        ``IntervalOutcome`` would refuse."""
         flags = np.zeros((4, work.groups.size), dtype=bool)
         if self.test_block is not None:
             p = self.test_block(work, spec, phi0).p_value

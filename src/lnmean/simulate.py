@@ -5,9 +5,15 @@ each of the cell's groups, then every requested method tests phi = phi0
 (two-sided, at ``alpha``) and/or builds a level 1 - alpha interval, which
 covers when its log-scale bounds hold the true mu.  Replicate r of cell c
 uses the substream (seed, c * outer_reps + r), so results are reproducible
-and independent of how replicates are scheduled across workers.  Replicates
-run in blocks: a block's data are drawn into one array, and the classical
-methods decide all of its replicates in one pass over arrays.
+and independent of how replicates are scheduled across workers.
+
+A grid runs in pieces and stacks.  A piece is a run of replicates of one
+cell whose data are drawn into one array.  A stack is a run of pieces of
+cells that share their group sizes, methods, phi0 and alpha, so it may span
+cells: the classical methods decide all of its replicates in one pass over
+arrays, each against its own cell's mu.  The generalized methods run
+replicate by replicate.  Above one worker, one process pool serves the whole
+grid.
 
 Grid configs are flat TOML or JSON files with arrays ``mu``, ``sigma2_2`` and
 ``n_pairs``, scalars ``sigma2_1``, ``alpha``, ``outer_reps``, ``inner_reps``,
@@ -22,12 +28,11 @@ from __future__ import annotations
 import csv
 import functools
 import importlib.resources
+import itertools
 import json
 import math
 import numbers
 import os
-import tomllib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,11 +47,12 @@ from .samplers import StreamKey, std_normal, stream_generator, stream_words
 
 CSV_COLUMNS = ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
                "estimate", "std_error", "failures")
-# replicates drawn and decided at a time, fewer where their draws would pass
-# BLOCK_DRAWS values; neither changes a number, they bound the block's arrays
+# replicates drawn (a piece) and decided (a stack) at a time, a piece fewer
+# where its draws would pass BLOCK_DRAWS values; neither changes a number,
+# they bound the arrays
 REPLICATE_BLOCK = 1024
 BLOCK_DRAWS = 2 ** 21
-# contiguous replicate ranges that a pool of workers splits a cell into, per worker
+# contiguous runs of pieces that a pool of workers splits a grid into, per worker
 RANGES_PER_WORKER = 4
 
 
@@ -81,9 +87,12 @@ class SimulationCell:
         if not ns:
             raise ValueError("a simulation cell needs at least one group")
         entries = select(self.methods, LOGNORMAL_MEAN)
-        object.__setattr__(self, "sigma2s", sigma2s)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "methods", tuple(entry.name for entry in entries))
+        # the tuples given are kept where they are already these, so that the
+        # cells of one grid share them
+        for name, canonical in (("sigma2s", sigma2s), ("ns", ns),
+                                ("methods", tuple(entry.name for entry in entries))):
+            if not _same(getattr(self, name), canonical):
+                object.__setattr__(self, name, canonical)
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
         if not all(math.isfinite(v) and v > 0 for v in sigma2s):
@@ -107,6 +116,12 @@ class SimulationCell:
                              "outer_reps onward) must fit in an unsigned 32-bit integer")
         if pivot_kinds(entries):
             require_draws(self.inner_reps, 1.0 - self.alpha)
+
+
+def _same(given, canonical: tuple) -> bool:
+    """Whether ``given`` is a tuple of the items of ``canonical``, type for type."""
+    return (type(given) is tuple and len(given) == len(canonical)
+            and all(type(a) is type(b) and a == b for a, b in zip(given, canonical)))
 
 
 def _whole(name: str, value, error=ValueError) -> int:
@@ -136,18 +151,20 @@ class RateEstimate:
 @dataclass(frozen=True, slots=True)
 class SimulationResult:
     """The counts of one cell: per method of ``cell.methods``, (rejected, test
-    failed, covered, interval failed) over its ``outer_reps`` replicates.
+    failed, covered, interval failed) over its ``outer_reps`` replicates, one
+    flat tuple of 4 ints per method, method by method.
 
     ``rejection`` and ``coverage`` read them as rates, each time they are
     asked for.  A grid run keeps only the counts, a few hundred bytes a cell.
     """
 
     cell: SimulationCell
-    counts: tuple[tuple[int, int, int, int], ...]
+    counts: tuple[int, ...]
 
     def _rates(self, procedure: str, slot: int) -> dict[str, RateEstimate]:
-        return {name: _rate(counted[slot], counted[slot + 1], self.cell.outer_reps)
-                for name, counted in zip(self.cell.methods, self.counts)
+        return {name: _rate(self.counts[4 * m + slot], self.counts[4 * m + slot + 1],
+                            self.cell.outer_reps)
+                for m, name in enumerate(self.cell.methods)
                 if getattr(METHODS[name], procedure) is not None}
 
     @property
@@ -194,35 +211,108 @@ def draw_block(cell: SimulationCell, first: int, count: int) -> tuple[GroupBlock
     return GroupBlock(cell.ns, means, variances), valid
 
 
-def _run_block(cell: SimulationCell, first: int, count: int) -> np.ndarray:
-    """Per-method (rejected, test failed, covered, interval failed) counts over
-    replicates ``first`` .. ``first + count - 1``, a (methods, 4) int array.
+def _stack_key(cell: SimulationCell) -> tuple:
+    """What the classical methods read of a cell besides its data and its mu:
+    cells that agree on it decide their replicates in one stack."""
+    return cell.ns, cell.methods, cell.phi0, cell.alpha
 
-    A refused data draw fails every procedure of its replicate.  The
-    classical methods decide every other replicate of the block at once; the
-    generalized ones run replicate by replicate, on one ``SharedWork`` that
-    both share, whose draw rows are hashed with the whole block's.
+
+def _runs(cells, count: int) -> list[list[tuple[int, int, int]]]:
+    """The replicates of ``cells`` as up to ``count`` contiguous runs of pieces
+    (cell position, first replicate, replicates).
+
+    The cells that share a ``_stack_key`` are taken together, in grid order,
+    so their pieces are neighbours.  A piece holds at most ``REPLICATE_BLOCK``
+    replicates of one cell, fewer where their draws would pass
+    ``BLOCK_DRAWS``, and ends where its run does; the runs are of near-equal
+    replicate counts.
     """
-    groups, valid = draw_block(cell, first, count)
+    grouped: dict[tuple, list[int]] = {}
+    for position, cell in enumerate(cells):
+        grouped.setdefault(_stack_key(cell), []).append(position)
+    total = sum(cell.outer_reps for cell in cells)
+    ends = iter(sorted({total * i // count for i in range(1, count + 1)} - {0}))
+    runs, run, done, end = [], [], 0, next(ends, total)
+    for position in (position for group in grouped.values() for position in group):
+        cell = cells[position]
+        rows = max(1, min(REPLICATE_BLOCK, BLOCK_DRAWS // sum(cell.ns)))
+        first = 0
+        while first < cell.outer_reps:
+            size = min(rows, cell.outer_reps - first, end - done)
+            run.append((position, first, size))
+            first, done = first + size, done + size
+            if done == end:
+                runs.append(run)
+                run, end = [], next(ends, total)
+    return runs
+
+
+def _run_pieces(cells, pieces) -> list[np.ndarray]:
+    """Per-method (rejected, test failed, covered, interval failed) counts of
+    each of ``pieces``, a (methods, 4) int array each.
+
+    Consecutive pieces of cells that share a ``_stack_key`` form stacks of at
+    most ``REPLICATE_BLOCK`` replicates; no number depends on how they stack.
+    """
+    counts = []
+    for _, group in itertools.groupby(pieces, key=lambda piece: _stack_key(cells[piece[0]])):
+        stack, lanes = [], 0
+        for piece in group:
+            if lanes + piece[2] > REPLICATE_BLOCK:
+                counts += _run_stack(cells, stack)
+                stack, lanes = [], 0
+            stack.append(piece)
+            lanes += piece[2]
+        counts += _run_stack(cells, stack)
+    return counts
+
+
+def _run_stack(cells, stack) -> list[np.ndarray]:
+    """``_run_pieces`` of one stack.
+
+    Each piece draws its own data.  A refused data draw fails every
+    procedure of its replicate.  The classical methods decide every other
+    replicate of the stack at once, each against its own cell's mu; the
+    generalized ones run piece by piece (see ``_run_generalized``).
+    """
+    cell = cells[stack[0][0]]
     entries = [METHODS[name] for name in cell.methods]
     spec = TestSpec(log_phi0(cell.phi0))
-    counts = np.zeros((len(entries), 4), dtype=np.int64)
-    counts[:, 1] = counts[:, 3] = count - np.count_nonzero(valid)
-    rows = np.flatnonzero(valid)
-    work = BlockWork(GroupBlock(cell.ns, groups.means[rows], groups.variances[rows]))
-    for counted, entry in zip(counts, entries):
-        if entry.pivot is None and rows.size:
-            counted += entry.decide_block(work, spec, cell.phi0, cell.alpha,
-                                          cell.mu).sum(axis=1)
+    drawn = [draw_block(cells[position], first, count) for position, first, count in stack]
+    rows = [np.flatnonzero(valid) for _, valid in drawn]
+    lanes = np.array([kept.size for kept in rows])
+    counts = np.zeros((len(stack), len(entries), 4), dtype=np.int64)
+    counts[:, :, 1] = counts[:, :, 3] = (np.array([piece[2] for piece in stack]) - lanes)[:, None]
+    if lanes.any():
+        work = BlockWork(GroupBlock(cell.ns, *(
+            np.concatenate([getattr(groups, name)[kept] for (groups, _), kept in zip(drawn, rows)])
+            for name in ("means", "variances"))))
+        mu = np.repeat([cells[position].mu for position, _, _ in stack], lanes)
+        for m, entry in enumerate(entries):
+            if entry.pivot is None:
+                flags = entry.decide_block(work, spec, cell.phi0, cell.alpha, mu)
+                for counted, piece in zip(counts[:, m],
+                                          np.split(flags, np.cumsum(lanes)[:-1], axis=1)):
+                    counted += piece.sum(axis=1)
     kinds = pivot_kinds(entries)
-    if not kinds:
-        return counts
+    if kinds:
+        for (position, first, _), (groups, _), kept, counted in zip(stack, drawn, rows, counts):
+            _run_generalized(cells[position], first, groups, kept, entries, kinds, spec, counted)
+    return list(counts)
+
+
+def _run_generalized(cell: SimulationCell, first: int, groups: GroupBlock, rows: np.ndarray,
+                     entries, kinds, spec: TestSpec, counts: np.ndarray) -> None:
+    """Add the generalized methods' counts over the replicates ``first + rows``
+    of ``cell`` to ``counts``, replicate by replicate, on one ``SharedWork``
+    that both share, whose draw rows are hashed with the whole piece's."""
     # lane 0 drew the data; the draw rows both generalized methods read are
     # the substreams of lane 1, (seed, index, 1, j) for the 3k rows j
     indices = cell.cell_index * cell.outer_reps + first + rows
     words = stream_words(cell.seed, indices[:, None], 1, np.arange(3 * len(cell.ns)))
     for index, row_words, means, variances in zip(
-            indices.tolist(), words, work.groups.means.tolist(), work.groups.variances.tolist()):
+            indices.tolist(), words, groups.means[rows].tolist(),
+            groups.variances[rows].tolist()):
         ds = Dataset(groups=tuple(SampleSummary(n=n, mean=mean, variance=variance)
                                   for n, mean, variance in zip(cell.ns, means, variances)),
                      model=LOGNORMAL_MEAN)
@@ -231,44 +321,43 @@ def _run_block(cell: SimulationCell, first: int, count: int) -> np.ndarray:
         for counted, entry in zip(counts, entries):
             if entry.pivot is not None:
                 counted += entry.decide(shared, spec, cell.phi0, cell.alpha, cell.mu)
-    return counts
 
 
-def _run_range(cell: SimulationCell, bounds: tuple[int, int]) -> np.ndarray:
-    """``_run_block`` counts summed over replicates ``bounds[0]`` .. ``bounds[1] - 1``.
-
-    The blocks hold ``REPLICATE_BLOCK`` replicates, fewer where their draws
-    would pass ``BLOCK_DRAWS``; no number depends on the block length.
-    """
-    start, stop = bounds
-    rows = max(1, min(REPLICATE_BLOCK, BLOCK_DRAWS // sum(cell.ns)))
-    totals = np.zeros((len(cell.methods), 4), dtype=np.int64)
-    for first in range(start, stop, rows):
-        totals += _run_block(cell, first, min(rows, stop - first))
-    return totals
-
-
-def run_cell(cell: SimulationCell, workers: int = 1) -> SimulationResult:
-    """Run every replicate of one cell and count each method's outcomes.
-
-    ``workers`` is capped at the CPU count: a process pool starts all of its
-    workers at once.  The pool runs ``RANGES_PER_WORKER`` contiguous ranges of
-    replicates per worker, and their counts add, so the results do not
-    depend on how many workers there are.
-    """
-    workers = min(workers, os.cpu_count() or 1)
-    run = functools.partial(_run_range, cell)
-    if workers <= 1:
-        totals = run((0, cell.outer_reps))
-    else:
-        cuts = np.linspace(0, cell.outer_reps, workers * RANGES_PER_WORKER + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            totals = sum(pool.map(run, zip(cuts[:-1].tolist(), cuts[1:].tolist())))
-    return SimulationResult(cell=cell, counts=tuple(map(tuple, totals.tolist())))
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes; the modules it needs load on first use."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def run_grid(cells, workers: int = 1) -> list[SimulationResult]:
-    return [run_cell(cell, workers=workers) for cell in cells]
+    """Run every replicate of every cell and count each method's outcomes, per cell.
+
+    ``workers`` is capped at the CPU count: a process pool starts all of its
+    workers at once.  Above one worker, one pool serves the whole grid: it
+    runs ``RANGES_PER_WORKER`` contiguous runs of pieces per worker, and the
+    counts of a cell's pieces add, so the results do not depend on how many
+    workers there are.
+    """
+    cells = tuple(cells)
+    workers = min(workers, os.cpu_count() or 1)
+    runs = _runs(cells, workers * RANGES_PER_WORKER if workers > 1 else 1)
+    run = functools.partial(_run_pieces, cells)
+    if workers <= 1 or not runs:
+        counted = map(run, runs)
+    else:
+        with _process_pool(workers) as pool:
+            counted = list(pool.map(run, runs))
+    totals = [np.zeros((len(cell.methods), 4), dtype=np.int64) for cell in cells]
+    for pieces, counts in zip(runs, counted):
+        for (position, _, _), piece_counts in zip(pieces, counts):
+            totals[position] += piece_counts
+    return [SimulationResult(cell=cell, counts=tuple(total.ravel().tolist()))
+            for cell, total in zip(cells, totals)]
+
+
+def run_cell(cell: SimulationCell, workers: int = 1) -> SimulationResult:
+    """``run_grid`` of ``cell`` alone."""
+    return run_grid([cell], workers=workers)[0]
 
 
 def result_rows(results) -> list[dict]:
@@ -322,6 +411,8 @@ def parse_grid_config(text: str, kind: str, source: str = "<config>") -> dict:
         return config
     if kind != "toml":
         raise ConfigError(f"{source}: unsupported config format {kind!r}")
+    import tomllib  # loaded only where a TOML config is read
+
     try:
         return tomllib.loads(text)
     except (ValueError, TypeError) as exc:
@@ -366,9 +457,9 @@ def cells_from_config(config: dict) -> list[SimulationCell]:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
     mus = [_real("mu", v, ConfigError) for v in _list("mu", config["mu"])]
     sigma2_1 = _real("sigma2_1", config["sigma2_1"], ConfigError)
-    tails = [tuple(_real("sigma2_2", v, ConfigError)
-                   for v in (entry if isinstance(entry, list) else [entry]))
-             for entry in _list("sigma2_2", config["sigma2_2"])]
+    variances = [(sigma2_1, *(_real("sigma2_2", v, ConfigError)
+                              for v in (entry if isinstance(entry, list) else [entry])))
+                 for entry in _list("sigma2_2", config["sigma2_2"])]
     sizes = [tuple(_whole("n_pairs size", n, ConfigError) for n in _list("n_pairs entry", entry))
              for entry in _list("n_pairs", config["n_pairs"])]
     common = dict(
@@ -381,13 +472,13 @@ def cells_from_config(config: dict) -> list[SimulationCell]:
     )
     cells = []
     for mu in mus:
-        for tail in tails:
+        for sigma2s in variances:
             for ns in sizes:
-                if 1 + len(tail) != len(ns):
-                    raise ConfigError(f"sigma2_2 entry {list(tail)} gives {1 + len(tail)} "
+                if len(sigma2s) != len(ns):
+                    raise ConfigError(f"sigma2_2 entry {list(sigma2s[1:])} gives {len(sigma2s)} "
                                       f"groups but n_pairs entry {list(ns)} has {len(ns)}")
                 try:
-                    cells.append(SimulationCell(mu=mu, sigma2s=(sigma2_1, *tail), ns=ns,
+                    cells.append(SimulationCell(mu=mu, sigma2s=sigma2s, ns=ns,
                                                 cell_index=len(cells), **common))
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from exc

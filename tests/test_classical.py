@@ -259,6 +259,25 @@ def test_baklizi_nan_spread_is_the_named_range_error():
         classical.ahmed_test_block(block, 1.0).lane(0)
 
 
+def test_an_overflowed_pooled_sum_is_the_named_range_error():
+    # group a's subnormal variance gives a finite weight of ~1e307 and a
+    # finite v_hat, but weight * theta_hat overflows the pooled sum, so
+    # theta_tilde is inf; the dataset fails by name, the one beside it in the
+    # block answers
+    means, variances = np.array([[0.0, 0.1], [16.0, 16.1]]), np.array([[1.0, 2.0],
+                                                                       [1e-320, 1e-300]])
+    block = classical.ahmed_components_block(classical.GroupBlock((10, 10), means, variances))
+    assert block.failed.tolist() == [False, True]
+    assert np.isfinite(block.weights[1]).all()
+    for read in (lambda lane: classical.ahmed_ci_block(block, 0.95).lane(lane),
+                 lambda lane: classical.baklizi_ci_block(block, 0.95).lane(lane),
+                 lambda lane: classical.ahmed_test_block(block, 1e7).lane(lane)):
+        read(0)
+        with pytest.raises(ValueError, match="^ahmed delta-method variances overflow or "
+                                             "underflow the float range$"):
+            read(1)
+
+
 @pytest.mark.parametrize("means", [(-500.0,), (500.0,), (1e200,), (-500.0, -499.9, -499.8),
                                    (500.0, 500.1, 500.2), (1e200, 1e200), (0.0, -500.0),
                                    (0.0, 800.0)])

@@ -222,7 +222,9 @@ def test_nonpositive_raw_data_under_lognormal_model(capsys, tmp_path):
 def test_commands_load_no_scipy_module(tmp_path):
     # the classical p-values and quantiles come from the standard library and
     # the ML fit searches on its own: neither the example nor a grid of all
-    # six methods imports any part of scipy
+    # six methods imports any part of scipy.  Nor do they load the process
+    # pool's modules, needed only above one worker, or the TOML parser, needed
+    # only for a TOML config
     import lnmean
 
     config = tmp_path / "grid.json"
@@ -236,7 +238,8 @@ def test_commands_load_no_scipy_module(tmp_path):
             "    assert main(['example', '--reps', '1000']) == 0\n"
             f"    assert main(['simulate', '--config', {str(config)!r}]) == 0\n"
             "assert 'gv-umvue' in out.getvalue()\n"
-            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+            "print([m for m in sys.modules if m.partition('.')[0] in\n"
+            "       ('scipy', 'concurrent', 'multiprocessing', 'socket', 'tomllib')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -439,6 +442,20 @@ def test_nan_pivots_are_an_error_row(capsys, tmp_path):
         assert rows["test"][method] == {
             "method": method, "error": "NaN pivots: no tail frequency can be read off them"}
         assert rows["ci"][method] == {"method": method, "error": "empty interval: [nan, nan]"}
+
+
+def test_an_overflowed_ahmed_pooled_sum_is_an_error_row(capsys, tmp_path):
+    # group a's subnormal variance weighs it ~1e307, which overflows ahmed's
+    # pooled sum; ahmed and baklizi fail with the float-range reason, not an
+    # empty interval [inf, inf] or p = 0 at an infinite statistic
+    path = tmp_path / "subnormal.csv"
+    path.write_text("group,n,mean_log,var_log\na,10,16,1e-320\nb,10,16.1,1e-300\n")
+    error = "ahmed delta-method variances overflow or underflow the float range"
+    for command, *options in (("test", "--phi0", "1e7", "--method", "ahmed"),
+                              ("ci", "--method", "ahmed,baklizi")):
+        report = _run_json(capsys, command, "--summary", str(path), *options, "--format", "json")
+        assert report["results"] == [{"method": method, "error": error}
+                                     for method in options[-1].split(",")], command
 
 
 def test_example_shares_fit_components_and_pivots(capsys, monkeypatch):

@@ -272,8 +272,8 @@ def test_draw_block_rows_are_the_replicates_own_streams():
 
 
 def test_simulation_pivot_rows_are_lane_1_of_each_replicate(monkeypatch):
-    # _run_block hashes every replicate's 3k pivot rows in one block and
-    # hands each replicate's SharedWork its (3k, 3) rows
+    # a piece of replicates hashes every replicate's 3k pivot rows at once
+    # and hands each replicate's SharedWork its (3k, 3) rows
     from lnmean import simulate
 
     seen = []
@@ -288,7 +288,7 @@ def test_simulation_pivot_rows_are_lane_1_of_each_replicate(monkeypatch):
     cell = simulate.SimulationCell(mu=0.0, sigma2s=(1.0, 2.5, 0.5), ns=(5, 10, 4),
                                    outer_reps=100, inner_reps=1000, seed=seed, cell_index=3,
                                    methods=("gv-umvue",))
-    simulate._run_block(cell, 40, 6)
+    simulate._run_pieces((cell,), [(0, 40, 6)])
     assert [key for key, _, _ in seen] == [StreamKey(seed, 340 + r) for r in range(6)]
     for key, lanes, words in seen:
         assert lanes == (1,) and words.shape == (9, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import io
 import json
@@ -107,10 +108,10 @@ def test_run_cell_caps_workers_at_cpu_count(monkeypatch):
     pools = []
 
     class SerialPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+        """Stands in for a process pool: records its worker count, starts no process."""
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+        def __init__(self, workers):
+            pools.append(workers)
 
         def __enter__(self):
             return self
@@ -121,16 +122,18 @@ def test_run_cell_caps_workers_at_cpu_count(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(5, 8),
-                          methods=("ahmed",), **FAST)
-    expected = run_cell(cell)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    # one pool for the whole grid, not one per cell
+    cells = [SimulationCell(mu=mu, sigma2s=(1.0, 0.5), ns=ns, methods=("ahmed",),
+                            cell_index=index, **FAST)
+             for index, (mu, ns) in enumerate(((0.0, (5, 8)), (0.2, (5, 8)), (0.0, (6, 6))))]
+    expected = [run_cell(cell) for cell in cells]
+    monkeypatch.setattr(simulate, "_process_pool", SerialPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-    assert run_cell(cell, workers=10_000) == expected
+    assert run_grid(cells, workers=10_000) == expected
     assert pools == [3]
     # an unknown CPU count means one worker: no pool at all
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
-    assert run_cell(cell, workers=10_000) == expected
+    assert run_grid(cells, workers=10_000) == expected
     assert pools == [3]
 
 
@@ -370,27 +373,64 @@ def test_classical_shared_work_runs_once_per_replicate(monkeypatch):
 
         monkeypatch.setattr(classical, name, counted)
     monkeypatch.setattr(simulate, "REPLICATE_BLOCK", 30)
-    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(6, 8),
-                          methods=("lrt", "ahmed", "gupta-li", "baklizi"), **FAST)
+    classical_methods = ("lrt", "ahmed", "gupta-li", "baklizi")
+    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(6, 8), methods=classical_methods,
+                          **FAST)
     run_cell(cell)
     assert calls == {"gupta_li_mle_block": [30, 30, 30, 10],
                      "ahmed_components_block": [30, 30, 30, 10],
                      "gupta_li_mle": [], "ahmed_components": []}
+    # cells of one grid that share their group sizes are decided in one stack
+    for made in calls.values():
+        made.clear()
+    monkeypatch.setattr(simulate, "REPLICATE_BLOCK", 250)
+    run_grid([cell, SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(5, 10),
+                                   methods=classical_methods, cell_index=1, **FAST),
+              SimulationCell(mu=1.0, sigma2s=(1.0, 2.5), ns=(6, 8),
+                             methods=classical_methods, cell_index=2, **FAST)])
+    assert calls == {"gupta_li_mle_block": [200, 100], "ahmed_components_block": [200, 100],
+                     "gupta_li_mle": [], "ahmed_components": []}
 
 
-@pytest.mark.parametrize("block, draws", [(1, 2 ** 21), (7, 2 ** 21), (1024, 40)])
+@pytest.mark.parametrize("block, draws", [(1, 2 ** 21), (7, 2 ** 21), (1024, 40), (1024, 2 ** 21)])
 def test_the_block_length_changes_no_number(monkeypatch, block, draws):
-    # every method; and at mu = 1e16, where the draws are whole multiples of
-    # 2, a cell in which two replicates in three draw a constant group, a
-    # data failure, between replicates that answer
-    cells = [SimulationCell(mu=0.3, sigma2s=(1.0, 0.1, 2.5), ns=(5, 10, 7), **FAST),
-             SimulationCell(mu=1e16, sigma2s=(1.0, 1.0), ns=(2, 3),
-                            methods=("ahmed", "lrt", "gv-umvue"), **FAST)]
+    # a grid run is each cell run alone, however its pieces stack and at any
+    # worker count.  The grid mixes k = 2 and k = 3, two sizes at k = 2,
+    # several mu, classical and generalized method sets, and at mu = 1e16,
+    # where the draws are whole multiples of 2, a cell in which two
+    # replicates in three draw a constant group, a data failure, between
+    # replicates that answer, stacked with a cell of the same sizes
+    classical_methods = ("lrt", "ahmed", "gupta-li", "baklizi")
+    failing = ("ahmed", "lrt", "gv-umvue")
+    settings = [(0.3, (1.0, 0.1, 2.5), (5, 10, 7), METHOD_ORDER),
+                (0.0, (1.0, 0.5), (5, 10), classical_methods),
+                (1e16, (1.0, 1.0), (2, 3), failing),
+                (0.2, (1.0, 0.5), (25, 25), classical_methods),
+                (1.0, (1.0, 2.5), (5, 10), classical_methods),
+                (0.0, (1.0, 1.0), (2, 3), failing),
+                (0.5, (0.5, 1.0, 0.1), (5, 10, 7), METHOD_ORDER)]
+    cells = [SimulationCell(mu=mu, sigma2s=sigma2s, ns=ns, methods=methods, cell_index=index,
+                            **FAST)
+             for index, (mu, sigma2s, ns, methods) in enumerate(settings)]
     expected = [run_cell(cell) for cell in cells]
-    assert 0 < expected[1].rejection["lrt"].failures < FAST["outer_reps"]
+    assert 0 < expected[2].rejection["lrt"].failures < FAST["outer_reps"]
     monkeypatch.setattr(simulate, "REPLICATE_BLOCK", block)
     monkeypatch.setattr(simulate, "BLOCK_DRAWS", draws)
-    assert [run_cell(cell) for cell in cells] == expected
+    for workers in (1, 2):
+        assert run_grid(cells, workers=workers) == expected, workers
+
+
+def test_the_classical_reference_grid_is_unchanged():
+    # the benchmark's grid-classical reference pass: 8 cells x 100 replicates
+    # of the four classical methods, pinned by the digest of its CSV
+    cells = cells_from_config(dict(
+        mu=[0.0, 1.0], sigma2_1=1.0, sigma2_2=[0.1, 2.5], n_pairs=[[5, 10], [50, 50]],
+        phi0=1.0, alpha=0.05, outer_reps=100, inner_reps=5000, seed=20240501,
+        methods=["lrt", "ahmed", "gupta-li", "baklizi"]))
+    buffer = io.StringIO()
+    write_csv(run_grid(cells), buffer)
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == (
+        "26275862910be1a71d9771248cfd4bed6926aeb211ce4c67f0f9b3aa552dde28")
 
 
 TOML_CONFIG = """
