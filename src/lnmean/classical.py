@@ -213,6 +213,15 @@ class TestBlock:
                            statistic=float(self.statistic[i]))
 
 
+def _log_or_minus_inf(bound: np.ndarray) -> np.ndarray:
+    """Python's ``math.log`` of each positive entry of ``bound``, -inf of every
+    other (0, negative or NaN), lane for lane what ``interval_from_phi`` takes."""
+    logs = np.full(bound.shape, -math.inf)
+    positive = bound > 0.0
+    logs[positive] = np.fromiter(map(math.log, bound[positive].tolist()), dtype=float)
+    return logs
+
+
 @dataclass(frozen=True)
 class IntervalBlock:
     """An interval's (R,) bounds and estimates at ``level`` on a block, on the
@@ -234,8 +243,7 @@ class IntervalBlock:
         if self.log_scale:
             bounds = self.lower, self.upper
         else:
-            bounds = [[math.log(x) if x > 0.0 else -math.inf for x in bound.tolist()]
-                      for bound in (self.lower, self.upper)]
+            bounds = [_log_or_minus_inf(bound) for bound in (self.lower, self.upper)]
         return tuple(np.where(self.failed, np.nan, bound) for bound in bounds)
 
     def lane(self, i: int) -> IntervalOutcome:

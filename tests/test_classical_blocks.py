@@ -366,3 +366,20 @@ def test_run_cell_counts_are_the_per_replicate_counts(cell):
             rate = result.coverage[name]
             assert (round(rate.estimate * cell.outer_reps), rate.failures) == \
                 (covered, ci_failed), name
+
+
+def test_log_bounds_are_pythons_log_lane_for_lane():
+    # every positive bound is math.log of it, every other one -inf, as the
+    # per-lane comprehension had it; a failed lane reads NaN
+    special = [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan, 5e-324, 2.2e-308, 1e-310,
+               1.0, math.e, 1e308, 0.5]
+    rng = np.random.default_rng(3)
+    lower = np.array(special + rng.normal(1.0, 2.0, 400).tolist())
+    upper = np.array(special[::-1] + np.exp(rng.uniform(-745.0, 709.0, 400)).tolist())
+    failed = np.zeros(lower.size, dtype=bool)
+    failed[[2, 7, 100]] = True
+    block = classical.IntervalBlock(lower, upper, lower, 0.95, log_scale=False, failed=failed,
+                                    check=lambda i: None)
+    for got, bound in zip(block.log_bounds(), (lower, upper)):
+        reference = np.array([math.log(x) if x > 0.0 else -math.inf for x in bound.tolist()])
+        assert got.tobytes() == np.where(failed, np.nan, reference).tobytes()

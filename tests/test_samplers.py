@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lnmean import StreamKey, chi_square, std_normal
-from lnmean.samplers import stream_generator, stream_words
+from lnmean import samplers
+from lnmean.samplers import normal_rows, stream_generator, stream_words
 
 
 def test_stream_key_validation():
@@ -252,6 +253,56 @@ def test_an_array_entry_is_one_32_bit_word_or_refused(column):
     # onto index 0, another replicate's stream
     with pytest.raises(ValueError, match="address column"):
         stream_words(1, column, 0)
+
+
+def _address(seed, index):
+    """The 32-bit words of (seed, index, 0), as ``StreamKey`` splits them."""
+    return [*(seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)),
+            index, 0]
+
+
+@pytest.mark.parametrize("seed", [3, 2 ** 40 + 11, 2 ** 64 - 1])
+@pytest.mark.parametrize("rows", [1, 7, 400])
+def test_normal_rows_are_each_rows_own_stream(seed, rows):
+    # in order and reversed: every row starts from its own seeded state, so
+    # nothing carries over from the row filled before it
+    width = 15
+    for indices in (np.arange(rows), np.arange(rows)[::-1].copy()):
+        out = normal_rows(stream_words(seed, indices, 0), np.empty((rows, width)))
+        for row, index in zip(out, indices.tolist()):
+            reference = _numpy_generator(*_address(seed, index)).standard_normal(width)
+            assert row.tobytes() == reference.tobytes()
+
+
+def test_a_written_state_is_numpys_own_seeded_state():
+    # the layout guard: a state written at the struct's address reads back
+    # through the public ``.state`` as numpy's own seeding of the address
+    words = stream_words(2 ** 40 + 11, np.arange(5), 0)
+    states = samplers._sfc64_states(words)
+    bits = stream_generator(np.zeros(3, dtype=np.uint64)).bit_generator
+    view = samplers._state_view(bits)
+    for index in (4, 0, 3):
+        # a half-used draw in the 32-bit fields is cleared by the write too
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": 7}
+        view[...] = states[index]
+        seeded = np.random.SFC64(np.random.SeedSequence(_address(2 ** 40 + 11, index))).state
+        written = bits.state
+        assert written["state"]["state"].tobytes() == seeded["state"]["state"].tobytes()
+        assert ({key: written[key] for key in ("bit_generator", "has_uint32", "uinteger")}
+                == {"bit_generator": "SFC64", "has_uint32": 0, "uinteger": 0})
+
+
+def test_normal_rows_checks_the_state_it_writes(monkeypatch):
+    words = stream_words(1, np.arange(3), 0)
+    with pytest.raises(ValueError, match="rows"):
+        normal_rows(words, np.empty((2, 4)))
+    empty = np.empty((0, 4))
+    assert normal_rows(words[:0], empty) is empty
+    # a state that is not numpy's seeding of the first row is refused
+    monkeypatch.setattr(samplers, "_sfc64_states",
+                        lambda block: np.zeros((len(block), 5), dtype=np.uint64))
+    with pytest.raises(RuntimeError, match="SFC64 state"):
+        normal_rows(words, np.empty((3, 4)))
 
 
 def test_draw_block_rows_are_the_replicates_own_streams():

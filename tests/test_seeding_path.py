@@ -1,11 +1,14 @@
 """Every generator of the package comes from ``samplers``.
 
 ``samplers.stream_words`` hashes stream addresses as numpy's seed sequence
-does, and ``samplers.stream_generator`` builds a generator from the words;
+does, ``samplers.stream_generator`` builds a generator from the words, and
+``samplers.normal_rows`` writes seeded states into a generator it reuses;
 a second seeding path elsewhere would draw streams that the tests comparing
-the two with numpy's own do not see.  This test reads the source of every
+them with numpy's own do not see.  This test reads the source of every
 other module and fails on any call that constructs a seed sequence, a bit
-generator or a ``Generator``.
+generator or a ``Generator``, and on any write of a generator's state: a
+``.state_address`` or ``.ctypes`` reference, or an assignment to ``.state``.
+Writing a generator's state is seeding it.
 """
 
 import ast
@@ -15,29 +18,52 @@ import lnmean
 
 CONSTRUCTORS = {"SeedSequence", "SFC64", "PCG64", "PCG64DXSM", "Philox", "MT19937",
                 "Generator", "RandomState", "default_rng"}
+STATE_ACCESS = {"state_address", "ctypes"}
 PACKAGE = Path(lnmean.__file__).resolve().parent
 
 
-def _constructions(path: Path) -> list[str]:
+def _seeding(source: str, name: str) -> list[str]:
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in CONSTRUCTORS:
-                found.append(f"{path.name}:{node.lineno} {name}")
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called in CONSTRUCTORS:
+                found.append(f"{name}:{node.lineno} {called}")
+        elif isinstance(node, ast.Attribute) and node.attr in STATE_ACCESS:
+            found.append(f"{name}:{node.lineno} .{node.attr}")
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"{name}:{node.lineno} .state =" for target in targets
+                      for part in ast.walk(target)
+                      if isinstance(part, ast.Attribute) and part.attr == "state"]
     return found
+
+
+def _file_seeding(path: Path) -> list[str]:
+    return _seeding(path.read_text(encoding="utf-8"), path.name)
 
 
 def test_only_samplers_builds_generators():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert {path.name for path in modules} >= {"samplers.py", "simulate.py", "generalized.py"}
     found = [hit for path in modules if path.name != "samplers.py"
-             for hit in _constructions(path)]
+             for hit in _file_seeding(path)]
     assert found == []
 
 
 def test_the_guard_sees_a_construction():
-    # samplers itself builds them, so the scan is not blind to them
-    hits = _constructions(PACKAGE / "samplers.py")
+    # samplers itself builds them and writes their states, so the scan is
+    # not blind to either
+    hits = _file_seeding(PACKAGE / "samplers.py")
     assert any("SFC64" in hit for hit in hits) and any("Generator" in hit for hit in hits)
+    assert any(".state_address" in hit for hit in hits) and any(".ctypes" in hit for hit in hits)
+
+
+def test_the_guard_sees_a_state_write():
+    source = ("rng.bit_generator.state = saved\n"
+              "bits.state, other = saved, 1\n"
+              "address = bits.ctypes.state_address\n")
+    assert _seeding(source, "m.py") == ["m.py:1 .state =", "m.py:2 .state =",
+                                        "m.py:3 .state_address", "m.py:3 .ctypes"]
+    assert _seeding("state = bits.state\nbits.advance(3)\n", "m.py") == []

@@ -420,6 +420,52 @@ def test_the_block_length_changes_no_number(monkeypatch, block, draws):
         assert run_grid(cells, workers=workers) == expected, workers
 
 
+def test_a_stack_draws_what_each_piece_draws_alone():
+    # four cells of one seed and sizes, each with its own mu and variances,
+    # drawn as one stack: lane for lane the draw of its piece alone
+    settings = [(0.0, (1.0, 0.1)), (1.0, (1.0, 2.5)), (-3.5, (0.5, 7.0)), (1e16, (1.0, 1.0))]
+    cells = [SimulationCell(mu=mu, sigma2s=sigma2s, ns=(2, 3), methods=("ahmed",),
+                            cell_index=index, **FAST)
+             for index, (mu, sigma2s) in enumerate(settings)]
+    stack = [(0, 90, 10), (1, 0, 7), (2, 41, 1), (3, 5, 30)]
+    groups, valid = simulate.draw_stack(cells, stack)
+    alone = [simulate.draw_block(cells[position], first, count)
+             for position, first, count in stack]
+    for name in ("means", "variances"):
+        assert getattr(groups, name).tobytes() == np.concatenate(
+            [getattr(piece, name) for piece, _ in alone]).tobytes()
+    assert np.array_equal(valid, np.concatenate([piece_valid for _, piece_valid in alone]))
+    assert valid[:18].all() and not valid[18:].all()  # mu = 1e16 draws constant groups
+    with pytest.raises(ValueError, match="seed and group sizes"):
+        simulate.draw_stack([cells[0], SimulationCell(mu=0.0, sigma2s=(1.0, 0.1), ns=(2, 3),
+                                                      methods=("ahmed",), outer_reps=100,
+                                                      seed=8)], [(0, 0, 2), (1, 0, 2)])
+
+
+def test_stacks_keep_to_one_seed_and_to_the_draw_bound(monkeypatch):
+    # cells of two seeds in one grid are drawn in stacks of their own seed,
+    # and no stack's draw array passes BLOCK_DRAWS values
+    stacks = []
+
+    def recorded(cells, stack, original=simulate.draw_stack):
+        stacks.append([(cells[position].seed, cells[position].ns, count)
+                       for position, _, count in stack])
+        return original(cells, stack)
+
+    methods = ("lrt", "ahmed", "gupta-li", "baklizi")
+    cells = [SimulationCell(mu=mu, sigma2s=(1.0, 0.5), ns=(5, 10), methods=methods,
+                            outer_reps=100, inner_reps=1000, seed=seed, cell_index=index)
+             for index, (mu, seed) in enumerate([(0.0, 7), (0.5, 8), (1.0, 7), (0.0, 8)])]
+    expected = [run_cell(cell) for cell in cells]
+    monkeypatch.setattr(simulate, "draw_stack", recorded)
+    monkeypatch.setattr(simulate, "BLOCK_DRAWS", 15 * 60)
+    assert run_grid(cells) == expected
+    assert all(len({(seed, ns) for seed, ns, _ in stack}) == 1 for stack in stacks)
+    assert {stack[0][0] for stack in stacks} == {7, 8}
+    lanes = [sum(count for _, _, count in stack) for stack in stacks]
+    assert max(lanes) * 15 <= 15 * 60 and sum(lanes) == 400
+
+
 def test_the_classical_reference_grid_is_unchanged():
     # the benchmark's grid-classical reference pass: 8 cells x 100 replicates
     # of the four classical methods, pinned by the digest of its CSV
