@@ -21,6 +21,8 @@ failure reason, written once next to its formula and built only when read.
 readers are views of a block of one.  The builders refuse a dataset outside
 the lognormal-mean model.
 
+The datasets of a block share their group count k; their group sizes may
+differ from lane to lane, so a block may hold the stacks of several cells.
 Sums over the groups run column by column, left to right, as numpy sums
 fewer than 8 elements, so for k < 8 the figures have the bits that the same
 formulas give on numpy arrays.  exp and log are numpy's; x ** -0.5 and the log
@@ -32,6 +34,15 @@ The p-values and quantiles need no special-function library: erfc is
 Python's ``math.erfc``, the normal and chi-square(1) tails are erfc, a
 chi-square tail of integer df is erfc and a finite Poisson-type sum, and a
 quantile is its tail bisected down to adjacent floats.
+
+A decision needs no p-value and no Python log.  ``TestBlock.rejects`` reads
+each lane's erfc argument against the critical value at which erfc crosses
+alpha, and ``IntervalBlock.covers`` reads numpy's log of each original-scale
+bound against mu.  A lane within a relative ``_BAND`` of the critical value,
+of mu or of its other bound is decided again from Python's erfc or log.  The
+band is millions of ulps wide, and two faithful implementations of erfc or
+log differ by a few ulps, so every lane decides as its p-value or its
+``IntervalOutcome`` does.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ import numpy as np
 
 from .model import Dataset
 from .outcomes import (Alternative, IntervalOutcome, TestOutcome, exp_or_inf,
-                       interval_from_log, interval_from_phi, log_phi0)
+                       interval_from_log, interval_from_phi, is_ordered, is_p_value, log_phi0)
 
 _SIGMA2_FLOOR = 1e-12
 # the largest x whose exp is finite
@@ -66,6 +77,13 @@ _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
 # the binary exponent by which a chi-square tail's sum is scaled down where it would overflow
 _RESCALE_BITS = 900
+# the relative width about a critical value within which a decision is read
+# from Python's erfc or log; numpy's log, and a critical value bisected to
+# adjacent floats, lie a few ulps (2^-52 each) from Python's figures
+_BAND = 2.0 ** -30
+# the smallest erfc target read against a critical value: about a smaller
+# one erfc's values come near the subnormal range, whose ulps are coarse
+_CUT_FLOOR = 2.0 ** -1000
 
 
 def _require_mu0(mu0: float) -> None:
@@ -123,6 +141,13 @@ def _tail_quantile(tail: Callable[[float], float], p: float, start: float) -> fl
     return lo if tail(lo) - p < p - tail(hi) else hi
 
 
+@functools.lru_cache(maxsize=64)
+def _erfc_cut(target: float) -> float:
+    """The x >= 0 at which erfc falls to ``target`` in (0, 1]: a p-value
+    erfc(x) is below the target where x lies past it."""
+    return _tail_quantile(math.erfc, target, 1.0)
+
+
 # The quantiles depend only on the level (and k), so they are computed once per
 # distinct argument, from the upper tail 1 - level (exact for level >= 1/2).
 # A level outside (0, 1) has none; the interval it would give is refused.
@@ -155,13 +180,15 @@ def _group_sum(terms):
 
 @dataclass(frozen=True)
 class GroupBlock:
-    """Group summaries of R datasets that share their k group sizes.
+    """Group summaries of R datasets of k groups each.
 
-    ``means`` and ``variances`` (n - 1 divisor) are (R, k) arrays and ``ns``
-    the k group sizes.  Every dataset is read under the lognormal-mean model.
+    ``means`` and ``variances`` (n - 1 divisor) are (R, k) arrays.  ``ns``
+    are the k group sizes that every dataset shares, or an (R, k) integer
+    array of each dataset's own.  Every dataset is read under the
+    lognormal-mean model.
     """
 
-    ns: tuple[int, ...]
+    ns: tuple[int, ...] | np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
@@ -179,11 +206,13 @@ class GroupBlock:
     @functools.cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per group (n_i, ybar_i, (n_i - 1) s_i^2), a row per group: the sizes
-        as a (k, 1) float array, the others as (k, R) arrays."""
+        as a (k, 1) float array where the datasets share them, else (k, R),
+        the others as (k, R) arrays."""
+        n = np.array(self.ns, dtype=float)
+        n = n[:, None] if n.ndim == 1 else np.ascontiguousarray(n.T)
         with np.errstate(over="ignore"):  # an inf here is named where it is read
-            scaled = (np.array(self.ns)[:, None] - 1) * self.variances.T
-        return (np.array(self.ns, dtype=float)[:, None], np.ascontiguousarray(self.means.T),
-                scaled)
+            scaled = (n - 1.0) * self.variances.T
+        return n, np.ascontiguousarray(self.means.T), scaled
 
 
 def _lane_field(name: str) -> property:
@@ -194,23 +223,66 @@ def _lane_field(name: str) -> property:
     return property(read)
 
 
+def _p_values(argument: np.ndarray, halved: bool) -> np.ndarray:
+    """The p-values erfc(argument), halved where ``halved``, of a 1-d ``argument``."""
+    p = _erfc(argument)
+    return 0.5 * p if halved else p
+
+
 @dataclass(frozen=True)
 class TestBlock:
-    """A test's (R,) p-values, NaN where it cannot answer, and statistics on a
-    block.  ``check(i)`` raises the ValueError naming why dataset i has no
-    answer, if it has none; no reason is built until then."""
+    """A test's (R,) statistics on a block and the erfc argument of each
+    dataset's p-value: erfc(argument), or half of it where ``halved`` (a
+    one-sided Wald test), NaN where it cannot answer.
+
+    ``p_value`` reads every dataset's p-value, ``lane(i)`` dataset i's alone,
+    and ``rejects(alpha)`` the decisions alone, against a critical value.
+    ``check(i)`` raises the ValueError naming why dataset i has no answer, if
+    it has none; no reason is built until then.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
-    p_value: np.ndarray
+    argument: np.ndarray
     statistic: np.ndarray
     check: Callable[[int], None]
+    halved: bool = False
+
+    @functools.cached_property
+    def p_value(self) -> np.ndarray:
+        return _p_values(self.argument, self.halved)
 
     def lane(self, i: int) -> TestOutcome:
         """Dataset ``i``'s outcome, or the ValueError that it has none."""
         self.check(i)
-        return TestOutcome(p_value=float(self.p_value[i]), mc_std_error=0.0, reps_used=0,
-                           statistic=float(self.statistic[i]))
+        return TestOutcome(p_value=float(_p_values(self.argument[i:i + 1], self.halved)[0]),
+                           mc_std_error=0.0, reps_used=0, statistic=float(self.statistic[i]))
+
+    def rejects(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """(p-value < alpha, no p-value in [0, 1]) of each dataset.
+
+        p < alpha where the argument lies past ``_erfc_cut`` of alpha (2 alpha
+        where halved).  The lanes within ``_BAND`` of the cut (within
+        ``_BAND`` of it absolutely where it is below 1, where erfc is near 1
+        and flat against its ulps), and those of a negative unhalved
+        argument, whose erfc may pass 1, are decided by their p-values, as is
+        every lane of a target that has no cut.
+        """
+        x = self.argument
+        target = 2.0 * alpha if self.halved else alpha
+        if _CUT_FLOOR <= target <= 1.0:
+            cut = _erfc_cut(target)
+            rejected, failed = x > cut, np.isnan(x)
+            exact = np.abs(x - cut) <= _BAND * max(cut, 1.0)
+            if not self.halved:
+                exact |= x < 0.0
+            lanes = np.flatnonzero(exact)
+        else:
+            rejected, failed = np.empty(x.shape, bool), np.empty(x.shape, bool)
+            lanes = np.arange(x.size)
+        p = _p_values(x[lanes], self.halved)
+        rejected[lanes], failed[lanes] = p < alpha, ~is_p_value(p)
+        return rejected, failed
 
 
 def _log_or_minus_inf(bound: np.ndarray) -> np.ndarray:
@@ -222,12 +294,31 @@ def _log_or_minus_inf(bound: np.ndarray) -> np.ndarray:
     return logs
 
 
+def _numpy_log_or_minus_inf(bound: np.ndarray) -> np.ndarray:
+    """``_log_or_minus_inf`` by numpy's log, a few ulps from Python's."""
+    logs = np.full(bound.shape, -math.inf)
+    np.log(bound, out=logs, where=bound > 0.0)
+    return logs
+
+
+def _near(a: np.ndarray, b) -> np.ndarray:
+    """Where ``a`` and ``b`` are finite and within a relative ``_BAND`` of each other."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap = np.abs(a - b)
+    return (gap <= _BAND * np.maximum(np.abs(a), np.abs(b))) & (gap < math.inf)
+
+
 @dataclass(frozen=True)
 class IntervalBlock:
     """An interval's (R,) bounds and estimates at ``level`` on a block, on the
     method's native scale: the log scale of mu where ``log_scale``, else that
     of exp(mu), where a lower bound may be 0 or negative.  ``failed`` marks
-    the datasets it cannot answer on, and ``check`` is as in ``TestBlock``."""
+    the datasets it cannot answer on, and ``check`` is as in ``TestBlock``.
+
+    ``lane(i)`` is dataset i's outcome, ``log_bounds()`` the log-scale bounds
+    that the outcomes have, and ``covers(mu)`` the decisions alone, read off
+    numpy's log of original-scale bounds.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -245,6 +336,24 @@ class IntervalBlock:
         else:
             bounds = [_log_or_minus_inf(bound) for bound in (self.lower, self.upper)]
         return tuple(np.where(self.failed, np.nan, bound) for bound in bounds)
+
+    def covers(self, mu) -> tuple[np.ndarray, np.ndarray]:
+        """(lower <= mu <= upper, no interval) of each dataset against its
+        ``mu``, a number or an (R,) array, on the bounds of ``log_bounds``:
+        an interval is one where lower < upper.
+
+        An original-scale bound's log is numpy's; a lane whose log lies
+        within ``_BAND`` of mu or of its other bound takes Python's logs.
+        """
+        if self.log_scale:
+            lower, upper = self.lower, self.upper
+        else:
+            lower, upper = (_numpy_log_or_minus_inf(bound) for bound in (self.lower, self.upper))
+            lanes = np.flatnonzero(_near(lower, mu) | _near(upper, mu) | _near(lower, upper))
+            lower[lanes] = _log_or_minus_inf(self.lower[lanes])
+            upper[lanes] = _log_or_minus_inf(self.upper[lanes])
+        failed = self.failed | ~is_ordered(lower, upper)
+        return ~failed & (lower <= mu) & (mu <= upper), failed
 
     def lane(self, i: int) -> IntervalOutcome:
         """Dataset ``i``'s outcome, or the ValueError that it has none."""
@@ -310,7 +419,7 @@ def ahmed_components_block(groups: GroupBlock) -> AhmedBlock:
     """Per-group estimates, delta-method weights and their pooled combination
     for every dataset of ``groups`` (see ``AhmedBlock``)."""
     n, means = groups.columns[:2]
-    shrink = np.array([(size - 1) / size for size in groups.ns])[:, None]
+    shrink = (n - 1.0) / n
     with np.errstate(**_QUIET):
         sigma2s = shrink * groups.variances.T  # the n-divisor variances
         thetas = _numpy_exp(means + 0.5 * sigma2s)
@@ -360,7 +469,8 @@ def ahmed_test_block(comp: AhmedBlock, phi0: float,
         comp.lane(i)  # raises the reason of a dataset without components
         log_phi0(phi0)  # names a bad null
 
-    return TestBlock(np.where(failed, np.nan, _wald_pvalue(z, alternative)), z, check)
+    argument, halved = _wald_argument(z, alternative)
+    return TestBlock(np.where(failed, np.nan, argument), z, check, halved)
 
 
 def ahmed_test(comp: AhmedComponents, phi0: float,
@@ -470,23 +580,37 @@ def _profile_variances(n, ybar, scaled, mu) -> np.ndarray:
     v^2 + 4v - 4 Q_i / n_i = 0 with Q_i = (n_i-1) s_i^2 + n_i (ybar_i - mu)^2,
     whose unique positive root 2 (sqrt(1 + x) - 1), x = Q_i / n_i, is taken
     as 2x / (sqrt(1 + x) + 1): no cancellation at small x.  ``n``, ``ybar``
-    and ``scaled`` have the groups on their first axis and broadcast against
-    ``mu``.
+    and ``scaled`` have the groups on their first axis, ``ybar - mu`` has the
+    shape of the result, and ``n`` and ``scaled`` broadcast against it.
 
     A finite variance gives a finite score term and a finite or -inf
     log-likelihood term, and an overflowed one a NaN in both, so the profile
     score and l_p are NaN exactly where a variance overflows.
     """
-    d = ybar - mu
-    x = (scaled + n * (d * d)) / n
-    return np.maximum(2.0 * x / (np.sqrt(1.0 + x) + 1.0), _SIGMA2_FLOOR)
+    # in place, to hold few arrays of the scan's size at once: x is
+    # (scaled + n (d d)) / n and the root 2x / (sqrt(1 + x) + 1), bit for bit,
+    # as + and * commute in IEEE arithmetic
+    x = ybar - mu
+    x *= x
+    x *= n
+    x += scaled
+    x /= n
+    v = np.sqrt(1.0 + x)
+    v += 1.0
+    np.divide(2.0 * x, v, out=v)
+    return np.maximum(v, _SIGMA2_FLOOR, out=v)
 
 
 def _profile_score(n, ybar, scaled, mu):
     # d/dmu of the profile log-likelihood: at the conditional maximizers only
-    # the partial derivative in mu remains, sum_i n_i (ybar_i - mu + v_i/2) / v_i
+    # the partial derivative in mu remains, sum_i n_i (ybar_i - mu + v_i/2) / v_i,
+    # each term taken in place as in _profile_variances
     v = _profile_variances(n, ybar, scaled, mu)
-    return _group_sum(n * (ybar - mu + 0.5 * v) / v)
+    terms = ybar - mu
+    terms += 0.5 * v
+    terms *= n
+    terms /= v
+    return _group_sum(terms)
 
 
 def _log_likelihood(n, ybar, scaled, mu, sigma2s):
@@ -531,14 +655,21 @@ def _scan_points(modes, lo, hi, base, steps):
     """
     lanes, lo, hi = modes.shape[1], lo[:, None], hi[:, None]
     offsets = np.ldexp(base[..., None], np.arange(steps))  # exact doublings
-    offsets = np.where(offsets < hi - lo, offsets, np.nan).transpose(1, 0, 2).reshape(lanes, -1)
+    offsets[~(offsets < hi - lo)] = np.nan
+    offsets = offsets.transpose(1, 0, 2).reshape(lanes, -1)
     centres = np.repeat(modes.T, steps, axis=1)
-    points = np.concatenate([lo, hi, centres - offsets, centres + offsets], axis=1)
-    points = np.where((lo <= points) & (points <= hi), points, np.nan)
+    # lo, hi, then the points below and above the modes, filled in place
+    width = offsets.shape[1]
+    points = np.empty((lanes, 2 + 2 * width))
+    points[:, :1], points[:, 1:2] = lo, hi
+    np.subtract(centres, offsets, out=points[:, 2:2 + width])
+    np.add(centres, offsets, out=points[:, 2 + width:])
+    points[~((lo <= points) & (points <= hi))] = np.nan
     points.sort(axis=1)
     points[:, 1:][points[:, 1:] == points[:, :-1]] = np.nan
     points.sort(axis=1)
-    return points[:, :max(1, int((~np.isnan(points)).sum(axis=1).max()))]
+    # a copy, so that the untrimmed array is not held through the fit
+    return points[:, :max(1, int((~np.isnan(points)).sum(axis=1).max()))].copy()
 
 
 def _brent_orient(state):
@@ -589,8 +720,9 @@ def _brentq(n, ybar, scaled, xa, xb, fa, fb):
     """scipy's ``brentq`` (its Zeros/brentq.c) on the profile score, one
     bracket [xa, xb] per lane, every lane at once.
 
-    ``fa > 0 >= fb`` are the scores at the ends, and ``ybar``, ``scaled`` the
-    (k, lanes) group terms of each lane.  Each lane takes the C loop's
+    ``fa > 0 >= fb`` are the scores at the ends, and ``n``, ``ybar``,
+    ``scaled`` the group terms of each lane, (k, lanes) arrays, or (k, 1) for
+    the sizes that every lane shares.  Each lane takes the C loop's
     iterates, at xtol ``_MU_XTOL`` and scipy's default rtol and iteration
     cap.  Returns the roots, the score evaluations (scipy's
     ``function_calls``, which count both ends), whether each search
@@ -602,7 +734,7 @@ def _brentq(n, ybar, scaled, xa, xb, fa, fb):
     live = np.flatnonzero(~converged)
     zeros = np.zeros(live.size)
     state = (xa[live], xb[live], zeros, fa[live], fb[live], zeros, zeros, zeros)
-    ybar, scaled = ybar[:, live], scaled[:, live]
+    n, ybar, scaled = np.broadcast_to(n, ybar.shape)[:, live], ybar[:, live], scaled[:, live]
     for evaluations in range(2, _BRENT_MAXITER + 2):
         if not live.size:
             break
@@ -612,7 +744,7 @@ def _brentq(n, ybar, scaled, xa, xb, fa, fb):
             stopped = live[done]
             root[stopped], calls[stopped], converged[stopped] = state[1][done], evaluations, True
             go = ~done
-            live, ybar, scaled = live[go], ybar[:, go], scaled[:, go]
+            live, n, ybar, scaled = live[go], n[:, go], ybar[:, go], scaled[:, go]
             delta, sbis = delta[go], sbis[go]
             state = tuple(a[go] for a in state)
             if not live.size:
@@ -625,7 +757,7 @@ def _brentq(n, ybar, scaled, xa, xb, fa, fb):
             overflow_at[live[overflow]], calls[live[overflow]] = state[1][overflow], evaluations + 1
             root[live[overflow]] = np.nan
             go = ~overflow
-            live, ybar, scaled = live[go], ybar[:, go], scaled[:, go]
+            live, n, ybar, scaled = live[go], n[:, go], ybar[:, go], scaled[:, go]
             state = tuple(a[go] for a in state)
     calls[live] = _BRENT_MAXITER + 2
     root[live] = state[1]  # past the iteration cap: the last iterate, not converged
@@ -635,8 +767,10 @@ def _brentq(n, ybar, scaled, xa, xb, fa, fb):
 def _fit(n, ybar, scaled):
     """mu_hat, the (k, R) variances there, l_p(mu_hat), score evaluations,
     convergence and the mu at which a profile variance overflowed (NaN where
-    none did), per lane of the (k, R) group terms."""
+    none did), per lane of the (k, R) group terms; ``n`` may be (k, 1), the
+    sizes that every lane shares."""
     lanes = ybar.shape[1]
+    n = np.broadcast_to(n, ybar.shape)
     c = scaled / n
     modes = ybar + c / 2.0
     lo, hi = modes.min(axis=0), modes.max(axis=0)
@@ -647,7 +781,7 @@ def _fit(n, ybar, scaled):
         steps, step = steps + 1, step * 2.0
     if lanes > 1 and lanes * len(n) * (2 + 2 * len(n) * steps) > _SCAN_BUDGET:
         half = lanes // 2
-        parts = [_fit(n, ybar[:, part], scaled[:, part])
+        parts = [_fit(n[:, part], ybar[:, part], scaled[:, part])
                  for part in (slice(None, half), slice(half, None))]
         return tuple(np.concatenate(pieces, axis=-1) for pieces in zip(*parts))
     points = _scan_points(modes, lo, hi, base, steps)
@@ -665,7 +799,7 @@ def _fit(n, ybar, scaled):
     # the score falls from positive to non-positive once in each bracket of a peak
     lane, col = np.nonzero((scores[:, :-1] > 0.0) & (scores[:, 1:] <= 0.0) & ~broken[:, None])
     roots, calls, converged, overflow_at = _brentq(
-        n, ybar[:, lane], scaled[:, lane], points[lane, col], points[lane, col + 1],
+        n[:, lane], ybar[:, lane], scaled[:, lane], points[lane, col], points[lane, col + 1],
         scores[lane, col], scores[lane, col + 1])
     hit = ~np.isnan(overflow_at)
     if hit.any():  # the first bracket to overflow stops the fit
@@ -682,9 +816,9 @@ def _fit(n, ybar, scaled):
     mu_hat, ll = np.full(lanes, np.nan), np.full(lanes, np.nan)
     sigma2_hats = np.full((len(n), lanes), np.nan)
     if cand_lane.size:
-        cand_ybar, cand_scaled = ybar[:, cand_lane], scaled[:, cand_lane]
-        variances = _profile_variances(n, cand_ybar, cand_scaled, cand_mu)
-        cand_ll = _log_likelihood(n, cand_ybar, cand_scaled, cand_mu, variances)
+        cand_n, cand_ybar, cand_scaled = n[:, cand_lane], ybar[:, cand_lane], scaled[:, cand_lane]
+        variances = _profile_variances(cand_n, cand_ybar, cand_scaled, cand_mu)
+        cand_ll = _log_likelihood(cand_n, cand_ybar, cand_scaled, cand_mu, variances)
         # the highest l_p in each lane, the larger mu on a tie: max((ll, mu), ...)
         order = np.lexsort((cand_mu, cand_ll, cand_lane))
         best = order[np.append(np.diff(cand_lane[order]) != 0, True)]
@@ -743,8 +877,8 @@ def gupta_li_test_block(fit: MleBlock, *, mu0: float) -> TestBlock:
     _require_mu0(mu0)
     with np.errstate(**_QUIET):
         z = (fit.mu_hat - mu0) / fit.std_error
-    return TestBlock(np.where(fit.failed, np.nan, _wald_pvalue(z, Alternative.TWO_SIDED)), z,
-                     fit.lane)
+    argument, _ = _wald_argument(z, Alternative.TWO_SIDED)
+    return TestBlock(np.where(fit.failed, np.nan, argument), z, fit.lane)
 
 
 def gupta_li_test(fit: MleResult, *, mu0: float) -> TestOutcome:
@@ -774,7 +908,7 @@ def lr_test_block(fit: MleBlock, *, mu0: float) -> TestBlock:
         if overflow[i]:
             raise ValueError(_overflow_message(mu0))
 
-    return TestBlock(np.where(fit.failed | overflow, np.nan, _chi2_1_tail(lam)), lam, check)
+    return TestBlock(np.where(fit.failed | overflow, np.nan, _chi2_1_argument(lam)), lam, check)
 
 
 def lr_test(fit: MleResult, *, mu0: float) -> TestOutcome:
@@ -782,15 +916,26 @@ def lr_test(fit: MleResult, *, mu0: float) -> TestOutcome:
     return lr_test_block(fit.block, mu0=mu0).lane(fit.lane)
 
 
+def _chi2_1_argument(lam: np.ndarray) -> np.ndarray:
+    """The erfc argument sqrt(lam / 2) of the chi-square(1) tail at each lam >= 0 or NaN."""
+    return np.sqrt(lam / 2.0)
+
+
 def _chi2_1_tail(lam: np.ndarray) -> np.ndarray:
     """P(X > lam) for X ~ chi-square(1), each lam >= 0 or NaN."""
-    return _erfc(np.sqrt(lam / 2.0))
+    return _erfc(_chi2_1_argument(lam))
+
+
+def _wald_argument(z, alternative) -> tuple[np.ndarray, bool]:
+    """The erfc argument of the Wald p-value of each z under ``alternative``,
+    and whether the p-value is half of erfc (one-sided)."""
+    alternative = Alternative.coerce(alternative)
+    if alternative is Alternative.GREATER:
+        return z / _SQRT2, True
+    if alternative is Alternative.LESS:
+        return -z / _SQRT2, True
+    return np.abs(z) / _SQRT2, False
 
 
 def _wald_pvalue(z, alternative):
-    alternative = Alternative.coerce(alternative)
-    if alternative is Alternative.GREATER:
-        return 0.5 * _erfc(z / _SQRT2)
-    if alternative is Alternative.LESS:
-        return 0.5 * _erfc(-z / _SQRT2)
-    return _erfc(np.abs(z) / _SQRT2)
+    return _p_values(*_wald_argument(z, alternative))

@@ -4,12 +4,14 @@ The command line and the simulation harness both choose methods with
 ``select``.  The command line runs each entry on a ``SharedWork``, the work
 of one dataset, where a classical entry reads lane 0 of its block procedures.
 The simulation decides the classical entries for a whole block of replicates
-at once, on a ``BlockWork``; a block may span the cells of a grid that share
-their group sizes, methods, phi0 and alpha, each replicate with its own true
-mu.  It runs the generalized entries replicate by replicate on a
-``SharedWork`` each.  Entries reach ``classical`` and
-``generalized`` through the module when they run, so a function replaced on
-its module is the one called.
+at once, on a ``BlockWork``; a block may span the stacks of a grid that share
+their group count, methods, phi0 and alpha, each replicate with its own
+group sizes and true mu.  ``decide_block`` reads decisions, not outcomes:
+each test against the critical value of alpha and each interval against mu,
+with an exact band about both (see ``classical``).  The simulation runs the
+generalized entries replicate by replicate on a ``SharedWork`` each.
+Entries reach ``classical`` and ``generalized`` through the module when they
+run, so a function replaced on its module is the one called.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import classical, generalized
 from .generalized import PivotMethod, TestSpec
 from .model import Dataset, ModelSpec
-from .outcomes import Alternative, IntervalOutcome, TestOutcome, is_ordered, is_p_value
+from .outcomes import Alternative, IntervalOutcome, TestOutcome
 from .samplers import StreamKey
 
 # what a procedure raises when it cannot answer on the data; any other exception is a bug
@@ -128,18 +130,14 @@ class Method:
                      mu: np.ndarray) -> np.ndarray:
         """``decide`` of each dataset of the block against its own true ``mu``,
         an (R,) array (the datasets of a block may come from several cells), a
-        (4, R) bool array read off the block procedures, which mark a dataset
-        they cannot answer on with what its ``TestOutcome`` or
-        ``IntervalOutcome`` would refuse."""
+        (4, R) bool array: ``TestBlock.rejects`` and ``IntervalBlock.covers``
+        of the block procedures, which fail a dataset where its
+        ``TestOutcome`` or ``IntervalOutcome`` would refuse it."""
         flags = np.zeros((4, work.groups.size), dtype=bool)
         if self.test_block is not None:
-            p = self.test_block(work, spec, phi0).p_value
-            flags[0] = p < alpha
-            flags[1] = ~is_p_value(p)
+            flags[0], flags[1] = self.test_block(work, spec, phi0).rejects(alpha)
         if self.interval_block is not None:
-            lower, upper = self.interval_block(work, 1.0 - alpha).log_bounds()
-            flags[3] = ~is_ordered(lower, upper)
-            flags[2] = ~flags[3] & (lower <= mu) & (mu <= upper)
+            flags[2], flags[3] = self.interval_block(work, 1.0 - alpha).covers(mu)
         return flags
 
     def unsupported(self, model: ModelSpec, kind: str | None,

@@ -7,16 +7,20 @@ covers when its log-scale bounds hold the true mu.  Replicate r of cell c
 uses the substream (seed, c * outer_reps + r), so results are reproducible
 and independent of how replicates are scheduled across workers.
 
-A grid runs in pieces and stacks.  A piece is a run of replicates of one
-cell.  A stack is a run of pieces of cells that share their seed, group
-sizes, methods, phi0 and alpha, so it may span cells.  A stack draws the
-data of all of its replicates in one pass: one hash of their stream
-addresses and one generator reused row by row (``samplers.normal_rows``),
-~1.3 us per replicate for 15 values, where a generator per replicate cost
-~2.8 us.  The classical methods then decide all of its replicates in one
-pass over arrays, each against its own cell's mu.  The generalized methods
-run replicate by replicate, piece by piece.  Above one worker, one process
-pool serves the whole grid.
+A grid runs in pieces, stacks and passes.  A piece is a run of replicates
+of one cell.  A stack is a run of pieces of cells that share their seed,
+group sizes, methods, phi0 and alpha, so it may span cells.  A stack draws
+the data of all of its replicates at once: one hash of their stream
+addresses and one generator reused row by row (``samplers.normal_rows``).
+A pass is a run of stacks that share their group count, methods, phi0 and
+alpha, so it may span group sizes and seeds, and it keeps only their group
+summaries.  The classical methods decide all of a pass's replicates in one
+pass over arrays, one ML fit for them all, each replicate with its own group
+sizes and against its own cell's mu.  They read decisions, not p-values or
+log bounds: each test against the critical value of alpha and each interval
+against mu, with an exact band about both (see ``classical``).  The
+generalized methods run replicate by replicate, piece by piece.  Above one
+worker, one process pool serves the whole grid.
 
 Grid configs are flat TOML or JSON files with arrays ``mu``, ``sigma2_2`` and
 ``n_pairs``, scalars ``sigma2_1``, ``alpha``, ``outer_reps``, ``inner_reps``,
@@ -50,8 +54,9 @@ from .samplers import StreamKey, normal_rows, stream_words
 
 CSV_COLUMNS = ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
                "estimate", "std_error", "failures")
-# replicates in a piece and in a stack, fewer where their draws would pass
-# BLOCK_DRAWS values; neither changes a number, they bound the arrays
+# replicates in a piece, a stack and a pass, fewer in a piece or a stack where
+# their draws would pass BLOCK_DRAWS values; none changes a number, they bound
+# the arrays
 REPLICATE_BLOCK = 1024
 BLOCK_DRAWS = 2 ** 21
 # contiguous runs of pieces that a pool of workers splits a grid into, per worker
@@ -235,10 +240,17 @@ def draw_stack(cells, stack) -> tuple[GroupBlock, np.ndarray]:
     return GroupBlock(ns, means, variances), valid
 
 
+def _pass_key(cell: SimulationCell) -> tuple:
+    """What the classical methods read of a cell besides its replicates' group
+    summaries and sizes and its mu: the stacks of cells that agree on it are
+    decided in one pass."""
+    return len(cell.ns), cell.methods, cell.phi0, cell.alpha
+
+
 def _stack_key(cell: SimulationCell) -> tuple:
     """What a stack's draw and classical methods read of a cell besides its
     replicates' stream indices, its mu and its variances: cells that agree on
-    it are drawn and decided in one stack."""
+    it are drawn in one stack."""
     return cell.seed, cell.ns, cell.methods, cell.phi0, cell.alpha
 
 
@@ -253,17 +265,18 @@ def _runs(cells, count: int) -> list[list[tuple[int, int, int]]]:
     (cell position, first replicate, replicates).
 
     The cells that share a ``_stack_key`` are taken together, in grid order,
-    so their pieces are neighbours.  A piece holds at most ``_stack_lanes``
-    replicates of one cell and ends where its run does; the runs are of
-    near-equal replicate counts.
+    and so are the stacks that share a ``_pass_key``, so their pieces are
+    neighbours.  A piece holds at most ``_stack_lanes`` replicates of one cell
+    and ends where its run does; the runs are of near-equal replicate counts.
     """
-    grouped: dict[tuple, list[int]] = {}
+    grouped: dict[tuple, dict[tuple, list[int]]] = {}
     for position, cell in enumerate(cells):
-        grouped.setdefault(_stack_key(cell), []).append(position)
+        grouped.setdefault(_pass_key(cell), {}).setdefault(_stack_key(cell), []).append(position)
     total = sum(cell.outer_reps for cell in cells)
     ends = iter(sorted({total * i // count for i in range(1, count + 1)} - {0}))
     runs, run, done, end = [], [], 0, next(ends, total)
-    for position in (position for group in grouped.values() for position in group):
+    for position in (position for stacks in grouped.values() for group in stacks.values()
+                     for position in group):
         cell = cells[position]
         rows = _stack_lanes(cell.ns)
         first = 0
@@ -277,61 +290,85 @@ def _runs(cells, count: int) -> list[list[tuple[int, int, int]]]:
     return runs
 
 
-def _run_pieces(cells, pieces) -> list[np.ndarray]:
-    """Per-method (rejected, test failed, covered, interval failed) counts of
-    each of ``pieces``, a (methods, 4) int array each.
-
-    Consecutive pieces of cells that share a ``_stack_key`` form stacks of at
-    most ``_stack_lanes`` replicates; no number depends on how they stack.
-    """
-    counts = []
+def _stacks(cells, pieces):
+    """Consecutive ``pieces`` of cells that share a ``_stack_key``, in stacks
+    of at most ``_stack_lanes`` replicates."""
     for key, group in itertools.groupby(pieces, key=lambda piece: _stack_key(cells[piece[0]])):
         limit = _stack_lanes(key[1])  # the key's group sizes
         stack, lanes = [], 0
         for piece in group:
-            if lanes + piece[2] > limit:
-                counts += _run_stack(cells, stack)
+            if stack and lanes + piece[2] > limit:
+                yield stack
                 stack, lanes = [], 0
             stack.append(piece)
             lanes += piece[2]
-        counts += _run_stack(cells, stack)
+        yield stack
+
+
+def _run_pieces(cells, pieces) -> list[np.ndarray]:
+    """Per-method (rejected, test failed, covered, interval failed) counts of
+    each of ``pieces``, a (methods, 4) int array each.
+
+    The pieces form stacks (see ``_stacks``), and consecutive stacks of cells
+    that share a ``_pass_key`` form passes of at most ``REPLICATE_BLOCK``
+    replicates; no number depends on how they stack or pass.
+    """
+    counts = []
+    for _, group in itertools.groupby(pieces, key=lambda piece: _pass_key(cells[piece[0]])):
+        stacks, lanes = [], 0
+        for stack in _stacks(cells, group):
+            size = sum(count for _, _, count in stack)
+            if stacks and lanes + size > REPLICATE_BLOCK:
+                counts += _run_pass(cells, stacks)
+                stacks, lanes = [], 0
+            stacks.append(stack)
+            lanes += size
+        counts += _run_pass(cells, stacks)
     return counts
 
 
-def _run_stack(cells, stack) -> list[np.ndarray]:
-    """``_run_pieces`` of one stack.
+def _run_pass(cells, stacks) -> list[np.ndarray]:
+    """``_run_pieces`` of the pieces of ``stacks``, one pass.
 
-    The stack draws its data in one ``draw_stack``.  A refused data draw
-    fails every procedure of its replicate.  The classical methods decide
-    every other replicate of the stack at once, each against its own cell's
+    Each stack draws its data in one ``draw_stack``, and the pass keeps only
+    their group summaries.  A refused data draw fails every procedure of its
+    replicate.  The classical methods decide every other replicate of the
+    pass at once, each with its own group sizes and against its own cell's
     mu; the generalized ones run piece by piece (see ``_run_generalized``).
     """
-    cell = cells[stack[0][0]]
+    pieces = [piece for stack in stacks for piece in stack]
+    cell = cells[pieces[0][0]]
     entries = [METHODS[name] for name in cell.methods]
     spec = TestSpec(log_phi0(cell.phi0))
-    groups, valid = draw_stack(cells, stack)
-    sizes = np.array([count for _, _, count in stack])
+    drawn = [draw_stack(cells, stack) for stack in stacks]
+    means, variances, valid = (np.concatenate(parts) for parts in zip(
+        *((groups.means, groups.variances, stack_valid) for groups, stack_valid in drawn)))
+    sizes = np.array([count for _, _, count in pieces])
     starts = np.cumsum(sizes) - sizes
-    counts = np.zeros((len(stack), len(entries), 4), dtype=np.int64)
+    counts = np.zeros((len(pieces), len(entries), 4), dtype=np.int64)
     counts[:, :, 1] = counts[:, :, 3] = (sizes - np.add.reduceat(valid, starts))[:, None]
     kept = np.flatnonzero(valid)
     if kept.size:
-        work = BlockWork(GroupBlock(cell.ns, groups.means[kept], groups.variances[kept]))
-        mu = np.repeat([cells[position].mu for position, _, _ in stack], sizes)[kept]
-        # where each piece after the first starts among the kept lanes
-        splits = np.searchsorted(kept, starts[1:])
+        ns = cell.ns
+        if any(cells[position].ns != ns for position, _, _ in pieces):  # each replicate's own
+            ns = np.repeat([cells[position].ns for position, _, _ in pieces], sizes, axis=0)[kept]
+        work = BlockWork(GroupBlock(ns, means[kept], variances[kept]))
+        mu = np.repeat([cells[position].mu for position, _, _ in pieces], sizes)[kept]
+        # the kept lanes before each piece and in all, where the running flag
+        # counts of the pass are read off
+        edges = np.searchsorted(kept, np.append(starts, len(valid)))
+        running = np.zeros((4, kept.size + 1), dtype=np.int64)
         for m, entry in enumerate(entries):
             if entry.pivot is None:
-                flags = entry.decide_block(work, spec, cell.phi0, cell.alpha, mu)
-                for counted, piece in zip(counts[:, m], np.split(flags, splits, axis=1)):
-                    counted += piece.sum(axis=1)
+                np.cumsum(entry.decide_block(work, spec, cell.phi0, cell.alpha, mu), axis=1,
+                          out=running[:, 1:])
+                counts[:, m] += (running[:, edges[1:]] - running[:, edges[:-1]]).T
     kinds = pivot_kinds(entries)
     if kinds:
-        for (position, first, count), start, counted in zip(stack, starts.tolist(), counts):
+        for (position, first, count), start, counted in zip(pieces, starts.tolist(), counts):
             lanes = slice(start, start + count)
-            _run_generalized(cells[position], first, groups.means[lanes],
-                             groups.variances[lanes], np.flatnonzero(valid[lanes]), entries,
-                             kinds, spec, counted)
+            _run_generalized(cells[position], first, means[lanes], variances[lanes],
+                             np.flatnonzero(valid[lanes]), entries, kinds, spec, counted)
     return list(counts)
 
 

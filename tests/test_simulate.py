@@ -243,16 +243,22 @@ def test_method_failures_are_counted_not_fatal(monkeypatch):
 
 def test_a_block_answer_that_an_outcome_refuses_is_a_failure(monkeypatch):
     # a block answer is judged by the rules of TestOutcome and IntervalOutcome:
-    # a p-value outside [0, 1] and an empty interval fail, and the interval
-    # [0, 0] does not cover mu = 0
+    # a NaN erfc argument (the refused test) and a negative two-sided one,
+    # whose p-value erfc(-1) lies outside [0, 1], fail, as does an empty
+    # interval, and the interval [0, 0] does not cover mu = 0
     def size(comp):
         return comp.theta_tilde.size
 
     def zeros(comp):
         return np.zeros(size(comp))
 
+    def refused(comp):
+        argument = zeros(comp) - 1.0
+        argument[::2] = np.nan
+        return argument
+
     monkeypatch.setattr(classical, "ahmed_test_block", lambda comp, phi0, alternative:
-                        classical.TestBlock(zeros(comp) + 1.5, zeros(comp), check=None))
+                        classical.TestBlock(refused(comp), zeros(comp), check=None))
     monkeypatch.setattr(classical, "ahmed_ci_block", lambda comp, level: classical.IntervalBlock(
         zeros(comp), zeros(comp), zeros(comp), level, log_scale=True,
         failed=zeros(comp) != 0.0, check=None))
