@@ -48,6 +48,7 @@ log differ by a few ulps, so every lane decides as its p-value or its
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -166,8 +167,8 @@ def _chi2_quantile(level: float, df: int) -> float:
 
 
 def _inverse_sqrt(x: np.ndarray) -> np.ndarray:
-    """x ** -0.5 of each (positive) x, by Python's float power."""
-    return np.array([value ** -0.5 for value in x.tolist()])
+    """x ** -0.5 of each positive (or +inf) x: libm's pow, as Python's ``**`` calls it."""
+    return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(-0.5, x.size)), float, x.size)
 
 
 def _group_sum(terms):
@@ -641,35 +642,35 @@ def constrained_sigma2(ds: Dataset, mu: float) -> np.ndarray:
     return variances
 
 
-def _scan_points(modes, lo, hi, base, steps):
-    """Sorted, distinct scan points of each lane, NaN-padded to a common length.
+def _scan_points(modes, lo, hi, offsets):
+    """Each lane's sorted, distinct scan points, lane after lane in one flat
+    array, with the lane of each point and the count of each lane.
 
     Group i's score changes sign at its mode m_i = ybar_i + c_i / 2, with
     c_i = (n_i - 1) s_i^2 / n_i, and varies on the scale of c_i next to it, so
     a group with a small c_i beside one with a large c_i gives the profile a
     narrow peak that an evenly spaced scan steps over.  Offsets c_i * 2^j,
     j >= -2, on both sides of every mode resolve each group at every scale up
-    to the width hi - lo of the bracket [lo, hi] of modes; ``base`` is c_i / 4
-    (at least the variance floor / 4) and the (k, R) ``modes`` have ``steps``
-    offsets each.
+    to the width hi - lo of the bracket [lo, hi] of modes: ``offsets`` holds
+    a (k, R) array per j, NaN where the offset reaches that width.  A lane's
+    points lie in [lo, hi], and its scan does not grow with other lanes'.
     """
-    lanes, lo, hi = modes.shape[1], lo[:, None], hi[:, None]
-    offsets = np.ldexp(base[..., None], np.arange(steps))  # exact doublings
-    offsets[~(offsets < hi - lo)] = np.nan
-    offsets = offsets.transpose(1, 0, 2).reshape(lanes, -1)
-    centres = np.repeat(modes.T, steps, axis=1)
-    # lo, hi, then the points below and above the modes, filled in place
-    width = offsets.shape[1]
-    points = np.empty((lanes, 2 + 2 * width))
-    points[:, :1], points[:, 1:2] = lo, hi
-    np.subtract(centres, offsets, out=points[:, 2:2 + width])
-    np.add(centres, offsets, out=points[:, 2 + width:])
-    points[~((lo <= points) & (points <= hi))] = np.nan
-    points.sort(axis=1)
-    points[:, 1:][points[:, 1:] == points[:, :-1]] = np.nan
-    points.sort(axis=1)
-    # a copy, so that the untrimmed array is not held through the fit
-    return points[:, :max(1, int((~np.isnan(points)).sum(axis=1).max()))].copy()
+    lanes, k, steps = modes.shape[1], len(modes), len(offsets)
+    # a column per lane: lo, hi, then the points below and above the modes,
+    # where one past lo or hi is moved onto it, a copy of that end
+    points = np.empty((2 + 2 * steps * k, lanes))
+    points[0], points[1] = lo, hi
+    below, above = points[2:].reshape(2, steps, k, lanes)
+    offsets = np.reshape(offsets, (steps, k, lanes))
+    np.maximum(np.subtract(modes, offsets, out=below), lo, out=below)
+    np.minimum(np.add(modes, offsets, out=above), hi, out=above)
+    points.sort(axis=0)
+    # each point unlike the one below it but NaN (no point is -0.0, so equal
+    # points are equal floats), lane by lane
+    keep = ~np.isnan(points)
+    keep[1:] &= points[1:] != points[:-1]
+    of, row = np.divmod(np.flatnonzero(keep.T), len(points))
+    return points[row, of], of, np.bincount(of, minlength=lanes)
 
 
 def _brent_orient(state):
@@ -734,7 +735,7 @@ def _brentq(n, ybar, scaled, xa, xb, fa, fb):
     live = np.flatnonzero(~converged)
     zeros = np.zeros(live.size)
     state = (xa[live], xb[live], zeros, fa[live], fb[live], zeros, zeros, zeros)
-    n, ybar, scaled = np.broadcast_to(n, ybar.shape)[:, live], ybar[:, live], scaled[:, live]
+    terms = np.array(np.broadcast_arrays(n, ybar, scaled)).take(live, axis=2)
     for evaluations in range(2, _BRENT_MAXITER + 2):
         if not live.size:
             break
@@ -744,20 +745,19 @@ def _brentq(n, ybar, scaled, xa, xb, fa, fb):
             stopped = live[done]
             root[stopped], calls[stopped], converged[stopped] = state[1][done], evaluations, True
             go = ~done
-            live, n, ybar, scaled = live[go], n[:, go], ybar[:, go], scaled[:, go]
-            delta, sbis = delta[go], sbis[go]
+            live, terms, delta, sbis = live[go], terms.compress(go, axis=2), delta[go], sbis[go]
             state = tuple(a[go] for a in state)
             if not live.size:
                 break
         state = _brent_advance(state, delta, sbis)
-        fcur = _profile_score(n, ybar, scaled, state[1])
+        fcur = _profile_score(*terms, state[1])
         state = (*state[:4], fcur, *state[5:])
         overflow = np.isnan(fcur)
         if overflow.any():
             overflow_at[live[overflow]], calls[live[overflow]] = state[1][overflow], evaluations + 1
             root[live[overflow]] = np.nan
             go = ~overflow
-            live, n, ybar, scaled = live[go], n[:, go], ybar[:, go], scaled[:, go]
+            live, terms = live[go], terms.compress(go, axis=2)
             state = tuple(a[go] for a in state)
     calls[live] = _BRENT_MAXITER + 2
     root[live] = state[1]  # past the iteration cap: the last iterate, not converged
@@ -768,55 +768,52 @@ def _fit(n, ybar, scaled):
     """mu_hat, the (k, R) variances there, l_p(mu_hat), score evaluations,
     convergence and the mu at which a profile variance overflowed (NaN where
     none did), per lane of the (k, R) group terms; ``n`` may be (k, 1), the
-    sizes that every lane shares."""
+    sizes that every lane shares.  The score is read once at each point of
+    the flat scan, and the brackets, overflows and ends of each lane are read
+    off it, as a lane's points are consecutive and ascending."""
     lanes = ybar.shape[1]
     n = np.broadcast_to(n, ybar.shape)
     c = scaled / n
     modes = ybar + c / 2.0
     lo, hi = modes.min(axis=0), modes.max(axis=0)
     width = hi - lo
-    base = np.maximum(c, _SIGMA2_FLOOR) / 4.0
-    steps, step = 0, base
-    while (step < width).any():
-        steps, step = steps + 1, step * 2.0
-    if lanes > 1 and lanes * len(n) * (2 + 2 * len(n) * steps) > _SCAN_BUDGET:
+    # the offsets of _scan_points, by exact doublings of c_i / 4 (at least the floor / 4)
+    offsets, step = [], np.maximum(c, _SIGMA2_FLOOR) / 4.0
+    while (inside := step < width).any():
+        offsets.append(np.where(inside, step, np.nan))
+        step = step * 2.0
+    if lanes > 1 and lanes * len(n) * (2 + 2 * len(n) * len(offsets)) > _SCAN_BUDGET:
         half = lanes // 2
         parts = [_fit(n[:, part], ybar[:, part], scaled[:, part])
                  for part in (slice(None, half), slice(half, None))]
         return tuple(np.concatenate(pieces, axis=-1) for pieces in zip(*parts))
-    points = _scan_points(modes, lo, hi, base, steps)
-    scores = _profile_score(n[..., None], ybar[..., None], scaled[..., None], points)
-    rows, counts = np.arange(lanes), (~np.isnan(points)).sum(axis=1)
-    first, last = points[:, 0], points[rows, counts - 1]
-    # the scan stops at its first point whose profile variance overflows; the
-    # score is NaN there, and at the padding past the last point
-    failed_at = np.full(lanes, np.nan)
-    bad = np.isnan(scores)
-    bad[:, 1:] &= ~np.isnan(points[:, 1:])
-    broken = bad.any(axis=1)
-    if broken.any():
-        failed_at[broken] = points[broken, bad[broken].argmax(axis=1)]
-    # the score falls from positive to non-positive once in each bracket of a peak
-    lane, col = np.nonzero((scores[:, :-1] > 0.0) & (scores[:, 1:] <= 0.0) & ~broken[:, None])
+    points, of, counts = _scan_points(modes, lo, hi, offsets)
+    terms = np.array((n, ybar, scaled))
+    scores = _profile_score(*terms.take(of, axis=2), points)
+    # the scan stops at its first point whose profile variance overflows, where
+    # the score is NaN: the least such point of the lane
+    failed_at, bad = np.full(lanes, np.nan), np.isnan(scores)
+    np.fmin.at(failed_at, of[bad], points[bad])
+    # a bracket of each peak: the score falls from positive to non-positive within one lane
+    at = np.flatnonzero((scores[:-1] > 0.0) & (scores[1:] <= 0.0) & (of[:-1] == of[1:]))
+    at = at[np.isnan(failed_at[of[at]])]
+    lane = of[at]
     roots, calls, converged, overflow_at = _brentq(
-        n[:, lane], ybar[:, lane], scaled[:, lane], points[lane, col], points[lane, col + 1],
-        scores[lane, col], scores[lane, col + 1])
-    hit = ~np.isnan(overflow_at)
-    if hit.any():  # the first bracket to overflow stops the fit
-        reps, where = np.unique(lane[hit], return_index=True)
-        failed_at[reps] = overflow_at[hit][where]
+        *terms.take(lane, axis=2), points[at], points[at + 1], scores[at], scores[at + 1])
+    np.fmin.at(failed_at, lane, overflow_at)  # the first bracket to overflow stops the fit
     iterations = counts + np.bincount(lane, weights=calls, minlength=lanes).astype(np.int64)
     all_converged = np.bincount(lane, weights=~converged, minlength=lanes) == 0
     # candidates: the ends of the scan where the score points outward, and every root
-    ok = np.isnan(failed_at)
-    first_end, last_end = ok & (scores[:, 0] <= 0.0), ok & (scores[rows, counts - 1] > 0.0)
+    ok, last = np.isnan(failed_at), np.cumsum(counts) - 1
+    first = last + 1 - counts
+    ends = np.concatenate([first[ok & (scores[first] <= 0.0)], last[ok & (scores[last] > 0.0)]])
     keep = ok[lane]
-    cand_lane = np.concatenate([rows[first_end], rows[last_end], lane[keep]])
-    cand_mu = np.concatenate([first[first_end], last[last_end], roots[keep]])
+    cand_lane = np.concatenate([of[ends], lane[keep]])
+    cand_mu = np.concatenate([points[ends], roots[keep]])
     mu_hat, ll = np.full(lanes, np.nan), np.full(lanes, np.nan)
     sigma2_hats = np.full((len(n), lanes), np.nan)
     if cand_lane.size:
-        cand_n, cand_ybar, cand_scaled = n[:, cand_lane], ybar[:, cand_lane], scaled[:, cand_lane]
+        cand_n, cand_ybar, cand_scaled = terms.take(cand_lane, axis=2)
         variances = _profile_variances(cand_n, cand_ybar, cand_scaled, cand_mu)
         cand_ll = _log_likelihood(cand_n, cand_ybar, cand_scaled, cand_mu, variances)
         # the highest l_p in each lane, the larger mu on a tie: max((ll, mu), ...)
@@ -849,11 +846,12 @@ def gupta_li_mle(ds: Dataset) -> MleResult:
     unimodal with its peak at ybar_i + (n_i - 1) s_i^2 / (2 n_i), so the score
     of l_p is positive below the smallest of these modes and negative above
     the largest, and every local maximum lies between them.  The score is
-    read at the points of ``_scan_points``; a Brent search finds the root in
-    each interval where it falls from positive to non-positive, and the root
-    with the highest l_p is the estimate.  The sum of unimodal profiles can
-    have several peaks, so no single local search is trusted.  This is
-    ``gupta_li_mle_block`` of ``ds`` alone.
+    read once at each of the points of ``_scan_points``; a Brent search finds
+    the root in each interval between neighbouring points where it falls
+    from positive to non-positive, and the root with the highest l_p is the
+    estimate.  The sum of unimodal profiles can have several peaks, so no
+    single local search is trusted.  This is ``gupta_li_mle_block`` of
+    ``ds`` alone: a block reads each dataset at its own points only.
     """
     return gupta_li_mle_block(GroupBlock.of(ds)).lane(0)
 

@@ -152,8 +152,9 @@ def test_single_dataset_fit_matches_the_scalar_fit(groups):
 
 
 def test_the_fit_of_a_block_does_not_depend_on_its_other_lanes():
-    # lanes of very different widths pad to one scan length, and a block past
-    # the scan budget is fitted in parts; neither moves a bit
+    # lanes of very different widths scan their own points, one flat array of
+    # them for the block, and a block past the scan budget is fitted in parts;
+    # neither moves a bit
     rng = np.random.default_rng(17)
     groups = _random_block(rng, 3, 64)
     whole = classical.gupta_li_mle_block(groups)
@@ -169,6 +170,78 @@ def test_the_fit_of_a_block_does_not_depend_on_its_other_lanes():
         budget.undo()
     assert [_fields(parts.lane(i)) for i in range(64)] == \
         [_fields(whole.lane(i)) for i in range(64)]
+
+
+# lanes of one block, each k = 3 with its own group sizes, whose neighbours
+# meet in every way that a flat scan of all their points could mix them up
+_BOUNDARY_LANES = [
+    # three narrow peaks: three brackets among 61 points
+    ((41, 16, 55), (-0.07431744240280885, -0.5686680920599951, 0.9202666670216447),
+     (0.00024596555539046464, 7.167306031419729e-07, 13.473741318628276)),
+    # equal groups: one point each, whose score is positive, then negative,
+    # then zero; the first two would make a bracket across their boundary
+    ((51, 51, 51), (-0.5442589828573099,) * 3, (0.42109846735288486,) * 3),
+    ((51, 51, 51), (-0.1321048632913019,) * 3, (0.013271517125308805,) * 3),
+    ((38, 38, 38), (0.10490011715303971,) * 3, (2.7530285650729844,) * 3),
+    # a profile variance overflows at the first point, then at a later one
+    ((10, 12, 15), (1e200, -1e200, 0.0), (1.0, 2.0, 1.0)),
+    ((10, 12, 15), (0.0, 0.0, 0.0), (1.0, 1e160, 2.0)),
+    ((22, 46, 19), (0.10675359658745112, -0.027524746425709002, 0.1306756987960757),
+     (1.4065721321439539e-07, 2.7009890135627143e-07, 8.02303987521031e-06)),
+    ((5, 10, 50), (0.0, 0.3, 0.1), (1.0, 2.5, 0.5)),
+    ((50, 50, 50), (0.0, 0.3, 0.1), (1.0, 0.1, 0.5)),
+]
+
+
+def test_each_lane_of_a_mixed_block_keeps_to_its_own_scan():
+    datasets = [_datasets(ns, [means], [variances])[0] for ns, means, variances in _BOUNDARY_LANES]
+    terms = [ds.group_terms() for ds in datasets]
+    # the lanes hold the cases named above
+    assert len(_brackets(terms[0])[2]) == 3 and len(_brackets(terms[6])[2]) == 3
+    assert _brackets(terms[1])[1] > [0.0] > _brackets(terms[2])[1]
+    assert _brackets(terms[3])[1] == [0.0]
+    counts = [len(_scan_points(t)) for t in terms]
+    assert min(counts) == 1 and max(counts) > 1000
+    ns, means, variances = (np.array(column) for column in zip(*_BOUNDARY_LANES))
+    fit = classical.gupta_li_mle_block(classical.GroupBlock(ns, means, variances))
+    for lane, ds in enumerate(datasets):
+        alone = classical.gupta_li_mle_block(classical.GroupBlock.of(ds))
+        reference = _failure(_reference_mle, ds)
+        block = _failure(fit.lane, lane)
+        assert fit.failed_at[lane].hex() == alone.failed_at[0].hex(), lane
+        if isinstance(reference, str):
+            assert block == _failure(alone.lane, 0) == reference, lane
+        else:
+            assert _fields(block) == _fields(alone.lane(0)) == _reference_fields(ds), lane
+    assert list(fit.failed) == [False] * 4 + [True, True] + [False] * 3
+    assert fit.failed_at[4] == _scan_points(terms[4])[0]
+    assert fit.failed_at[5] > _scan_points(terms[5])[0]
+
+
+def test_the_scan_scores_only_the_points_that_exist(monkeypatch):
+    # a block of the two group sizes of the study grid: the scan hands the
+    # score each lane's distinct points once, none for another lane's width
+    cells = [SimulationCell(mu=0.0, sigma2s=(1.0, 2.5), ns=ns, outer_reps=200, seed=5)
+             for ns in ((5, 10), (50, 50))]
+    drawn = [simulate.draw_block(cell, 0, cell.outer_reps) for cell in cells]
+    assert all(valid.all() for _, valid in drawn)
+    ns = np.concatenate([np.tile(cell.ns, (cell.outer_reps, 1)) for cell in cells])
+    means, variances = (np.concatenate([getattr(groups, name) for groups, _ in drawn])
+                        for name in ("means", "variances"))
+    sizes = []
+    score = classical._profile_score
+
+    def counted(n, ybar, scaled, mu):
+        sizes.append(np.size(mu))
+        return score(n, ybar, scaled, mu)
+
+    monkeypatch.setattr(classical, "_profile_score", counted)
+    classical.gupta_li_mle_block(classical.GroupBlock(ns, means, variances))
+    points = [len(_scan_points(ds.group_terms()))
+              for row_ns, row_means, row_variances in zip(ns, means, variances)
+              for ds in _datasets(row_ns.tolist(), [row_means], [row_variances])]
+    assert min(points) < max(points)
+    assert sizes[0] == sum(points)
 
 
 def test_block_brentq_is_scipys_brentq_bracket_by_bracket():
@@ -383,3 +456,14 @@ def test_log_bounds_are_pythons_log_lane_for_lane():
     for got, bound in zip(block.log_bounds(), (lower, upper)):
         reference = np.array([math.log(x) if x > 0.0 else -math.inf for x in bound.tolist()])
         assert got.tobytes() == np.where(failed, np.nan, reference).tobytes()
+
+
+def test_inverse_sqrt_is_pythons_power_lane_for_lane():
+    rng = np.random.default_rng(5)
+    special = [1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
+               math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 4.0, 0.25, math.inf]
+    x = np.array(special + np.exp(rng.uniform(-700.0, 700.0, 2000)).tolist()
+                 + (rng.uniform(0.0, 1.0, 200) * 1e-308).tolist()
+                 + (1.7976931348623157e308 * rng.uniform(0.5, 1.0, 200)).tolist())
+    assert [value.hex() for value in classical._inverse_sqrt(x).tolist()] == \
+        [(value ** -0.5).hex() for value in x.tolist()]
