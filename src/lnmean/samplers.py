@@ -18,17 +18,11 @@ block of addresses into their starting words in one numpy pass, the words
 ``SeedSequence(address).generate_state(3, np.uint64)`` gives address by
 address, and ``stream_generator`` builds the generator of one address from
 them, numpy's own SFC64 doing the warm-up.  Every generator of the package
-is built this way.  ``normal_rows`` fills a block of rows, each with the
-normals of its own address, through one such generator: it runs SFC64's
-12 warm-up steps for the whole block as uint64 array steps and writes each
-row's seeded state into the generator before drawing the row.
+is built this way, and none has its state written after.
 
 The hash costs ~40-90 us per block plus ~0.05-0.1 us per address in blocks
 of 400-1024, and a generator ~1.7-2 us from its words, where
-``SFC64(SeedSequence(address))`` costs ~11.5 us.  In blocks of 400-1024
-rows ``normal_rows`` adds ~0.3 us per row to the draws themselves, its
-warm-up (~60-90 us per block) and state writes included, where a generator
-per row adds ~1.9 us; a block of one costs ~100 us (2 shared vCPUs, numpy
+``SFC64(SeedSequence(address))`` costs ~11.5 us (2 shared vCPUs, numpy
 2.4.6).  ``StreamKey.generator`` is a block of one (~40-55 us), and
 ``StreamKey.seed_sequence`` is numpy's own seed sequence of the address,
 the reference the tests compare the hash with.
@@ -41,10 +35,12 @@ of its draw rows a substream of its own, one lane past the set's address
   one block.  Row 0 is the same stream as ``StreamKey(seed).generator()``,
   which nothing reads.
 * Simulation replicate r of cell c has stream index i = c * outer_reps + r.
-  Lane 0 draws the data, and the pivot rows are ``generator(1, j)``; row 0
-  can be the same stream as lane 1 alone, which nothing reads.  A stack of
-  replicates hashes and fills its data lanes at once (``normal_rows``), and
-  a piece of them hashes its pivot rows at once.
+  Its pivot rows are ``generator(1, j)``; row 0 can be the same stream as
+  lane 1 alone, which nothing reads.  Its data are a row of the data block
+  of up to B replicates it falls in (see ``simulate.draw_stack``), drawn
+  from lane 0 of the block's first replicate, so a replicate that heads no
+  block reads nothing of its own lane 0.  A stack of replicates hashes its
+  block heads at once, and a piece of them hashes its pivot rows at once.
   ``SimulationCell`` refuses a cell whose last index is 2**32 or more.
 * A row number j < 3k is one 32-bit word, so no row address spans into
   another's.
@@ -57,7 +53,6 @@ count.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -230,77 +225,6 @@ class _StartWords(np.random.bit_generator.ISeedSequence):
 def stream_generator(words: np.ndarray) -> np.random.Generator:
     """The generator of the stream whose ``stream_words`` are ``words``, one (3,) row."""
     return np.random.Generator(np.random.SFC64(_StartWords(words)))
-
-
-# numpy's SFC64 state: four uint64 words s0..s3, then a 32-bit flag and a
-# 32-bit buffer for half-used draws, zero in a freshly seeded generator
-_STATE_WORDS = 5
-_SFC64_ROUNDS = 12
-_SHIFT_3, _SHIFT_11, _SHIFT_24, _SHIFT_40 = (np.array(v, dtype=np.uint64) for v in (3, 11, 24, 40))
-
-
-def _sfc64_states(words: np.ndarray) -> np.ndarray:
-    """The (R, 5) uint64 states that numpy's SFC64 seeds from the (R, 3)
-    starting words ``words``: s = (w0, w1, w2, 1), then 12 rounds of its
-    step, each row of the block at once, and the two 32-bit fields zeroed.
-
-    A step is tmp = s0 + s1 + s3, s3 += 1, s0 = s1 ^ (s1 >> 11),
-    s1 = s2 + (s2 << 3), s2 = rotl(s2, 24) + tmp, modulo 2**64; the
-    counter s3 is the same in every row, so it is the round number here.
-    """
-    state = np.zeros((_STATE_WORDS, len(words)), dtype=np.uint64)
-    state[:3] = words.T
-    s0, s1, s2 = state[:3]
-    tmp, rotated = np.empty_like(s0), np.empty_like(s0)
-    for counter in range(1, _SFC64_ROUNDS + 1):
-        np.add(s0, s1, out=tmp)
-        tmp += np.uint64(counter)
-        np.right_shift(s1, _SHIFT_11, out=s0)
-        s0 ^= s1
-        np.left_shift(s2, _SHIFT_3, out=s1)
-        s1 += s2
-        np.left_shift(s2, _SHIFT_24, out=rotated)
-        s2 >>= _SHIFT_40
-        s2 |= rotated
-        s2 += tmp
-    state[3] = _SFC64_ROUNDS + 1
-    return np.ascontiguousarray(state.T)
-
-
-def _state_view(bits: np.random.SFC64) -> np.ndarray:
-    """The state struct of ``bits`` as a writable (5,) uint64 array over its memory,
-    valid while ``bits`` lives."""
-    return np.frombuffer((ctypes.c_uint64 * _STATE_WORDS).from_address(
-        bits.ctypes.state_address), dtype=np.uint64)
-
-
-def normal_rows(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill row r of ``out`` with the first standard normals of the stream
-    whose ``stream_words`` are ``words[r]``, and return ``out``.
-
-    Row r holds what ``std_normal(stream_generator(words[r]), out=out[r])``
-    writes, bit for bit, but one generator serves every row: each row's
-    seeded state is computed for the whole block at once
-    (``_sfc64_states``) and written into that generator's state before its
-    row is drawn, so no row carries anything over from the one before.  The
-    write goes through the address of numpy's state struct, which is checked
-    once per call against the generator's public ``.state``.
-    """
-    if len(words) != len(out):
-        raise ValueError(f"{len(words)} rows of starting words for {len(out)} rows of draws")
-    if not len(out):
-        return out
-    states = _sfc64_states(words)
-    rng = stream_generator(words[0])
-    bits = rng.bit_generator
-    raw = _state_view(bits)
-    seeded = bits.state
-    if not (np.array_equal(raw[:4], seeded["state"]["state"]) and np.array_equal(raw, states[0])):
-        raise RuntimeError("numpy's SFC64 state is not the four seeded words at its address")
-    for state, row in zip(states, out):
-        raw[...] = state
-        std_normal(rng, out=row)
-    return out
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,19 @@
 Each replicate draws log-scale data from N(mu - sigma_i^2 / 2, sigma_i^2) for
 each of the cell's groups, then every requested method tests phi = phi0
 (two-sided, at ``alpha``) and/or builds a level 1 - alpha interval, which
-covers when its log-scale bounds hold the true mu.  Replicate r of cell c
-uses the substream (seed, c * outer_reps + r), so results are reproducible
-and independent of how replicates are scheduled across workers.
+covers when its log-scale bounds hold the true mu.  A cell's replicates
+draw their data in blocks of up to ``STREAM_ROWS`` (fewer where a block
+would pass ``STREAM_DRAWS`` values), each block one substream, lane 0 of
+its first replicate's index (seed, c * outer_reps + r), one row per
+replicate; replicate r's pivot rows are lane 1 of its own index.  Results
+are thus reproducible and independent of how replicates are scheduled
+across workers.
 
 A grid runs in pieces, stacks and passes.  A piece is a run of replicates
 of one cell.  A stack is a run of pieces of cells that share their seed,
 group sizes, methods, phi0 and alpha, so it may span cells.  A stack draws
-the data of all of its replicates at once: one hash of their stream
-addresses and one generator reused row by row (``samplers.normal_rows``).
+the data of all of its replicates at once: one hash of the addresses of
+the data blocks it touches and one generator per block.
 A pass is a run of stacks that share their group count, methods, phi0 and
 alpha, so it may span group sizes and seeds, and it keeps only their group
 summaries.  The classical methods decide all of a pass's replicates in one
@@ -50,7 +54,7 @@ from .generalized import TestSpec, require_draws
 from .methods import METHOD_ORDER, METHODS, BlockWork, SharedWork, pivot_kinds, select
 from .model import LOGNORMAL_MEAN, Dataset, SampleSummary
 from .outcomes import log_phi0
-from .samplers import StreamKey, normal_rows, stream_words
+from .samplers import StreamKey, std_normal, stream_generator, stream_words
 
 CSV_COLUMNS = ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
                "estimate", "std_error", "failures")
@@ -59,6 +63,11 @@ CSV_COLUMNS = ("mu", "phi0", "alpha", "sigma2s", "ns", "method", "metric",
 # the arrays
 REPLICATE_BLOCK = 1024
 BLOCK_DRAWS = 2 ** 21
+# replicates per data stream, fewer where a stream's draws would pass
+# STREAM_DRAWS values: constants of the stream layout, which every number
+# depends on, so they are not REPLICATE_BLOCK or BLOCK_DRAWS
+STREAM_ROWS = 1024
+STREAM_DRAWS = 2 ** 21
 # contiguous runs of pieces that a pool of workers splits a grid into, per worker
 RANGES_PER_WORKER = 4
 
@@ -190,8 +199,9 @@ def _rate(successes: int, failures: int, reps: int) -> RateEstimate:
 
 
 def draw_block(cell: SimulationCell, first: int, count: int) -> tuple[GroupBlock, np.ndarray]:
-    """The data of replicates ``first`` .. ``first + count - 1`` of ``cell``: a
-    stack of that one piece (see ``draw_stack``)."""
+    """The data of replicates ``first`` .. ``first + count - 1`` of ``cell``, their
+    rows of the cell's data blocks: a stack of that one piece (see
+    ``draw_stack``)."""
     return draw_stack((cell,), [(0, first, count)])
 
 
@@ -201,10 +211,14 @@ def draw_stack(cells, stack) -> tuple[GroupBlock, np.ndarray]:
     one lane per replicate in stack order: their group summaries, and which of
     them ``SampleSummary`` takes.
 
-    Replicate r draws its sum(ns) standard normals from lane 0 of its
-    substream, one row of the stack, split by group in order; the stack's
-    lane-0 addresses are hashed in one ``stream_words`` call and its rows
-    filled by one ``normal_rows`` call.  A group's data are
+    Replicate r of a cell is row r - b * B of its cell's data block
+    b = r // B, B = ``_stream_rows(ns)``: block b is filled row-major, sum(ns)
+    standard normals a row, from lane 0 of the substream of its first
+    replicate, and a row is split by group in order.  The stack's block
+    heads are hashed in one ``stream_words`` call, and each block it touches
+    takes one generator; a piece that starts inside a block draws the
+    block's rows before it and drops them, fewer than B rows, so at most
+    ``STREAM_DRAWS`` values.  A group's data are
     (mu - sigma2 / 2) + sqrt(sigma2) * z, with the two terms taken per lane
     from the lane's cell, and its mean and variance are numpy's sums along
     the row, the same pairwise sums as of the row alone.  A draw past the
@@ -216,14 +230,25 @@ def draw_stack(cells, stack) -> tuple[GroupBlock, np.ndarray]:
     if any(cell.seed != seed or cell.ns != ns for cell in drawn):
         raise ValueError("a stack's cells must share their seed and group sizes")
     sizes = [count for _, _, count in stack]
-    indices = np.concatenate([np.arange(cell.cell_index * cell.outer_reps + first,
-                                        cell.cell_index * cell.outer_reps + first + count)
-                              for cell, (_, first, count) in zip(drawn, stack)])
-    z = normal_rows(stream_words(seed, indices, 0), np.empty((len(indices), sum(ns))))
+    width, block = sum(ns), _stream_rows(ns)
+    # (first stream index of the block, rows dropped before the piece, rows kept)
+    spans = [(cell.cell_index * cell.outer_reps + head, max(first - head, 0),
+              min(head + block, first + count) - max(head, first))
+             for cell, (_, first, count) in zip(drawn, stack)
+             for head in range(first - first % block, first + count, block)]
+    words = stream_words(seed, np.array([index for index, _, _ in spans]), 0)
+    z = np.empty((sum(sizes), width))
+    lane = 0
+    for row_words, (_, dropped, kept) in zip(words, spans):
+        rng = stream_generator(row_words)
+        if dropped:
+            std_normal(rng, (dropped, width))
+        std_normal(rng, out=z[lane:lane + kept])
+        lane += kept
     sigma2 = np.repeat([cell.sigma2s for cell in drawn], sizes, axis=0)
     shift = np.repeat([cell.mu for cell in drawn], sizes)[:, None] - 0.5 * sigma2
     scale = np.sqrt(sigma2)
-    means, variances = np.empty((len(indices), len(ns))), np.empty((len(indices), len(ns)))
+    means, variances = np.empty((len(z), len(ns))), np.empty((len(z), len(ns)))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i, n in enumerate(ns):
@@ -252,6 +277,12 @@ def _stack_key(cell: SimulationCell) -> tuple:
     replicates' stream indices, its mu and its variances: cells that agree on
     it are drawn in one stack."""
     return cell.seed, cell.ns, cell.methods, cell.phi0, cell.alpha
+
+
+def _stream_rows(ns) -> int:
+    """Replicates per data stream of a cell of group sizes ``ns``: ``STREAM_ROWS``,
+    fewer where their draws would pass ``STREAM_DRAWS`` values, and at least one."""
+    return max(1, min(STREAM_ROWS, STREAM_DRAWS // sum(ns)))
 
 
 def _stack_lanes(ns) -> int:
@@ -379,8 +410,9 @@ def _run_generalized(cell: SimulationCell, first: int, means: np.ndarray,
     of ``cell``, whose group summaries are rows ``rows`` of ``means`` and
     ``variances``, to ``counts``, replicate by replicate, on one ``SharedWork``
     that both share, whose draw rows are hashed with the whole piece's."""
-    # lane 0 drew the data; the draw rows both generalized methods read are
-    # the substreams of lane 1, (seed, index, 1, j) for the 3k rows j
+    # lane 0 of the data blocks' first replicates drew the data; the draw rows
+    # both generalized methods read are the substreams of lane 1 of each
+    # replicate, (seed, index, 1, j) for the 3k rows j
     indices = cell.cell_index * cell.outer_reps + first + rows
     words = stream_words(cell.seed, indices[:, None], 1, np.arange(3 * len(cell.ns)))
     for index, row_words, row_means, row_variances in zip(

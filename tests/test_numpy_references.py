@@ -14,7 +14,6 @@ import pytest
 
 from lnmean import classical
 from lnmean.model import LOGNORMAL_MEAN, Dataset, SampleSummary
-from lnmean.samplers import StreamKey, std_normal
 from lnmean.simulate import SimulationCell, draw_block
 
 
@@ -57,10 +56,19 @@ def _log_likelihood_reference(ds, mu, sigma2s):
     return float(np.sum(-0.5 * n * np.log(2.0 * math.pi * v) - quad / (2.0 * v)))
 
 
-def _simulate_reference(cell, rng):
-    groups = []
+def _simulate_reference(cell, replicate):
+    """The group summaries of ``replicate`` of ``cell``: its row of its data
+    block, drawn by numpy's own seed sequence and SFC64 from lane 0 of the
+    block's first replicate, split by group."""
+    block = max(1, min(1024, 2 ** 21 // sum(cell.ns)))
+    head = replicate - replicate % block
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        [cell.seed, cell.cell_index * cell.outer_reps + head, 0])))
+    z = rng.standard_normal((replicate - head + 1, sum(cell.ns)))[-1]
+    groups, start = [], 0
     for sigma2, n in zip(cell.sigma2s, cell.ns):
-        values = cell.mu - 0.5 * sigma2 + math.sqrt(sigma2) * std_normal(rng, n)
+        values = cell.mu - 0.5 * sigma2 + math.sqrt(sigma2) * z[start:start + n]
+        start += n
         groups.append((n, float(values.mean()), float(values.var(ddof=1))))
     return groups
 
@@ -167,11 +175,13 @@ def test_one_draw_split_by_group_is_the_per_group_stream():
         cell = SimulationCell(mu=float(rng.uniform(-500, 500)),
                               sigma2s=tuple(float(10 ** rng.uniform(-8, 3)) for _ in range(k)),
                               ns=ns, methods=("ahmed",), outer_reps=100, seed=k)
-        # replicates 3, 4 and 5 of the cell, drawn as one block
+        # replicates 3, 4 and 5 of the cell, drawn as one piece: at ns =
+        # (10**6, 5) the data blocks are 2 rows, so the piece starts inside one
+        # and spans two
         groups, valid = draw_block(cell, 3, 3)
         assert valid.all()
         for row, replicate in enumerate((3, 4, 5)):
-            reference = _simulate_reference(cell, StreamKey(k, replicate).generator(0))
+            reference = _simulate_reference(cell, replicate)
             assert groups.ns == ns
             assert [(mean.hex(), variance.hex()) for mean, variance in
                     zip(groups.means[row].tolist(), groups.variances[row].tolist())] == \

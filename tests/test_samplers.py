@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lnmean import StreamKey, chi_square, std_normal
-from lnmean import samplers
-from lnmean.samplers import normal_rows, stream_generator, stream_words
+from lnmean.samplers import stream_generator, stream_words
 
 
 def test_stream_key_validation():
@@ -75,9 +74,10 @@ def test_chi_square_takes_any_integer_df_alike():
 
 
 def test_simulation_lanes_are_pairwise_distinct():
-    # the data lane 0 and the Monte Carlo lane 1 of every replicate of two
-    # adjacent cells; the command line's StreamKey(seed) is not one of them
-    # (it is lane 0 of replicate 0), as no run reads both
+    # lane 0, which a data block reads at its first replicate, and the Monte
+    # Carlo lane 1 of every replicate of two adjacent cells; the command
+    # line's StreamKey(seed) is not one of them (it is lane 0 of replicate 0),
+    # as no run reads both
     from lnmean.simulate import SimulationCell
 
     seed = 20240501
@@ -261,65 +261,54 @@ def _address(seed, index):
             index, 0]
 
 
-@pytest.mark.parametrize("seed", [3, 2 ** 40 + 11, 2 ** 64 - 1])
-@pytest.mark.parametrize("rows", [1, 7, 400])
-def test_normal_rows_are_each_rows_own_stream(seed, rows):
-    # in order and reversed: every row starts from its own seeded state, so
-    # nothing carries over from the row filled before it
-    width = 15
-    for indices in (np.arange(rows), np.arange(rows)[::-1].copy()):
-        out = normal_rows(stream_words(seed, indices, 0), np.empty((rows, width)))
-        for row, index in zip(out, indices.tolist()):
-            reference = _numpy_generator(*_address(seed, index)).standard_normal(width)
-            assert row.tobytes() == reference.tobytes()
+def _numpy_rows(seed, index, rows, width):
+    """``rows`` rows of ``width`` standard normals, row-major, from the stream
+    (seed, index, 0) by numpy's own seed sequence and SFC64 path."""
+    return _numpy_generator(*_address(seed, index)).standard_normal((rows, width))
 
 
-def test_a_written_state_is_numpys_own_seeded_state():
-    # the layout guard: a state written at the struct's address reads back
-    # through the public ``.state`` as numpy's own seeding of the address
-    words = stream_words(2 ** 40 + 11, np.arange(5), 0)
-    states = samplers._sfc64_states(words)
-    bits = stream_generator(np.zeros(3, dtype=np.uint64)).bit_generator
-    view = samplers._state_view(bits)
-    for index in (4, 0, 3):
-        # a half-used draw in the 32-bit fields is cleared by the write too
-        bits.state = {**bits.state, "has_uint32": 1, "uinteger": 7}
-        view[...] = states[index]
-        seeded = np.random.SFC64(np.random.SeedSequence(_address(2 ** 40 + 11, index))).state
-        written = bits.state
-        assert written["state"]["state"].tobytes() == seeded["state"]["state"].tobytes()
-        assert ({key: written[key] for key in ("bit_generator", "has_uint32", "uinteger")}
-                == {"bit_generator": "SFC64", "has_uint32": 0, "uinteger": 0})
-
-
-def test_normal_rows_checks_the_state_it_writes(monkeypatch):
-    words = stream_words(1, np.arange(3), 0)
-    with pytest.raises(ValueError, match="rows"):
-        normal_rows(words, np.empty((2, 4)))
-    empty = np.empty((0, 4))
-    assert normal_rows(words[:0], empty) is empty
-    # a state that is not numpy's seeding of the first row is refused
-    monkeypatch.setattr(samplers, "_sfc64_states",
-                        lambda block: np.zeros((len(block), 5), dtype=np.uint64))
-    with pytest.raises(RuntimeError, match="SFC64 state"):
-        normal_rows(words, np.empty((3, 4)))
+def _assert_means_are_of(groups, row, cell, z):
+    """Row ``row`` of ``groups`` holds the group means of the draws ``z``."""
+    start = 0
+    for i, (sigma2, n) in enumerate(zip(cell.sigma2s, cell.ns)):
+        values = cell.mu - 0.5 * sigma2 + math.sqrt(sigma2) * z[start:start + n]
+        start += n
+        assert groups.means[row, i] == np.add.reduce(values) / n
 
 
 def test_draw_block_rows_are_the_replicates_own_streams():
+    # ns = (5000, 5000) gives data blocks of B = 2**21 // 10000 = 209 rows:
+    # replicates 0-208 and 209-299 of the cell.  Replicates 17-21 start and
+    # end inside block 0, and 200-219 span blocks 0 and 1; each is its row
+    # of its block, drawn from lane 0 of the block's first replicate
     from lnmean.simulate import SimulationCell, draw_block
 
     for seed, cell_index in ((3, 2), (2 ** 40 + 11, 1), (2 ** 64 - 1, 0)):
-        cell = SimulationCell(mu=0.5, sigma2s=(1.0, 2.5), ns=(5, 10), outer_reps=100,
+        cell = SimulationCell(mu=0.5, sigma2s=(1.0, 2.5), ns=(5000, 5000), outer_reps=300,
                               seed=seed, cell_index=cell_index, methods=("ahmed",))
-        groups, valid = draw_block(cell, 17, 5)
-        assert valid.all()
-        for row in range(5):
-            index = cell_index * cell.outer_reps + 17 + row
-            z = _numpy_generator(seed, index, 0).standard_normal(sum(cell.ns))
-            reference = std_normal(StreamKey(seed, index).generator(0), sum(cell.ns))
-            assert np.array_equal(z, reference)
-            values = cell.mu - 0.5 * 2.5 + math.sqrt(2.5) * z[5:]
-            assert groups.means[row, 1] == np.add.reduce(values) / 10
+        base = cell_index * cell.outer_reps
+        data = np.concatenate([_numpy_rows(seed, base, 209, 10000),
+                               _numpy_rows(seed, base + 209, 91, 10000)])
+        for first, count in ((17, 5), (200, 20)):
+            groups, valid = draw_block(cell, first, count)
+            assert valid.all()
+            for row in range(count):
+                _assert_means_are_of(groups, row, cell, data[first + row])
+
+
+def test_a_cell_past_the_draw_bound_draws_each_replicates_own_stream():
+    # sum(ns) > 2**21 leaves one replicate per data block, so every
+    # replicate's data are lane 0 of its own stream index
+    from lnmean.simulate import SimulationCell, draw_block
+
+    seed, cell_index = 2 ** 40 + 11, 3
+    cell = SimulationCell(mu=-1.0, sigma2s=(0.5, 4.0), ns=(2 ** 20, 2 ** 20 + 1),
+                          outer_reps=100, seed=seed, cell_index=cell_index, methods=("ahmed",))
+    groups, valid = draw_block(cell, 41, 2)
+    assert valid.all()
+    for row in range(2):
+        index = cell_index * cell.outer_reps + 41 + row
+        _assert_means_are_of(groups, row, cell, _numpy_rows(seed, index, 1, sum(cell.ns))[0])
 
 
 def test_simulation_pivot_rows_are_lane_1_of_each_replicate(monkeypatch):

@@ -482,7 +482,7 @@ def test_the_classical_reference_grid_is_unchanged():
     buffer = io.StringIO()
     write_csv(run_grid(cells), buffer)
     assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == (
-        "26275862910be1a71d9771248cfd4bed6926aeb211ce4c67f0f9b3aa552dde28")
+        "83743afcba085acf1e461fc4795207a290a3de90e058e6635fe2e585e71de967")
 
 
 TOML_CONFIG = """
