@@ -167,18 +167,27 @@ class RateEstimate:
 @dataclass(frozen=True, slots=True)
 class SimulationResult:
     """The counts of one cell: per method of ``cell.methods``, (rejected, test
-    failed, covered, interval failed) over its ``outer_reps`` replicates, one
-    flat tuple of 4 ints per method, method by method.
+    failed, covered, interval failed) over its ``outer_reps`` replicates, 4
+    counts per method, method by method.
 
-    ``rejection`` and ``coverage`` read them as rates, each time they are
-    asked for.  A grid run keeps only the counts, a few hundred bytes a cell.
+    ``packed`` holds them as bytes, each count in the narrowest unsigned
+    integer type that holds ``outer_reps`` (one byte up to 255 replicates),
+    so a grid run keeps about a hundred bytes a cell.  ``counts`` reads them
+    as a flat tuple of ints, and ``rejection`` and ``coverage`` as rates,
+    each time they are asked for.
     """
 
     cell: SimulationCell
-    counts: tuple[int, ...]
+    packed: bytes
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(np.frombuffer(self.packed, np.min_scalar_type(self.cell.outer_reps))
+                     .tolist())
 
     def _rates(self, procedure: str, slot: int) -> dict[str, RateEstimate]:
-        return {name: _rate(self.counts[4 * m + slot], self.counts[4 * m + slot + 1],
+        counts = self.counts
+        return {name: _rate(counts[4 * m + slot], counts[4 * m + slot + 1],
                             self.cell.outer_reps)
                 for m, name in enumerate(self.cell.methods)
                 if getattr(METHODS[name], procedure) is not None}
@@ -298,7 +307,9 @@ def _runs(cells, count: int) -> list[list[tuple[int, int, int]]]:
     The cells that share a ``_stack_key`` are taken together, in grid order,
     and so are the stacks that share a ``_pass_key``, so their pieces are
     neighbours.  A piece holds at most ``_stack_lanes`` replicates of one cell
-    and ends where its run does; the runs are of near-equal replicate counts.
+    and ends where its run or its cell's data block does, so only the first
+    piece of a run can start inside a data block; the runs are of near-equal
+    replicate counts.
     """
     grouped: dict[tuple, dict[tuple, list[int]]] = {}
     for position, cell in enumerate(cells):
@@ -309,10 +320,10 @@ def _runs(cells, count: int) -> list[list[tuple[int, int, int]]]:
     for position in (position for stacks in grouped.values() for group in stacks.values()
                      for position in group):
         cell = cells[position]
-        rows = _stack_lanes(cell.ns)
+        rows, block = _stack_lanes(cell.ns), _stream_rows(cell.ns)
         first = 0
         while first < cell.outer_reps:
-            size = min(rows, cell.outer_reps - first, end - done)
+            size = min(rows, block - first % block, cell.outer_reps - first, end - done)
             run.append((position, first, size))
             first, done = first + size, done + size
             if done == end:
@@ -456,7 +467,7 @@ def run_grid(cells, workers: int = 1) -> list[SimulationResult]:
     for pieces, counts in zip(runs, counted):
         for (position, _, _), piece_counts in zip(pieces, counts):
             totals[position] += piece_counts
-    return [SimulationResult(cell=cell, counts=tuple(total.ravel().tolist()))
+    return [SimulationResult(cell, total.astype(np.min_scalar_type(cell.outer_reps)).tobytes())
             for cell, total in zip(cells, totals)]
 
 

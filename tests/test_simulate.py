@@ -1,6 +1,7 @@
 import hashlib
 import importlib.resources
 import io
+import itertools
 import json
 import math
 import warnings
@@ -472,6 +473,47 @@ def test_stacks_keep_to_one_seed_and_to_the_draw_bound(monkeypatch):
     assert max(lanes) * 15 <= 15 * 60 and sum(lanes) == 400
 
 
+def test_only_a_runs_first_piece_starts_inside_a_data_block():
+    # ns = (5000, 5000) draws its data in blocks of 209 replicates; runs cut
+    # where a block does not end, and still every later piece of a run
+    # starts at a block head, no piece crosses one, and the pieces of a cell
+    # cover its replicates once, in order
+    cells = [SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(5000, 5000), methods=("ahmed",),
+                            outer_reps=500, cell_index=index) for index in range(2)]
+    block = simulate._stream_rows((5000, 5000))
+    assert block == 209
+    for count in (1, 3, 7):
+        runs = simulate._runs(cells, count)
+        assert len(runs) == count
+        for run in runs:
+            assert all(first % block == 0 for _, first, _ in run[1:])
+        pieces = [piece for run in runs for piece in run]
+        assert all(first // block == (first + size - 1) // block for _, first, size in pieces)
+        for position in range(2):
+            spans = [(first, size) for p, first, size in pieces if p == position]
+            assert [first for first, _ in spans] == list(
+                itertools.accumulate([size for _, size in spans[:-1]], initial=0))
+            assert sum(size for _, size in spans) == 500
+
+
+@pytest.mark.parametrize("reps, width", [(100, 1), (255, 1), (256, 2), (65536, 4), (2 ** 32, 8)])
+def test_a_result_keeps_each_count_in_the_narrowest_type_that_holds_the_replicates(
+        reps, width):
+    cell = SimulationCell(mu=0.0, sigma2s=(1.0, 0.5), ns=(5, 10), methods=("lrt", "baklizi"),
+                          outer_reps=reps, inner_reps=1000)
+    counts = (reps - 3, 3, 0, 0, 0, 0, reps - 1, 1)
+    result = simulate.SimulationResult(cell, np.array(counts, f"u{width}").tobytes())
+    assert len(result.packed) == 8 * width
+    assert result.counts == counts and all(type(count) is int for count in result.counts)
+    assert result.rejection["lrt"].estimate == (reps - 3) / reps
+    assert result.rejection["lrt"].failures == 3
+    assert result.coverage["baklizi"].estimate == (reps - 1) / reps
+    assert result.coverage["baklizi"].failures == 1
+    if reps == 100:
+        # a run's result: one byte a count, none in a slot without its procedure
+        run = run_cell(cell).counts
+        assert len(run_cell(cell).packed) == 8 and run[2:6] == (0, 0, 0, 0)
+        assert 0 < run[0] < 100 and 0 < run[6] < 100
 def test_the_classical_reference_grid_is_unchanged():
     # the benchmark's grid-classical reference pass: 8 cells x 100 replicates
     # of the four classical methods, pinned by the digest of its CSV
